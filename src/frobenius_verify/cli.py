@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -22,12 +23,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__, catalog as cat, frobenius as frob, kahler, theta as th
-from .expr import ExprError, ParseError, PotentialExpr, parse, to_source
+from .expr import ParseError, PotentialExpr, parse, to_source
 
 DEFAULT_SEED = 20240613
 DEFAULT_SAMPLES = 64
 DEFAULT_LAMBDA_GRID = (-1.0, -0.5, 0.5, 1.0, 2.0)
 DEFAULT_RADIUS = 30
+# Sample points per tensor batch: about this many entries of an n^4 tensor
+# (8 points at dim 4), so peak memory does not grow with the batch.
+BATCH_ENTRIES = 2048
 DEFAULT_TOLERANCES = {
     "structural": 1e-9,
     "fd": 1e-4,
@@ -68,6 +72,18 @@ class Config:
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
     radius: int = DEFAULT_RADIUS
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
+
+    def __post_init__(self) -> None:
+        # each of these would otherwise yield a verdict resting on no evidence
+        if self.samples < 1:
+            raise SpecError(f"samples must be at least 1, got {self.samples}")
+        if not self.lambda_grid:
+            raise SpecError("lambda grid is empty")
+        for name, value in self.tolerances.items():
+            if not (math.isfinite(value) and value > 0):
+                raise SpecError(
+                    f"tolerance {name} must be positive and finite, got {value}"
+                )
 
 
 @dataclass
@@ -236,40 +252,60 @@ def sample_points(
 # --- manifold verification --------------------------------------------
 
 
-def _sample_record(
-    potential: PotentialExpr, point: np.ndarray, lambda_grid: Sequence[float]
-) -> dict:
-    md = kahler.metric_at(potential, point)
-    sym_g, sym_p = kahler.kahler_residuals(md, md.jet)
+def _sample_records(
+    potential: PotentialExpr, points: Sequence[np.ndarray], lambda_grid: Sequence[float]
+) -> list:
+    """Records of a batch of sample points, in order.  The tensors of all
+    points are computed together; a point that fails a numeric check gets
+    an error record and leaves the others untouched."""
+    md, failures = kahler.metric_batch(potential, points)
+    finite = np.all(np.isfinite(md.christoffel), axis=(-3, -2, -1))
+    good = [idx for idx in range(len(points)) if idx not in failures]
+    for k in np.flatnonzero(~finite):
+        failures[good[k]] = kahler.KahlerError("non-finite structure constants")
+    md = md[finite]
+
+    sym_g, sym_p = kahler.kahler_residuals(md, md.partials)
     ricci_herm, ricci_max = kahler.ricci_c1_check(md)
-    hol, _anti = frob.fiber_algebra_from_metric(md)
-    pencil = [frob.pencil_curvature(md, lam) for lam in lambda_grid]
-    unit = frob.find_unit(hol)
-    return {
-        "point": [[float(z.real), float(z.imag)] for z in point],
+    hol = frob.fiber_algebra_from_metric(md)
+    pencil = frob.pencil_curvature(md, lambda_grid)
+    units = frob.find_unit(hol)
+    columns = {
         "kahler_symmetry": sym_g,
         "rank3_symmetry": sym_p,
-        "metric_hermiticity": float(np.max(np.abs(md.g - np.conj(md.g.T)))),
+        "metric_hermiticity": kahler.hermiticity(md.g),
         "min_singular": md.min_singular,
         "condition_number": md.cond,
-        "positive_definite": md.positive_definite,
-        "max_curvature": float(np.max(np.abs(md.curvature))),
+        "max_curvature": kahler.worst(md.curvature, 4),
         "wdvv": kahler.wdvv_residual_at(md),
         "ricci_hermiticity": ricci_herm,
         "max_ricci": ricci_max,
         "commutator": frob.commutator(hol),
         "associator": frob.associator(hol),
         "compat": frob.frobenius_compat(hol),
-        "unit_exists": unit is not None,
-        "pencil": [
-            {
-                "lambda": ps.lam,
-                "curvature_norm": ps.curvature_norm,
-                "trace_norm": ps.trace_norm,
-            }
-            for ps in pencil
-        ],
     }
+
+    records = []
+    k = 0
+    for idx, point in enumerate(points):
+        rec = {"point": [[float(z.real), float(z.imag)] for z in point]}
+        if idx in failures:
+            rec["error"] = str(failures[idx])
+        else:
+            rec.update({key: float(col[k]) for key, col in columns.items()})
+            rec["positive_definite"] = bool(md.positive_definite[k])
+            rec["unit_exists"] = units[k] is not None
+            rec["pencil"] = [
+                {
+                    "lambda": lam,
+                    "curvature_norm": float(pencil.curvature_norm[k, j]),
+                    "trace_norm": float(pencil.trace_norm[k, j]),
+                }
+                for j, lam in enumerate(lambda_grid)
+            ]
+            k += 1
+        records.append(rec)
+    return records
 
 
 def _group_record(action: cat.GroupAction, tol: float) -> dict:
@@ -323,21 +359,14 @@ def run_verify(spec: ManifoldSpec, config: Config) -> Report:
     points = sample_points(
         spec.sample_domain, spec.dim, config.samples, config.seed, spec.name
     )
-    numeric_failure = False
-    for idx, pt in enumerate(points):
-        try:
-            rec = _sample_record(potential, pt, config.lambda_grid)
+    batch = max(1, BATCH_ENTRIES // spec.dim**4)
+    for start in range(0, len(points), batch):
+        chunk = points[start : start + batch]
+        records = _sample_records(potential, chunk, config.lambda_grid)
+        for idx, rec in enumerate(records, start):
             rec["index"] = idx
             samples.append(rec)
-        except (kahler.KahlerError, ExprError) as exc:
-            numeric_failure = True
-            samples.append(
-                {
-                    "index": idx,
-                    "point": [[float(z.real), float(z.imag)] for z in pt],
-                    "error": str(exc),
-                }
-            )
+    numeric_failure = any("error" in s for s in samples)
 
     group_ok = True
     if spec.group is not None:
@@ -389,9 +418,13 @@ def run_verify(spec: ManifoldSpec, config: Config) -> Report:
             )
             < s_tol
         )
+        positive = all(s["positive_definite"] for s in samples)
+        if not positive:
+            reasons.append("metric not positive definite at sampled points")
         if not core:
-            verdict = "not-frobenius"
             reasons.append("structural identities violated")
+        if not (core and positive):
+            verdict = "not-frobenius"
         elif flatness and associativity and group_ok:
             verdict = "frobenius"
         elif flatness and not associativity and group_ok:
@@ -638,7 +671,10 @@ def _config_from_args(args) -> Config:
         name, value = item.split("=", 1)
         if name not in tolerances:
             raise SpecError(f"unknown tolerance {name!r}")
-        tolerances[name] = float(value)
+        try:
+            tolerances[name] = float(value)
+        except ValueError as exc:
+            raise SpecError(f"tolerance {name} is not a number: {value!r}") from exc
     try:
         grid = tuple(float(v) for v in args.lambda_grid.split(",") if v.strip())
     except ValueError as exc:

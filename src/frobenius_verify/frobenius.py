@@ -5,6 +5,12 @@ coefficient of ``e_k`` in ``e_i * e_j``, matching the Christoffel layout
 ``christoffel[k][i][j]`` of the metric module.  The pencil of
 connections deforms the flat background by ``lambda * C``; its curvature
 2-form is exactly quadratic in lambda (linear on the mixed block).
+
+Like the metric module, everything here broadcasts over leading sample
+axes and reduces each check to one value per sample (a float for a
+single point).  A pencil parameter may be a scalar or a 1-d grid; a grid
+adds its axis after the sample axes, and the point data are computed
+once for the whole grid.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .expr import PotentialExpr
-from .kahler import MetricData, christoffel_derivatives
+from .kahler import MetricData, christoffel_derivatives, worst
 from .wirtinger import jet_eval, partial
 
 UNIT_RESIDUAL_TOL = 1e-8
@@ -24,7 +30,8 @@ AFFINE_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class FiberAlgebra:
-    """Finite-dimensional complex algebra with a symmetric bilinear form."""
+    """Finite-dimensional complex algebra with a symmetric bilinear form
+    (or a batch of them along leading axes)."""
 
     dim: int
     C: np.ndarray  # C[k][i][j]
@@ -34,7 +41,7 @@ class FiberAlgebra:
     def __post_init__(self) -> None:
         C = np.asarray(self.C, dtype=np.complex128)
         form = np.asarray(self.form, dtype=np.complex128)
-        if C.shape != (self.dim,) * 3 or form.shape != (self.dim,) * 2:
+        if C.shape[-3:] != (self.dim,) * 3 or form.shape[-2:] != (self.dim,) * 2:
             raise ValueError("structure constant / form shape mismatch")
         if not np.all(np.isfinite(C)):
             raise ValueError("non-finite structure constants")
@@ -52,66 +59,64 @@ class PencilSample:
     trace_norm: float
 
 
-def commutator(alg: FiberAlgebra) -> float:
+def commutator(alg: FiberAlgebra):
     """Max |C^k_{ij} - C^k_{ji}|; zero iff the algebra is commutative."""
-    return float(np.max(np.abs(alg.C - np.transpose(alg.C, (0, 2, 1)))))
+    return worst(alg.C - np.swapaxes(alg.C, -1, -2), 3)
 
 
-def associator(alg: FiberAlgebra) -> float:
+def associator(alg: FiberAlgebra):
     """Max componentwise |(e_i e_j) e_k - e_i (e_j e_k)| over basis triples."""
-    left = np.einsum("mij,lmk->ijkl", alg.C, alg.C)
-    right = np.einsum("mjk,lim->ijkl", alg.C, alg.C)
-    return float(np.max(np.abs(left - right)))
+    left = np.einsum("...mij,...lmk->...ijkl", alg.C, alg.C)
+    right = np.einsum("...mjk,...lim->...ijkl", alg.C, alg.C)
+    return worst(left - right, 4)
 
 
-def frobenius_compat(alg: FiberAlgebra) -> float:
+def frobenius_compat(alg: FiberAlgebra):
     """Max |<e_i e_j, e_k> - <e_i, e_j e_k>| over basis triples."""
-    left = np.einsum("mij,mk->ijk", alg.C, alg.form)
-    right = np.einsum("im,mjk->ijk", alg.form, alg.C)
-    return float(np.max(np.abs(left - right)))
+    left = np.einsum("...mij,...mk->...ijk", alg.C, alg.form)
+    right = np.einsum("...im,...mjk->...ijk", alg.form, alg.C)
+    return worst(left - right, 3)
 
 
-def find_unit(alg: FiberAlgebra) -> Optional[np.ndarray]:
+def find_unit(alg: FiberAlgebra):
     """Least-squares unit: solve u * e_i = e_i for all i.
 
     Returns the coefficient vector when the residual is below
     ``UNIT_RESIDUAL_TOL``, otherwise None (e.g. for the zero algebra,
-    which has no unit).
+    which has no unit); for a batch, a list with one entry per sample.
     """
     n = alg.dim
     # row (k,i): sum_j C[k][j][i] u_j = delta_{ki}
-    a = np.transpose(alg.C, (0, 2, 1)).reshape(n * n, n)
+    rows = np.swapaxes(alg.C, -1, -2).reshape(-1, n * n, n)
     b = np.eye(n, dtype=np.complex128).reshape(n * n)
-    u, *_ = np.linalg.lstsq(a, b, rcond=None)
-    if float(np.max(np.abs(a @ u - b))) < UNIT_RESIDUAL_TOL:
-        return u
-    return None
+    units = []
+    for a in rows:  # LAPACK least squares does not take a stack
+        u, *_ = np.linalg.lstsq(a, b, rcond=None)
+        units.append(u if float(np.max(np.abs(a @ u - b))) < UNIT_RESIDUAL_TOL else None)
+    return units if alg.C.ndim > 3 else units[0]
 
 
-def fiber_algebra_from_metric(md: MetricData) -> tuple[FiberAlgebra, FiberAlgebra]:
-    """Holomorphic and antiholomorphic tangent-fiber algebras at the point.
+def fiber_algebra_from_metric(md: MetricData) -> FiberAlgebra:
+    """Holomorphic tangent-fiber algebra at the point.
 
-    Structure constants are the Christoffel symbols (conjugated for the
-    antiholomorphic fiber).  The bilinear form is the metric restricted
-    to each fiber, which vanishes identically because the pure-index
-    metric blocks are zero; the zero form is stored explicitly.
+    Structure constants are the Christoffel symbols; the antiholomorphic
+    fiber carries their conjugates.  The bilinear form is the metric
+    restricted to the fiber, which vanishes identically because the
+    pure-index metric blocks are zero; the zero form is stored explicitly.
     """
-    zero_form = np.zeros((md.dim, md.dim), dtype=np.complex128)
-    hol = FiberAlgebra(md.dim, md.christoffel, zero_form)
-    anti = FiberAlgebra(md.dim, md.christoffel_bar, zero_form)
-    return hol, anti
+    return FiberAlgebra(md.dim, md.christoffel, np.zeros_like(md.g))
 
 
 def direct_sum_algebra(md: MetricData) -> FiberAlgebra:
-    """Whole-tangent-fiber algebra: block-diagonal structure constants
-    (Gamma on the holomorphic block, its conjugate on the
-    antiholomorphic one; mixed products vanish with the mixed
+    """Whole-tangent-fiber algebra at a single point: block-diagonal
+    structure constants (Gamma on the holomorphic block, its conjugate on
+    the antiholomorphic one; mixed products vanish with the mixed
     Christoffel symbols) and the metric's block form, whose only
     nonzero blocks are the off-diagonal g / g-conjugate pairings."""
     n = md.dim
     C = np.zeros((2 * n,) * 3, dtype=np.complex128)
     C[:n, :n, :n] = md.christoffel
-    C[n:, n:, n:] = md.christoffel_bar
+    C[n:, n:, n:] = np.conj(md.christoffel)
     form = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     form[:n, n:] = md.g
     form[n:, :n] = md.g.T
@@ -122,7 +127,8 @@ def curvature_via_algebra(
     md: MetricData, triple: tuple[int, int, int]
 ) -> np.ndarray:
     """Algebraic combination e_i (e_j e_k) - e_j (e_i e_k) in the
-    holomorphic fiber algebra; the curvature operator on basis fields."""
+    holomorphic fiber algebra at a single point; the curvature operator
+    on basis fields."""
     i, j, k = triple
     C = md.christoffel
     return np.einsum("m,lm->l", C[:, j, k], C[:, i, :]) - np.einsum(
@@ -130,8 +136,40 @@ def curvature_via_algebra(
     )
 
 
+def _on_grid(lam, blocks: Sequence[np.ndarray], axes: int):
+    """``lam`` and ``blocks`` shaped to broadcast against each other: a
+    scalar leaves them as they are, a 1-d grid gets an axis in front of
+    the blocks' last ``axes`` axes."""
+    if np.ndim(lam) == 0:
+        return lam, blocks
+    grid = np.asarray(lam, dtype=float).reshape((-1,) + (1,) * axes)
+    return grid, [np.expand_dims(x, -axes - 1) for x in blocks]
+
+
+def _curvature_form(md: MetricData, dgam: np.ndarray, dgam_bar: np.ndarray, lam):
+    gamma = md.christoffel
+    antisym = np.einsum("...ckdj->...cdkj", dgam) - np.einsum("...dkcj->...cdkj", dgam)
+    comm = np.einsum("...kcm,...mdj->...cdkj", gamma, gamma) - np.einsum(
+        "...kdm,...mcj->...cdkj", gamma, gamma
+    )
+    mix = np.einsum("...dkcj->...cdkj", dgam_bar)
+    lam, (antisym, comm, mix) = _on_grid(lam, (antisym, comm, mix), 4)
+    return lam * antisym + lam * lam * comm, -lam * mix
+
+
+def _trace_endomorphism(md: MetricData, dgam_bar: np.ndarray, lam) -> np.ndarray:
+    trace = np.einsum("...jk,...kbja->...ba", md.g_inv, dgam_bar)
+    lam, (trace,) = _on_grid(lam, (trace,), 2)
+    return -lam * trace
+
+
+def _einstein_defect(tr: np.ndarray):
+    kappa = np.trace(tr, axis1=-2, axis2=-1) / tr.shape[-1]
+    return worst(tr - kappa[..., None, None] * np.eye(tr.shape[-1]), 2)
+
+
 def pencil_curvature_form(
-    md: MetricData, lam: float
+    md: MetricData, lam
 ) -> tuple[np.ndarray, np.ndarray]:
     """Curvature 2-form blocks of the connection with coefficients
     lambda * Gamma in the flat background gauge.
@@ -143,42 +181,34 @@ def pencil_curvature_form(
     Both blocks are polynomial in lambda (degree 2 and 1) with
     coefficients fixed by the point data.
     """
-    dgam, dgam_bar = christoffel_derivatives(md)
-    gamma = md.christoffel
-    antisym = np.einsum("ckdj->cdkj", dgam) - np.einsum("dkcj->cdkj", dgam)
-    comm = np.einsum("kcm,mdj->cdkj", gamma, gamma) - np.einsum(
-        "kdm,mcj->cdkj", gamma, gamma
-    )
-    f_hol = lam * antisym + lam * lam * comm
-    f_mix = -lam * np.einsum("dkcj->cdkj", dgam_bar)
-    return f_hol, f_mix
+    return _curvature_form(md, *christoffel_derivatives(md), lam)
 
 
-def trace_endomorphism(md: MetricData, lam: float) -> np.ndarray:
+def trace_endomorphism(md: MetricData, lam) -> np.ndarray:
     """Metric trace of the mixed curvature block over the form indices:
     tr(F_lam)^b_a = -lam * sum_{j,k} H[j][k] dbar_k Gamma^b_{ja}."""
-    _, dgam_bar = christoffel_derivatives(md)
-    return -lam * np.einsum("jk,kbja->ba", md.g_inv, dgam_bar)
+    return _trace_endomorphism(md, christoffel_derivatives(md)[1], lam)
 
 
-def hermitian_einstein_trace(md: MetricData, lam: float) -> float:
+def hermitian_einstein_trace(md: MetricData, lam):
     """Max entry of |tr(F_lam) - kappa Id| with kappa the mean diagonal."""
-    tr = trace_endomorphism(md, lam)
-    kappa = np.trace(tr) / md.dim
-    return float(np.max(np.abs(tr - kappa * np.eye(md.dim))))
+    return _einstein_defect(trace_endomorphism(md, lam))
 
 
-def pencil_curvature(md: MetricData, lam: float) -> PencilSample:
-    f_hol, f_mix = pencil_curvature_form(md, lam)
-    norm = max(float(np.max(np.abs(f_hol))), float(np.max(np.abs(f_mix))))
-    return PencilSample(lam, norm, hermitian_einstein_trace(md, lam))
+def pencil_curvature(md: MetricData, lam) -> PencilSample:
+    """Curvature and trace norms of the pencil at ``lam``; with a grid of
+    parameters each norm has one entry per (sample, lambda)."""
+    dgam, dgam_bar = christoffel_derivatives(md)
+    f_hol, f_mix = _curvature_form(md, dgam, dgam_bar, lam)
+    norm = np.maximum(worst(f_hol, 4), worst(f_mix, 4))
+    return PencilSample(lam, norm, _einstein_defect(_trace_endomorphism(md, dgam_bar, lam)))
 
 
 def ricci_via_connection(md: MetricData) -> np.ndarray:
     """Ricci tensor recomputed as the fiber trace of dbar Gamma; must
     agree with the metric-route Ricci to round-off."""
     _, dgam_bar = christoffel_derivatives(md)
-    return np.einsum("daca->cd", dgam_bar)
+    return np.einsum("...daca->...cd", dgam_bar)
 
 
 def affine_vector_field_check(

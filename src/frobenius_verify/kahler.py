@@ -1,10 +1,23 @@
-"""Metric, Christoffel, curvature, Ricci and WDVV tensors at a chart point.
+"""Metric, Christoffel, curvature, Ricci and WDVV tensors at chart points.
 
-Index conventions used throughout (G is the matrix ``G[a][b] = g_{a bbar}``
-of second mixed partials of the potential, H = G^{-1}):
+Every tensor carries leading sample axes in front of its index axes:
+``g`` has shape ``(..., n, n)``, with ``(N, n, n)`` for a batch of N
+points and ``(n, n)`` for the single point of :func:`metric_at`.  The
+functions below broadcast over those axes (``...`` einsums, batched
+LAPACK) and reduce each check to one value per sample, a float for a
+single point.  Index conventions below name the trailing axes only.
+
+Tensors are read from the stacked jet partials ``partials`` (shape
+``(..., E)``: jet coefficients times ``alpha! beta!`` in the order of
+``wirtinger._table(n).entries``) by fancy indexing with the table's
+gather indices, once per batch; ``wirtinger.partial`` is the scalar
+form of the same read.
+
+Index conventions (G is the matrix ``G[a][b] = g_{a bbar}`` of second
+mixed partials of the potential, H = G^{-1}):
 
 * ``phi3[a][b][c]``     holds Phi_{a b cbar}   (two holomorphic, one anti);
-* ``phi3_bar[a][b][c]`` holds Phi_{abar bbar c} = conj(phi3[a][b][c]);
+  its conjugate ``conj(phi3)[a][b][c]`` is Phi_{abar bbar c};
 * ``christoffel[k][i][j] = sum_e phi3[i][j][e] H[e][k]``  (Gamma^k_{ij});
 * curvature ``R[a][b][c][d]`` (indices a, bbar, c, dbar) is
 
@@ -24,12 +37,14 @@ is validated against a finite-difference pipeline in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
-from .expr import PotentialExpr
-from .wirtinger import Jet, hermiticity_defect, jet_eval, partial
+from .expr import ExprError, PotentialExpr
+from .wirtinger import _table, hermiticity_defect, jet_eval
+from .wirtinger import partial  # noqa: F401  (re-exported: the one-entry read)
 
 DEGENERACY_FLOOR = 1e-8  # min singular value must exceed floor * max
 REALNESS_TOL = 1e-8
@@ -61,185 +76,196 @@ class ChartPoint:
 
 @dataclass(frozen=True, eq=False)
 class MetricData:
-    """Per-point bundle of all tensors derived from one potential jet."""
+    """Bundle of all tensors derived from the potential's jets at one
+    point, or at a batch of points stacked along leading axes."""
 
     point: np.ndarray
     g: np.ndarray
     g_inv: np.ndarray
     phi3: np.ndarray
-    phi3_bar: np.ndarray
     christoffel: np.ndarray
-    christoffel_bar: np.ndarray
     curvature: np.ndarray
     ricci: np.ndarray
-    min_singular: float
-    cond: float
-    positive_definite: bool  # reported, not certified: spectrum at this point
-    jet: Jet
+    min_singular: np.ndarray
+    cond: np.ndarray
+    positive_definite: np.ndarray  # reported, not certified: spectrum at the point
+    partials: np.ndarray  # jet coefficients times alpha! beta!
 
     @property
     def dim(self) -> int:
-        return self.g.shape[0]
+        return self.g.shape[-1]
+
+    def __getitem__(self, k) -> "MetricData":
+        """The bundle of sample ``k`` (or of the samples a mask or slice picks)."""
+        return MetricData(**{f.name: getattr(self, f.name)[k] for f in fields(self)})
 
 
-def _unit(n: int, *axes: int) -> tuple[int, ...]:
-    v = [0] * n
-    for a in axes:
-        v[a] += 1
-    return tuple(v)
+def worst(x: np.ndarray, axes: int):
+    """Max |x| over the last ``axes`` axes: one value per sample, a float
+    for a single point."""
+    m = np.max(np.abs(x), axis=tuple(range(-axes, 0)))
+    return float(m) if m.ndim == 0 else m
 
 
-def metric_at(potential: PotentialExpr, point) -> MetricData:
-    """All metric-level tensors at ``point`` from a single jet evaluation."""
-    if isinstance(point, ChartPoint):
-        point = point.coordinates
-    pt = np.asarray(point, dtype=np.complex128)
+def hermiticity(m: np.ndarray):
+    """Max |m - m^H| over the last two axes."""
+    return worst(m - np.conj(np.swapaxes(m, -1, -2)), 2)
+
+
+def metric_batch(
+    potential: PotentialExpr, points: Sequence
+) -> tuple[MetricData, dict[int, KahlerError | ExprError]]:
+    """All metric-level tensors at a batch of points.
+
+    Jets are evaluated point by point; everything after them runs once on
+    the stacked partials.  A point whose jet fails (log domain), whose
+    potential is not real there or whose metric is degenerate is left out
+    of the bundle and returned as ``{index: exception}``; the bundle holds
+    the other points in order.
+    """
     n = potential.dim
-    jet = jet_eval(potential, pt)
+    t = _table(n)
+    failures: dict[int, KahlerError | ExprError] = {}
+    pts, rows = [], []
+    for idx, point in enumerate(points):
+        pt = np.asarray(point, dtype=np.complex128)
+        try:
+            jet = jet_eval(potential, pt)
+        except ExprError as exc:
+            failures[idx] = exc
+            continue
+        scale = max(1.0, float(np.max(np.abs(jet.coeffs))))
+        if hermiticity_defect(jet) > REALNESS_TOL * scale:
+            failures[idx] = RealnessError("potential is not real-valued near the point")
+            continue
+        pts.append(pt)
+        rows.append(jet.coeffs)
+    good = [idx for idx in range(len(points)) if idx not in failures]
+    point = np.array(pts, dtype=np.complex128).reshape(-1, n)
+    partials = np.array(rows, dtype=np.complex128).reshape(-1, len(t.entries)) * t.fact
 
-    scale = max(1.0, float(np.max(np.abs(jet.coeffs))))
-    if hermiticity_defect(jet) > REALNESS_TOL * scale:
-        raise RealnessError("potential is not real-valued near the point")
-
-    g = np.empty((n, n), dtype=np.complex128)
-    phi3 = np.empty((n, n, n), dtype=np.complex128)
-    ddbar = np.empty((n, n, n, n), dtype=np.complex128)
-    for a in range(n):
-        for b in range(n):
-            g[a, b] = partial(jet, _unit(n, a), _unit(n, b))
-            for c in range(n):
-                phi3[a, b, c] = partial(jet, _unit(n, a, b), _unit(n, c))
-                for d in range(n):
-                    ddbar[a, b, c, d] = partial(jet, _unit(n, a, c), _unit(n, b, d))
-    phi3_bar = np.conj(phi3)
-
+    g = np.take(partials, t.g_idx, axis=-1)
     sv = np.linalg.svd(g, compute_uv=False)
-    smax, smin = float(sv[0]), float(sv[-1])
-    if smin <= DEGENERACY_FLOOR * smax:
-        raise DegenerateMetricError(
-            f"metric degenerate at point (min singular {smin:.3e}, max {smax:.3e})"
+    smax, smin = sv[:, 0], sv[:, -1]
+    degenerate = smin <= DEGENERACY_FLOOR * smax
+    for k in np.flatnonzero(degenerate):
+        failures[good[k]] = DegenerateMetricError(
+            f"metric degenerate at point (min singular {smin[k]:.3e}, max {smax[k]:.3e})"
         )
-    positive = bool(np.linalg.eigvalsh(g)[0] > 0)
+    keep = ~degenerate
+    point, partials, g = point[keep], partials[keep], g[keep]
+    smax, smin = smax[keep], smin[keep]
+
+    positive = np.linalg.eigvalsh(g)[:, 0] > 0
     h = np.linalg.inv(g)  # LAPACK LU with partial pivoting
-
-    christoffel = np.einsum("ije,ek->kij", phi3, h)
+    phi3 = np.take(partials, t.phi3_idx, axis=-1)
+    christoffel = np.einsum("...ije,...ek->...kij", phi3, h)
     # gradient term: (d_c G)[a][gamma] = phi3[a][c][gamma],
-    #                (dbar_d G)[e][b]  = phi3_bar[b][d][e]
-    grad = np.einsum("acg,ge,bde->abcd", phi3, h, phi3_bar)
-    curvature = ddbar - grad
-    ricci = np.einsum("ba,abcd->cd", h, curvature)
+    #                (dbar_d G)[e][b]  = conj(phi3)[b][d][e]
+    grad = np.einsum("...acg,...ge,...bde->...abcd", phi3, h, np.conj(phi3))
+    curvature = np.take(partials, t.ddbar_idx, axis=-1) - grad
+    ricci = np.einsum("...ba,...abcd->...cd", h, curvature)
 
-    return MetricData(
-        point=pt,
+    md = MetricData(
+        point=point,
         g=g,
         g_inv=h,
         phi3=phi3,
-        phi3_bar=phi3_bar,
         christoffel=christoffel,
-        christoffel_bar=np.conj(christoffel),
         curvature=curvature,
         ricci=ricci,
         min_singular=smin,
         cond=smax / smin,
         positive_definite=positive,
-        jet=jet,
+        partials=partials,
     )
+    return md, failures
 
 
-def kahler_residuals(md: MetricData, jet: Jet) -> tuple[float, float]:
+def metric_at(potential: PotentialExpr, point) -> MetricData:
+    """All metric-level tensors at ``point``: the one-point batch."""
+    if isinstance(point, ChartPoint):
+        point = point.coordinates
+    md, failures = metric_batch(potential, [point])
+    if failures:
+        raise failures[0]
+    return md[0]
+
+
+def kahler_residuals(md: MetricData, partials: np.ndarray):
     """Symmetry-plus-consistency residuals of a metric bundle.
 
     First value: max of the metric-symmetry defect
-    ``|d_a g_{b cbar} - d_b g_{a cbar}|`` (with derivatives read from the
-    jet), the hermiticity defect of ``md.g`` and the deviation of
-    ``md.g`` from the jet's second partials.  Second value: the same for
-    the rank-3 tensor, ``|Phi_{a b cbar} - Phi_{b a cbar}|`` plus the
-    deviation of ``md.phi3`` from the jet's third partials.  Both are 0
-    for a bundle actually derived from the jet; a corrupted bundle is
+    ``|d_a g_{b cbar} - d_b g_{a cbar}|`` (with derivatives read from
+    ``partials``), the hermiticity defect of ``md.g`` and the deviation of
+    ``md.g`` from the second partials.  Second value: the same for the
+    rank-3 tensor, ``|Phi_{a b cbar} - Phi_{b a cbar}|`` plus the
+    deviation of ``md.phi3`` from the third partials.  Both are 0 for a
+    bundle actually derived from ``partials``; a corrupted bundle is
     detected through the consistency terms.
     """
-    n = md.dim
-    g_jet = np.empty_like(md.g)
-    phi3_jet = np.empty_like(md.phi3)
-    for a in range(n):
-        for b in range(n):
-            g_jet[a, b] = partial(jet, _unit(n, a), _unit(n, b))
-            for c in range(n):
-                phi3_jet[a, b, c] = partial(jet, _unit(n, a, b), _unit(n, c))
+    t = _table(md.dim)
+    g_jet = np.take(partials, t.g_idx, axis=-1)
+    phi3_jet = np.take(partials, t.phi3_idx, axis=-1)
 
-    sym_g = float(np.max(np.abs(phi3_jet - np.transpose(phi3_jet, (1, 0, 2)))))
-    herm = float(np.max(np.abs(md.g - np.conj(md.g.T))))
-    cons_g = float(np.max(np.abs(md.g - g_jet)))
+    sym_g = worst(phi3_jet - np.swapaxes(phi3_jet, -3, -2), 3)
+    cons_g = worst(md.g - g_jet, 2)
+    sym_p = worst(md.phi3 - np.swapaxes(md.phi3, -3, -2), 3)
+    cons_p = worst(md.phi3 - phi3_jet, 3)
 
-    sym_p = float(np.max(np.abs(md.phi3 - np.transpose(md.phi3, (1, 0, 2)))))
-    cons_p = float(np.max(np.abs(md.phi3 - phi3_jet)))
-
-    return max(sym_g, herm, cons_g), max(sym_p, cons_p)
+    return np.maximum.reduce([sym_g, hermiticity(md.g), cons_g]), np.maximum(sym_p, cons_p)
 
 
-def wdvv_residual_at(md: MetricData) -> float:
+def wdvv_residual_at(md: MetricData):
     """Max deviation between the two contraction routes of the
     associativity constraint on third potential derivatives.
 
     lhs[a,b,c,d] = sum_{e,f} Phi_{a b ebar} g^{ebar f} Phi_{f cbar dbar}
     rhs[a,b,c,d] = sum_{e,f} Phi_{b cbar ebar} g^{ebar f} Phi_{f a dbar}
 
-    with Phi_{f cbar dbar} = phi3_bar[c][d][f] and
-    Phi_{b cbar ebar} = phi3_bar[c][e][b].
+    with Phi_{f cbar dbar} = conj(phi3)[c][d][f] and
+    Phi_{b cbar ebar} = conj(phi3)[c][e][b].
     """
-    h = md.g_inv
-    lhs = np.einsum("abe,ef,cdf->abcd", md.phi3, h, md.phi3_bar)
-    rhs = np.einsum("ceb,ef,fad->abcd", md.phi3_bar, h, md.phi3)
-    return float(np.max(np.abs(lhs - rhs)))
+    h, phi3, phi3_bar = md.g_inv, md.phi3, np.conj(md.phi3)
+    lhs = np.einsum("...abe,...ef,...cdf->...abcd", phi3, h, phi3_bar)
+    rhs = np.einsum("...ceb,...ef,...fad->...abcd", phi3_bar, h, phi3)
+    return worst(lhs - rhs, 4)
 
 
-def ricci_c1_check(md: MetricData) -> tuple[float, float]:
+def ricci_c1_check(md: MetricData):
     """Hermiticity defect of the Ricci tensor and its max entry.
 
     The Ricci tensor represents the first Chern form up to the factor
     i/(2*pi); flat entries must give a vanishing max entry.
     """
-    herm = float(np.max(np.abs(md.ricci - np.conj(md.ricci.T))))
-    return herm, float(np.max(np.abs(md.ricci)))
+    return hermiticity(md.ricci), worst(md.ricci, 2)
 
 
 def christoffel_derivatives(md: MetricData) -> tuple[np.ndarray, np.ndarray]:
-    """First derivatives of the Christoffel symbols at the point.
+    """First derivatives of the Christoffel symbols at the points.
 
     Returns ``(dgam, dgam_bar)`` with
     ``dgam[c][k][i][j] = d_c Gamma^k_{ij}`` and
     ``dgam_bar[d][k][i][j] = dbar_d Gamma^k_{ij}``.
     Uses order-4 jet data: d(H) = -H dG H for both derivative types.
-    Cached on the bundle (pure function of immutable data).
     """
-    cached = getattr(md, "_dgamma_cache", None)
-    if cached is not None:
-        return cached
-    n = md.dim
-    jet, h, phi3, phi3_bar = md.jet, md.g_inv, md.phi3, md.phi3_bar
-
-    p4a = np.empty((n, n, n, n), dtype=np.complex128)  # d_c Phi_{ij ebar}
-    p4b = np.empty((n, n, n, n), dtype=np.complex128)  # dbar_d Phi_{ij ebar}
-    for i in range(n):
-        for j in range(n):
-            for e in range(n):
-                for c in range(n):
-                    p4a[i, j, c, e] = partial(jet, _unit(n, i, j, c), _unit(n, e))
-                for d in range(n):
-                    p4b[i, j, e, d] = partial(jet, _unit(n, i, j), _unit(n, e, d))
+    t = _table(md.dim)
+    h, phi3, phi3_bar = md.g_inv, md.phi3, np.conj(md.phi3)
+    p4a = np.take(md.partials, t.d4_idx, axis=-1)  # [i, j, c, e] = d_c Phi_{ij ebar}
+    # [i, j, e, d] = dbar_d Phi_{ij ebar}
+    p4b = np.take(md.partials, t.ddbar_idx.transpose(0, 2, 1, 3), axis=-1)
 
     # d_c H = -H (d_c G) H with (d_c G)[p][q] = phi3[p][c][q]
-    dg_hol = np.einsum("pcq->cpq", phi3)
-    dh_hol = -np.einsum("pe,cef,fk->cpk", h, dg_hol, h)
-    # dbar_d H = -H (dbar_d G) H with (dbar_d G)[p][q] = phi3_bar[q][d][p]
-    dg_anti = np.einsum("qdp->dpq", phi3_bar)
-    dh_anti = -np.einsum("pe,def,fk->dpk", h, dg_anti, h)
+    dg_hol = np.einsum("...pcq->...cpq", phi3)
+    dh_hol = -np.einsum("...pe,...cef,...fk->...cpk", h, dg_hol, h)
+    # dbar_d H = -H (dbar_d G) H with (dbar_d G)[p][q] = conj(phi3)[q][d][p]
+    dg_anti = np.einsum("...qdp->...dpq", phi3_bar)
+    dh_anti = -np.einsum("...pe,...def,...fk->...dpk", h, dg_anti, h)
 
-    dgam = np.einsum("ijce,ek->ckij", p4a, h) + np.einsum(
-        "ije,cek->ckij", phi3, dh_hol
+    dgam = np.einsum("...ijce,...ek->...ckij", p4a, h) + np.einsum(
+        "...ije,...cek->...ckij", phi3, dh_hol
     )
-    dgam_bar = np.einsum("ijed,ek->dkij", p4b, h) + np.einsum(
-        "ije,dek->dkij", phi3, dh_anti
+    dgam_bar = np.einsum("...ijed,...ek->...dkij", p4b, h) + np.einsum(
+        "...ije,...dek->...dkij", phi3, dh_anti
     )
-    object.__setattr__(md, "_dgamma_cache", (dgam, dgam_bar))
     return dgam, dgam_bar

@@ -13,6 +13,11 @@ n <= 4 this is at most 495 entries); products are truncated
 convolutions driven by a precomputed index table.  Conjugating a jet
 swaps ``alpha <-> beta`` and conjugates the coefficients, which is how
 ``zbar`` dependence is handled without a second differentiation pass.
+
+The same table holds gather indices for the partials the metric layer
+needs (``g_idx``, ``phi3_idx``, ``ddbar_idx``, ``d4_idx``): indexing
+coefficients times ``fact`` with them reads a whole tensor, for one jet
+or for a stack of jets, in one step.
 """
 
 from __future__ import annotations
@@ -60,6 +65,10 @@ class _Table(NamedTuple):
     mul_i: np.ndarray
     mul_j: np.ndarray
     mul_k: np.ndarray
+    g_idx: np.ndarray  # [a, b]       -> d_a dbar_b
+    phi3_idx: np.ndarray  # [a, b, c]    -> d_a d_b dbar_c
+    ddbar_idx: np.ndarray  # [a, b, c, d] -> d_a d_c dbar_b dbar_d
+    d4_idx: np.ndarray  # [i, j, c, e] -> d_i d_j d_c dbar_e
 
 
 def _simplex(nvars: int, order: int) -> list[tuple[int, ...]]:
@@ -95,6 +104,19 @@ def _table(dim: int) -> _Table:
             mi.append(i)
             mj.append(j)
             mk.append(index[tuple(a + b for a, b in zip(gi, gj))])
+
+    def gather(rank: int, holo: tuple[int, ...], anti: tuple[int, ...]) -> np.ndarray:
+        # entry [k_0..k_{rank-1}] of the partial d^(k at holo) dbar^(k at anti)
+        out = np.empty((dim,) * rank, dtype=np.intp)
+        for ks in np.ndindex(out.shape):
+            key = [0] * nvars
+            for pos in holo:
+                key[ks[pos]] += 1
+            for pos in anti:
+                key[dim + ks[pos]] += 1
+            out[ks] = index[tuple(key)]
+        return out
+
     return _Table(
         dim,
         entries,
@@ -104,6 +126,10 @@ def _table(dim: int) -> _Table:
         np.array(mi, dtype=np.intp),
         np.array(mj, dtype=np.intp),
         np.array(mk, dtype=np.intp),
+        gather(2, (0,), (1,)),
+        gather(3, (0, 1), (2,)),
+        gather(4, (0, 2), (1, 3)),
+        gather(4, (0, 1, 2), (3,)),
     )
 
 

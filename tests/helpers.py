@@ -285,3 +285,37 @@ def random_polynomial_potential(rng, dim=2):
         terms.append(Product((Const(coeff), body)))
         signs.append(1)
     return PE(Sum(tuple(terms), tuple(signs)), dim)
+
+
+# --- pencil of connections -------------------------------------------------
+
+
+def brute_pencil(gamma, dgam, dgam_bar, g_inv, lam):
+    """Curvature norm and Hermitian-Einstein trace norm of the pencil at one
+    point and one parameter, by explicit loops over the defining formulas:
+    F_hol = lam (d_c Gamma^k_dj - d_d Gamma^k_cj) + lam^2 [A_c, A_d]^k_j,
+    F_mix = -lam dbar_d Gamma^k_cj, tr^b_a = -lam H[j][k] dbar_k Gamma^b_ja."""
+    n = len(gamma)
+    curvature = 0.0
+    for c in range(n):
+        for d in range(n):
+            for k in range(n):
+                for j in range(n):
+                    comm = 0j
+                    for m in range(n):
+                        comm += gamma[k][c][m] * gamma[m][d][j]
+                        comm -= gamma[k][d][m] * gamma[m][c][j]
+                    f_hol = lam * (dgam[c][k][d][j] - dgam[d][k][c][j]) + lam * lam * comm
+                    f_mix = -lam * dgam_bar[d][k][c][j]
+                    curvature = max(curvature, abs(f_hol), abs(f_mix))
+    tr = [[0j] * n for _ in range(n)]
+    for b in range(n):
+        for a in range(n):
+            for j in range(n):
+                for k in range(n):
+                    tr[b][a] += -lam * g_inv[j][k] * dgam_bar[k][b][j][a]
+    kappa = sum(tr[i][i] for i in range(n)) / n
+    trace = max(
+        abs(tr[b][a] - (kappa if a == b else 0)) for a in range(n) for b in range(n)
+    )
+    return curvature, trace

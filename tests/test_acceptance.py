@@ -172,11 +172,11 @@ def test_criterion_05_curvature_oracle():
                                     "abe,ef,cdf->abcd",
                                     md.phi3,
                                     md.g_inv,
-                                    md.phi3_bar,
+                                    np.conj(md.phi3),
                                 )
                                 - np.einsum(
                                     "ceb,ef,fad->abcd",
-                                    md.phi3_bar,
+                                    np.conj(md.phi3),
                                     md.g_inv,
                                     md.phi3,
                                 )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -248,3 +249,57 @@ def test_main_numeric_error_exit_code(tmp_path, capsys):
     path.write_text(json.dumps(DEGENERATE_SPEC))
     assert main(["--samples", "4", "verify", str(path)]) == 3
     assert "error" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["--samples", "0"], "samples"),
+        (["--samples", "-3"], "samples"),
+        (["--lambda-grid=,"], "lambda grid"),
+        (["--tolerance", "structural=nan"], "structural"),
+        (["--tolerance", "structural=inf"], "structural"),
+        (["--tolerance", "structural=0"], "structural"),
+        (["--tolerance", "isometry=-1e-9"], "isometry"),
+        (["--tolerance", "structural=tight"], "structural"),
+    ],
+)
+def test_input_without_evidence_is_rejected(tmp_path, capsys, argv, field):
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps(TORUS_SPEC))
+    assert main(argv + ["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert field in captured.err
+
+
+@pytest.mark.parametrize(
+    "potential", ["0 - z1*zbar1 - z2*zbar2", "z1*zbar1 - z2*zbar2"]
+)
+def test_metric_not_positive_definite_is_not_frobenius(potential):
+    spec = dict(FS_SPEC, name="indefinite", potential=potential)
+    report = run_verify(load_manifold_spec(spec), Config(samples=4))
+    assert report.verdict == "not-frobenius"
+    assert report.reasons == ["metric not positive definite at sampled points"]
+    assert not any(s["positive_definite"] for s in report.samples)
+    # every other check passes: the gate alone decides
+    assert all(s["max_curvature"] == 0.0 for s in report.samples)
+
+
+def test_non_finite_structure_constants_give_an_error_record(monkeypatch):
+    from frobenius_verify import cli
+
+    metric_batch = cli.kahler.metric_batch
+
+    def poisoned(potential, points):
+        md, failures = metric_batch(potential, points)
+        christoffel = md.christoffel.copy()
+        christoffel[1, 0, 0, 0] = np.nan
+        return dataclasses.replace(md, christoffel=christoffel), failures
+
+    monkeypatch.setattr(cli.kahler, "metric_batch", poisoned)
+    report = run_verify(load_manifold_spec(FS_SPEC), Config(samples=4))
+    assert report.verdict == "error"
+    assert [s.get("error") for s in report.samples] == [
+        None, "non-finite structure constants", None, None
+    ]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import brute_associator, brute_compat, brute_multiply
+from helpers import brute_associator, brute_compat, brute_multiply, brute_pencil
 
 from frobenius_verify.expr import parse
 from frobenius_verify.frobenius import (
@@ -19,7 +19,7 @@ from frobenius_verify.frobenius import (
     ricci_via_connection,
     trace_endomorphism,
 )
-from frobenius_verify.kahler import metric_at
+from frobenius_verify.kahler import christoffel_derivatives, metric_at, metric_batch
 
 FLAT2 = parse("z1*zbar1 + z2*zbar2", 2)
 FS1 = parse("log(1 + z1*zbar1)", 1)
@@ -45,9 +45,8 @@ def test_commutator_dim1():
 
 def test_commutator_metric_algebra():
     md = metric_at(FS2, [0.2, 0.3 - 0.1j])
-    hol, anti = fiber_algebra_from_metric(md)
+    hol = fiber_algebra_from_metric(md)
     assert commutator(hol) < 1e-12
-    assert commutator(anti) < 1e-12
 
 
 def test_commutator_constructed_fixture():
@@ -130,16 +129,15 @@ def test_find_unit_diagonal_algebra():
 
 def test_fiber_algebra_flat_is_zero():
     md = metric_at(FLAT2, [0.3, -0.2 + 0.1j])
-    hol, anti = fiber_algebra_from_metric(md)
+    hol = fiber_algebra_from_metric(md)
     assert np.max(np.abs(hol.C)) == 0.0
-    assert np.max(np.abs(anti.C)) == 0.0
     assert find_unit(hol) is None
 
 
 def test_fiber_algebra_scalar_structure_constant():
     # g = 1 + z zbar, Gamma = (dg/dz) / g = zbar / (1 + z zbar)
     md = metric_at(QUARTIC1, [0.5])
-    hol, _ = fiber_algebra_from_metric(md)
+    hol = fiber_algebra_from_metric(md)
     assert hol.C[0, 0, 0] == pytest.approx(0.5 / 1.25)
 
 
@@ -267,3 +265,67 @@ def test_affine_field_quadratic_fails():
     ok, residual = affine_vector_field_check(field, points)
     assert not ok
     assert residual == pytest.approx(2.0)
+
+
+CURVED3 = parse(
+    "log(1 + z1*zbar1 + 2*z2*zbar2 + z3*zbar3) + 0.1*(z1*zbar1)^2"
+    " + 0.05*re(z1^2*zbar3^2)",
+    3,
+)
+CURVED3_POINTS = [
+    np.array([0.2 + 0.1j, -0.3, 0.1j]),
+    np.array([-0.25, 0.15 - 0.2j, 0.3]),
+    np.array([0.05j, 0.35, -0.2 + 0.1j]),
+]
+
+
+def test_pencil_grid_matches_loop_oracle():
+    # a grid that is not all powers of two: the broadcast must not rely on
+    # exact scaling of a single evaluation
+    grid = (-1.7, 0.3, 2.5)
+    md, failures = metric_batch(CURVED3, CURVED3_POINTS)
+    assert failures == {}
+    table = pencil_curvature(md, grid)
+    assert table.curvature_norm.shape == table.trace_norm.shape == (3, 3)
+    for k, point in enumerate(CURVED3_POINTS):
+        single = metric_at(CURVED3, point)
+        dgam, dgam_bar = christoffel_derivatives(single)
+        for j, lam in enumerate(grid):
+            curvature, trace = brute_pencil(
+                single.christoffel, dgam, dgam_bar, single.g_inv, lam
+            )
+            assert curvature > 0.1 and trace > 0.1
+            assert table.curvature_norm[k, j] == pytest.approx(curvature, rel=1e-12)
+            assert table.trace_norm[k, j] == pytest.approx(trace, rel=1e-12)
+
+
+def test_pencil_grid_equals_one_point_one_lambda():
+    grid = (-1.7, 0.3, 2.5)
+    md, _ = metric_batch(CURVED3, CURVED3_POINTS)
+    table = pencil_curvature(md, grid)
+    f_hol, f_mix = pencil_curvature_form(md, grid)
+    assert f_hol.shape == f_mix.shape == (3, 3, 3, 3, 3, 3)
+    for k, point in enumerate(CURVED3_POINTS):
+        single = metric_at(CURVED3, point)
+        for j, lam in enumerate(grid):
+            one = pencil_curvature(single, lam)
+            assert table.curvature_norm[k, j] == one.curvature_norm
+            assert table.trace_norm[k, j] == one.trace_norm
+            assert table.trace_norm[k, j] == hermitian_einstein_trace(single, lam)
+            one_hol, one_mix = pencil_curvature_form(single, lam)
+            assert np.array_equal(f_hol[k, j], one_hol)
+            assert np.array_equal(f_mix[k, j], one_mix)
+
+
+def test_batched_algebra_checks_equal_one_point():
+    md, _ = metric_batch(CURVED3, CURVED3_POINTS)
+    hol = fiber_algebra_from_metric(md)
+    units = find_unit(hol)
+    assert len(units) == len(CURVED3_POINTS)
+    for k, point in enumerate(CURVED3_POINTS):
+        one = fiber_algebra_from_metric(metric_at(CURVED3, point))
+        assert commutator(hol)[k] == commutator(one)
+        assert associator(hol)[k] == associator(one)
+        assert frobenius_compat(hol)[k] == frobenius_compat(one)
+        unit = find_unit(one)
+        assert (units[k] is None) == (unit is None)

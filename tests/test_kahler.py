@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -13,12 +14,16 @@ from frobenius_verify.expr import (
     Var,
     parse,
 )
+from frobenius_verify.cli import _sample_records
+from frobenius_verify.expr import LogDomainError
 from frobenius_verify.kahler import (
     ChartPoint,
     DegenerateMetricError,
+    MetricData,
     christoffel_derivatives,
     kahler_residuals,
     metric_at,
+    metric_batch,
     ricci_c1_check,
     wdvv_residual_at,
 )
@@ -61,14 +66,14 @@ def test_chart_point_wrapper():
 
 def test_kahler_residuals_zero_for_derived_bundle():
     md = metric_at(FS2, [0.2 + 0.1j, -0.3])
-    r1, r2 = kahler_residuals(md, md.jet)
+    r1, r2 = kahler_residuals(md, md.partials)
     assert r1 < 1e-12
     assert r2 < 1e-12
 
 
 def test_kahler_residuals_flat_exactly_zero():
     md = metric_at(FLAT2, [0.1, 0.2])
-    assert kahler_residuals(md, md.jet) == (0.0, 0.0)
+    assert kahler_residuals(md, md.partials) == (0.0, 0.0)
 
 
 def test_kahler_residuals_detect_corruption():
@@ -76,7 +81,7 @@ def test_kahler_residuals_detect_corruption():
     g_bad = md.g.copy()
     g_bad[0, 1] += 1e-3
     corrupted = dataclasses.replace(md, g=g_bad)
-    r1, _ = kahler_residuals(corrupted, md.jet)
+    r1, _ = kahler_residuals(corrupted, md.partials)
     assert r1 >= 1e-3
 
 
@@ -227,3 +232,67 @@ def test_ricci_equals_fiber_trace_of_dbar_gamma():
         _, dgam_bar = christoffel_derivatives(md)
         fiber_trace = np.einsum("daca->cd", dgam_bar)
         assert np.max(np.abs(fiber_trace - md.ricci)) < 1e-11
+
+
+# degenerate metric on z1 = 0, log-domain failure at z1 = 0.5, curved elsewhere
+MIXED2 = parse(
+    "(z1*zbar1)^2 + z2*zbar2 + 0.1*(z2*zbar2)^2 + log((z1 - 0.5)*(zbar1 - 0.5))", 2
+)
+MIXED_POINTS = [
+    np.array([0.2 + 0.1j, 0.3]),
+    np.array([0.5, 0.1]),
+    np.array([0.0, 0.2]),
+    np.array([-0.3j, 0.1 + 0.2j]),
+    np.array([0.25, -0.1j]),
+]
+# messages the one-point pipeline raises at indices 1 and 2
+MIXED_ERRORS = {
+    1: (LogDomainError, "log argument modulus 0.0 below floor"),
+    2: (
+        DegenerateMetricError,
+        "metric degenerate at point (min singular 0.000e+00, max 1.016e+00)",
+    ),
+}
+
+
+def test_mixed_batch_matches_one_point_results():
+    md, failures = metric_batch(MIXED2, MIXED_POINTS)
+    assert {i: (type(e), str(e)) for i, e in failures.items()} == MIXED_ERRORS
+    good = [i for i in range(len(MIXED_POINTS)) if i not in failures]
+    assert md.g.shape == (len(good), 2, 2)
+    for k, idx in enumerate(good):
+        single = metric_at(MIXED2, MIXED_POINTS[idx])
+        for f in dataclasses.fields(MetricData):
+            assert np.array_equal(getattr(md[k], f.name), getattr(single, f.name)), f.name
+        for batched, one in zip(
+            christoffel_derivatives(md), christoffel_derivatives(single)
+        ):
+            assert np.array_equal(batched[k], one)
+        residuals = kahler_residuals(single, single.partials)
+        assert kahler_residuals(md, md.partials)[0][k] == residuals[0]
+        assert wdvv_residual_at(md)[k] == wdvv_residual_at(single)
+        assert ricci_c1_check(md)[1][k] == ricci_c1_check(single)[1]
+    for idx, (kind, message) in MIXED_ERRORS.items():
+        with pytest.raises(kind, match=re.escape(message)):
+            metric_at(MIXED2, MIXED_POINTS[idx])
+
+
+def test_mixed_batch_records_keep_their_indices():
+    grid = (-1.0, 0.5, 2.0)
+    records = _sample_records(MIXED2, MIXED_POINTS, grid)
+    assert len(records) == len(MIXED_POINTS)
+    for idx, rec in enumerate(records):
+        if idx in MIXED_ERRORS:
+            assert rec["error"] == MIXED_ERRORS[idx][1]
+        else:
+            assert "error" not in rec
+            assert rec == _sample_records(MIXED2, [MIXED_POINTS[idx]], grid)[0]
+
+
+def test_batch_with_no_good_sample():
+    bad = [MIXED_POINTS[1], MIXED_POINTS[2]]
+    md, failures = metric_batch(MIXED2, bad)
+    assert sorted(failures) == [0, 1]
+    assert md.g.shape == (0, 2, 2)
+    records = _sample_records(MIXED2, bad, (1.0,))
+    assert [rec["error"] for rec in records] == [MIXED_ERRORS[1][1], MIXED_ERRORS[2][1]]
