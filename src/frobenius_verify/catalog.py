@@ -351,12 +351,6 @@ def isometry_defect(action: GroupAction) -> float:
     return worst
 
 
-def isometry_check(entry: CatalogEntry) -> float:
-    if entry.action is None:
-        return 0.0
-    return isometry_defect(entry.action)
-
-
 # --- catalog construction --------------------------------------------
 
 

@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,6 +43,39 @@ DISCLAIMER = (
     "verification is chart-local at sampled points; compactness and "
     "global structure are not checked from a single chart"
 )
+
+# The verdict's checks: (per-sample report key, class); a dotted key
+# is read in every row of the sample's list under its first part (the
+# pencil over the lambda grid).  A class fails when one of its checks is
+# not below the structural tolerance at some sample, so a NaN fails too.
+CHECKS = (
+    ("metric_hermiticity", "core"),
+    ("ricci_hermiticity", "core"),
+    ("commutator", "core"),
+    ("compat", "core"),
+    ("max_curvature", "flatness"),
+    ("wdvv", "flatness"),
+    ("pencil.trace_norm", "flatness"),
+    ("associator", "associativity"),
+    ("pencil.curvature_norm", "associativity"),
+)
+# (group report key, passing value, reason when it does not pass)
+GROUP_CHECKS = (
+    ("closure", True, "group check failed: closure"),
+    ("lattice_stable", True, "group check failed: lattice_stable"),
+    ("finite", True, "group check failed: finite"),
+    ("faithful", True, "group check failed: faithful"),
+    ("free", True, "action not free"),
+    ("contains_translations", False, "action contains translations"),
+    ("isometry_ok", True, "group check failed: isometry"),
+)
+# expected_class of a spec -> the verdict it expects; any other class
+# names the verdict itself
+EXPECTED_VERDICT = {
+    "torus": "frobenius",
+    "hyperelliptic": "frobenius",
+    "negative-control": "not-frobenius",
+}
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -90,11 +123,12 @@ class Config:
 class Report:
     """Verification outcome for one chart spec.
 
-    Verdict semantics: "frobenius" iff every residual is below its
-    tolerance and all group verdicts pass; "pre-frobenius" iff all pass
-    except associativity / pencil flatness; "not-frobenius" otherwise;
+    Verdict semantics, decided by ``CHECKS`` and ``GROUP_CHECKS``:
     "error" when a sample hit a numeric failure (degenerate metric,
-    domain error).
+    domain error); "not-frobenius" when the metric is not positive
+    definite or a core check fails; otherwise "frobenius" iff every
+    check and every group check passes, and "pre-frobenius" iff only
+    the associativity checks fail; "not-frobenius" in all other cases.
     """
 
     spec: str
@@ -108,17 +142,7 @@ class Report:
     reasons: list
 
     def to_dict(self) -> dict:
-        return {
-            "spec": self.spec,
-            "version": self.version,
-            "seed": self.seed,
-            "tolerances": self.tolerances,
-            "disclaimer": self.disclaimer,
-            "samples": self.samples,
-            "group": self.group,
-            "verdict": self.verdict,
-            "reasons": self.reasons,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def to_json(payload) -> str:
@@ -132,85 +156,118 @@ def to_json(payload) -> str:
 # --- spec files -------------------------------------------------------
 
 
-def _complex_from_pair(pair) -> complex:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise SpecError(f"expected [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
-
-
-def load_manifold_spec(payload: dict) -> ManifoldSpec:
+def _number(value, where: str) -> float:
     try:
-        name = str(payload["name"])
-        dim = int(payload["dim"])
-        potential = str(payload["potential"])
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):
+        pass
+    raise SpecError(f"{where} must be finite numbers")
+
+
+def _pairs(row, count: int, where: str) -> list[complex]:
+    """``count`` complex numbers given as ``[re, im]`` pairs."""
+    if not (
+        isinstance(row, list)
+        and len(row) == count
+        and all(isinstance(pair, list) and len(pair) == 2 for pair in row)
+    ):
+        raise SpecError(f"{where} must list {count} [re, im] pairs")
+    where += " entries"
+    return [complex(_number(re, where), _number(im, where)) for re, im in row]
+
+
+def _unwrap(value, key: str):
+    """The list of a ``{key: [...]}`` object; any other value as it is."""
+    return value.get(key, value) if isinstance(value, dict) else value
+
+
+def load_manifold_spec(payload) -> ManifoldSpec:
+    """Validate the JSON payload of a spec file, lattice and group
+    included; every fault raises a SpecError that names the field."""
+    if not isinstance(payload, dict):
+        raise SpecError("spec must be a JSON object")
+    try:
+        name = payload["name"]
+        dim = payload["dim"]
+        potential = payload["potential"]
         domain = payload["sample_domain"]
     except KeyError as exc:
         raise SpecError(f"missing spec key: {exc}") from exc
+    if not isinstance(name, str):
+        raise SpecError("name must be a string")
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise SpecError("dim must be an integer")
     if dim < 1:
         raise SpecError("dim must be >= 1")
+    if not isinstance(potential, str):
+        raise SpecError("potential must be a string")
+    if not isinstance(domain, dict):
+        raise SpecError("sample_domain must be an object with re and im ranges")
     for part in ("re", "im"):
         ranges = domain.get(part)
         if not isinstance(ranges, list) or len(ranges) != dim:
             raise SpecError(f"sample_domain.{part} must list {dim} ranges")
         for lo_hi in ranges:
-            lo, hi = float(lo_hi[0]), float(lo_hi[1])
+            if not isinstance(lo_hi, list) or len(lo_hi) != 2:
+                raise SpecError(f"sample_domain.{part} ranges must be [lo, hi] pairs")
+            lo, hi = (_number(v, f"sample_domain.{part} bounds") for v in lo_hi)
             if not hi > lo:
                 raise SpecError("sample_domain ranges must be non-degenerate")
+            if not math.isfinite(hi - lo):
+                raise SpecError(f"sample_domain.{part} range is too wide")
     try:
         parse(potential, dim)
     except ParseError as exc:
         raise SpecError(f"potential does not parse: {exc}") from exc
-    lattice = payload.get("lattice")
-    group = payload.get("group")
+    lattice = _unwrap(payload.get("lattice"), "generators")
+    group = _unwrap(payload.get("group"), "elements")
     if group is not None and lattice is None:
         raise SpecError("a group requires a lattice")
+    if lattice is not None:
+        lat = _lattice_from_spec(lattice, dim)
+        if group is not None:
+            _group_from_spec(group, lat, name)
+    expected_class = payload.get("expected_class")
+    if expected_class is not None and not isinstance(expected_class, str):
+        raise SpecError("expected_class must be a string")
     return ManifoldSpec(
         name=name,
         dim=dim,
         potential=potential,
         sample_domain={"re": domain["re"], "im": domain["im"]},
-        lattice=lattice.get("generators") if isinstance(lattice, dict) else lattice,
-        group=group.get("elements") if isinstance(group, dict) else group,
-        expected_class=payload.get("expected_class"),
+        lattice=lattice,
+        group=group,
+        expected_class=expected_class,
     )
 
 
-def _lattice_from_spec(generators: list, dim: int) -> cat.Lattice:
-    gens = []
-    for row in generators:
-        if len(row) != dim:
-            raise SpecError("lattice generator has wrong length")
-        gens.append([_complex_from_pair(p) for p in row])
-    arr = np.array(gens, dtype=np.complex128)
-    if arr.shape != (2 * dim, dim):
+def _lattice_from_spec(generators, dim: int) -> cat.Lattice:
+    if not isinstance(generators, list) or len(generators) != 2 * dim:
         raise SpecError(f"lattice needs {2 * dim} generators")
+    gens = [_pairs(row, dim, "lattice generator") for row in generators]
     try:
-        return cat.Lattice(arr)
+        return cat.Lattice(np.array(gens, dtype=np.complex128))
     except ValueError as exc:
         raise SpecError(str(exc)) from exc
 
 
-def _group_from_spec(
-    elements: list, lattice: cat.Lattice, name: str
-) -> cat.GroupAction:
+def _group_from_spec(elements, lattice: cat.Lattice, name: str) -> cat.GroupAction:
+    if not isinstance(elements, list):
+        raise SpecError("group elements must be a list")
     dim = lattice.dim
     maps = []
     for el in elements:
-        a_rows = el.get("A")
-        t_row = el.get("t")
-        if a_rows is None or t_row is None:
+        if not isinstance(el, dict) or el.get("A") is None or el.get("t") is None:
             raise SpecError("group element needs A and t")
-        a = np.array(
-            [[_complex_from_pair(p) for p in row] for row in a_rows],
-            dtype=np.complex128,
-        )
-        t = np.array([_complex_from_pair(p) for p in t_row], dtype=np.complex128)
-        if a.shape != (dim, dim) or t.shape != (dim,):
-            raise SpecError("group element has wrong shape")
+        if not isinstance(el["A"], list) or len(el["A"]) != dim:
+            raise SpecError(f"group element A must have {dim} rows")
+        a = [_pairs(row, dim, "group element A row") for row in el["A"]]
+        t = _pairs(el["t"], dim, "group element t")
         try:
-            maps.append(cat.AffineMap(a, t))
+            maps.append(cat.AffineMap(np.array(a), np.array(t)))
         except ValueError as exc:
-            raise SpecError(str(exc)) from exc
+            raise SpecError(f"group element: {exc}") from exc
     return cat.GroupAction(lattice, tuple(maps), name)
 
 
@@ -265,14 +322,11 @@ def _sample_records(
         failures[good[k]] = kahler.KahlerError("non-finite structure constants")
     md = md[finite]
 
-    sym_g, sym_p = kahler.kahler_residuals(md, md.partials)
     ricci_herm, ricci_max = kahler.ricci_c1_check(md)
     hol = frob.fiber_algebra_from_metric(md)
     pencil = frob.pencil_curvature(md, lambda_grid)
     units = frob.find_unit(hol)
     columns = {
-        "kahler_symmetry": sym_g,
-        "rank3_symmetry": sym_p,
         "metric_hermiticity": kahler.hermiticity(md.g),
         "min_singular": md.min_singular,
         "condition_number": md.cond,
@@ -328,37 +382,25 @@ def _group_record(action: cat.GroupAction, tol: float) -> dict:
     }
 
 
-def _aggregate(samples: list, key: str) -> float:
-    vals = [s[key] for s in samples if key in s]
-    return max(vals) if vals else 0.0
+def _failed_classes(samples: list, tol: float) -> set:
+    failed = set()
+    for key, cls in CHECKS:
+        head, _, leaf = key.rpartition(".")
+        rows = [row for s in samples for row in s[head]] if head else samples
+        if not all(row[leaf] < tol for row in rows):
+            failed.add(cls)
+    return failed
 
 
 def run_verify(spec: ManifoldSpec, config: Config) -> Report:
-    """Full verification pipeline for one chart spec."""
+    """Full verification pipeline for one chart spec (as validated by
+    :func:`load_manifold_spec`)."""
     tol = config.tolerances
-    reasons: list[str] = []
-    samples: list = []
-    group_rec: Optional[dict] = None
-    verdict = "error"
-
-    try:
-        potential = parse(spec.potential, spec.dim)
-    except ParseError as exc:
-        return Report(
-            spec=spec.name,
-            version=__version__,
-            seed=config.seed,
-            tolerances=tol,
-            disclaimer=DISCLAIMER,
-            samples=[],
-            group=None,
-            verdict="error",
-            reasons=[f"parse error: {exc}"],
-        )
-
+    potential = parse(spec.potential, spec.dim)
     points = sample_points(
         spec.sample_domain, spec.dim, config.samples, config.seed, spec.name
     )
+    samples: list = []
     batch = max(1, BATCH_ENTRIES // spec.dim**4)
     for start in range(0, len(points), batch):
         chunk = points[start : start + batch]
@@ -366,73 +408,36 @@ def run_verify(spec: ManifoldSpec, config: Config) -> Report:
         for idx, rec in enumerate(records, start):
             rec["index"] = idx
             samples.append(rec)
-    numeric_failure = any("error" in s for s in samples)
 
-    group_ok = True
+    reasons: list[str] = []
+    group_rec: Optional[dict] = None
     if spec.group is not None:
         lattice = _lattice_from_spec(spec.lattice, spec.dim)
         action = _group_from_spec(spec.group, lattice, spec.name)
         group_rec = _group_record(action, tol["isometry"])
-        failures = []
-        for label in ("closure", "lattice_stable", "finite", "faithful"):
-            if not group_rec[label]:
-                failures.append(f"group check failed: {label}")
-        if not group_rec["free"]:
-            failures.append("action not free")
-        if group_rec["contains_translations"]:
-            failures.append("action contains translations")
-        if not group_rec["isometry_ok"]:
-            failures.append("group check failed: isometry")
-        if failures:
-            group_ok = False
-            reasons.extend(failures)
-    elif spec.lattice is not None:
-        _lattice_from_spec(spec.lattice, spec.dim)  # validated even if unused
+        reasons = [why for key, passing, why in GROUP_CHECKS if group_rec[key] != passing]
+    group_ok = not reasons
 
-    if numeric_failure:
+    if any("error" in s for s in samples):
         reasons.append("degenerate metric or domain error at sampled points")
         verdict = "error"
     else:
-        s_tol = tol["structural"]
-        core = (
-            _aggregate(samples, "kahler_symmetry") < s_tol
-            and _aggregate(samples, "rank3_symmetry") < s_tol
-            and _aggregate(samples, "metric_hermiticity") < s_tol
-            and _aggregate(samples, "ricci_hermiticity") < s_tol
-            and _aggregate(samples, "commutator") < s_tol
-            and _aggregate(samples, "compat") < s_tol
-        )
-        flatness = (
-            _aggregate(samples, "max_curvature") < s_tol
-            and _aggregate(samples, "wdvv") < s_tol
-            and max(
-                (p["trace_norm"] for s in samples for p in s["pencil"]), default=0.0
-            )
-            < s_tol
-        )
-        associativity = (
-            _aggregate(samples, "associator") < s_tol
-            and max(
-                (p["curvature_norm"] for s in samples for p in s["pencil"]),
-                default=0.0,
-            )
-            < s_tol
-        )
+        failed = _failed_classes(samples, tol["structural"])
         positive = all(s["positive_definite"] for s in samples)
         if not positive:
             reasons.append("metric not positive definite at sampled points")
-        if not core:
+        if "core" in failed:
             reasons.append("structural identities violated")
-        if not (core and positive):
+        if "core" in failed or not positive:
             verdict = "not-frobenius"
-        elif flatness and associativity and group_ok:
+        elif not failed and group_ok:
             verdict = "frobenius"
-        elif flatness and not associativity and group_ok:
+        elif failed == {"associativity"} and group_ok:
             verdict = "pre-frobenius"
             reasons.append("associativity / pencil flatness failed")
         else:
             verdict = "not-frobenius"
-            if not flatness:
+            if "flatness" in failed:
                 reasons.append("curvature or associativity constraint violated")
 
     return Report(
@@ -493,7 +498,7 @@ def run_catalog(name_filter: Optional[str], config: Config) -> list:
         if name_filter and name_filter not in entry.name:
             continue
         report = run_verify(entry_to_spec(entry), config)
-        expected = "frobenius"
+        expected = EXPECTED_VERDICT.get(entry.expected_class, entry.expected_class)
         payload = report.to_dict()
         payload["expected_class"] = entry.expected_class
         payload["expected_verdict"] = expected
@@ -731,7 +736,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 with open(args.specfile, "r", encoding="utf-8") as fh:
                     payload = json.load(fh)
                 spec = load_manifold_spec(payload)
-            except (OSError, json.JSONDecodeError, SpecError) as exc:
+            except (OSError, ValueError, RecursionError, SpecError) as exc:
                 sys.stderr.write(f"error: {exc}\n")
                 return EXIT_INPUT
             report = run_verify(spec, config)
@@ -740,11 +745,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 return EXIT_NUMERIC
             if spec.expected_class is None:
                 return EXIT_OK
-            expected = {
-                "torus": "frobenius",
-                "hyperelliptic": "frobenius",
-                "negative-control": "not-frobenius",
-            }.get(spec.expected_class, spec.expected_class)
+            expected = EXPECTED_VERDICT.get(spec.expected_class, spec.expected_class)
             return EXIT_OK if report.verdict == expected else EXIT_MISMATCH
 
         if args.command == "catalog":

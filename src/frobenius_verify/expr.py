@@ -20,6 +20,7 @@ integer exponents are rejected.
 from __future__ import annotations
 
 import cmath
+import math
 import re as _re
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -190,6 +191,13 @@ def _tokenize(text: str) -> list[_Token]:
     return toks
 
 
+def _const(tok: _Token, sign: float) -> Const:
+    value = sign * float(tok.text)
+    if not math.isfinite(value):
+        raise ParseError("number out of range", tok.span)
+    return Const(value)
+
+
 class _Parser:
     def __init__(self, text: str, dim: int):
         self.text = text
@@ -250,13 +258,13 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "NUMBER":
             self.take()
-            return Const(float(tok.text))
+            return _const(tok, 1.0)
         if tok.kind == "OP" and tok.text == "-":
             nxt = self.toks[self.pos + 1]
             if nxt.kind == "NUMBER":
                 self.take()
                 self.take()
-                return Const(-float(nxt.text))
+                return _const(nxt, -1.0)
             raise ParseError("expected an atom", tok.span)
         if tok.kind == "OP" and tok.text == "(":
             open_tok = self.take()
@@ -302,7 +310,10 @@ def parse(text: str, dim: int) -> PotentialExpr:
     if dim < 1:
         raise ValueError("dim must be >= 1")
     parser = _Parser(text, dim)
-    root = parser.expr()
+    try:
+        root = parser.expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", SourceSpan(0, len(text))) from None
     tok = parser.peek()
     if tok.kind != "EOF":
         raise ParseError("unexpected trailing input", tok.span)

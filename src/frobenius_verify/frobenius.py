@@ -16,7 +16,7 @@ once for the whole grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class FiberAlgebra:
     dim: int
     C: np.ndarray  # C[k][i][j]
     form: np.ndarray
-    unit: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         C = np.asarray(self.C, dtype=np.complex128)
@@ -47,9 +46,6 @@ class FiberAlgebra:
             raise ValueError("non-finite structure constants")
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "form", form)
-
-    def multiply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.einsum("kij,i,j->k", self.C, x, y)
 
 
 @dataclass(frozen=True)
@@ -105,35 +101,6 @@ def fiber_algebra_from_metric(md: MetricData) -> FiberAlgebra:
     pure-index metric blocks are zero; the zero form is stored explicitly.
     """
     return FiberAlgebra(md.dim, md.christoffel, np.zeros_like(md.g))
-
-
-def direct_sum_algebra(md: MetricData) -> FiberAlgebra:
-    """Whole-tangent-fiber algebra at a single point: block-diagonal
-    structure constants (Gamma on the holomorphic block, its conjugate on
-    the antiholomorphic one; mixed products vanish with the mixed
-    Christoffel symbols) and the metric's block form, whose only
-    nonzero blocks are the off-diagonal g / g-conjugate pairings."""
-    n = md.dim
-    C = np.zeros((2 * n,) * 3, dtype=np.complex128)
-    C[:n, :n, :n] = md.christoffel
-    C[n:, n:, n:] = np.conj(md.christoffel)
-    form = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    form[:n, n:] = md.g
-    form[n:, :n] = md.g.T
-    return FiberAlgebra(2 * n, C, form)
-
-
-def curvature_via_algebra(
-    md: MetricData, triple: tuple[int, int, int]
-) -> np.ndarray:
-    """Algebraic combination e_i (e_j e_k) - e_j (e_i e_k) in the
-    holomorphic fiber algebra at a single point; the curvature operator
-    on basis fields."""
-    i, j, k = triple
-    C = md.christoffel
-    return np.einsum("m,lm->l", C[:, j, k], C[:, i, :]) - np.einsum(
-        "m,lm->l", C[:, i, k], C[:, j, :]
-    )
 
 
 def _on_grid(lam, blocks: Sequence[np.ndarray], axes: int):

@@ -62,18 +62,6 @@ class RealnessError(KahlerError):
     pass
 
 
-@dataclass(frozen=True)
-class ChartPoint:
-    coordinates: np.ndarray
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        coords = np.asarray(self.coordinates, dtype=np.complex128)
-        object.__setattr__(self, "coordinates", coords)
-        if not np.all(np.isfinite(coords)):
-            raise ValueError("chart point has non-finite entries")
-
-
 @dataclass(frozen=True, eq=False)
 class MetricData:
     """Bundle of all tensors derived from the potential's jets at one
@@ -184,8 +172,6 @@ def metric_batch(
 
 def metric_at(potential: PotentialExpr, point) -> MetricData:
     """All metric-level tensors at ``point``: the one-point batch."""
-    if isinstance(point, ChartPoint):
-        point = point.coordinates
     md, failures = metric_batch(potential, [point])
     if failures:
         raise failures[0]
@@ -193,16 +179,18 @@ def metric_at(potential: PotentialExpr, point) -> MetricData:
 
 
 def kahler_residuals(md: MetricData, partials: np.ndarray):
-    """Symmetry-plus-consistency residuals of a metric bundle.
+    """Integrity check of a metric bundle against jet partials.
 
     First value: max of the metric-symmetry defect
     ``|d_a g_{b cbar} - d_b g_{a cbar}|`` (with derivatives read from
     ``partials``), the hermiticity defect of ``md.g`` and the deviation of
     ``md.g`` from the second partials.  Second value: the same for the
     rank-3 tensor, ``|Phi_{a b cbar} - Phi_{b a cbar}|`` plus the
-    deviation of ``md.phi3`` from the third partials.  Both are 0 for a
-    bundle actually derived from ``partials``; a corrupted bundle is
-    detected through the consistency terms.
+    deviation of ``md.phi3`` from the third partials.  Both are 0 by
+    construction for a bundle derived from ``partials`` (``md.phi3`` is
+    the very gather it is compared with), so the verify pipeline does not
+    call this; it detects a bundle that was corrupted or paired with the
+    wrong partials.
     """
     t = _table(md.dim)
     g_jet = np.take(partials, t.g_idx, axis=-1)

@@ -132,7 +132,7 @@ class ThetaType:
     """Transformation data (L, J) per lattice generator.
 
     ``rows[k]`` is the linear functional of L(., l_k) (so
-    ``L(x, l_k) = rows[k] @ x + offsets[k]``), ``j_values[k]`` is
+    ``L(x, l_k) = rows[k] @ x``), ``j_values[k]`` is
     J(l_k).  Extension to integer combinations of generators is linear
     in the generator slot.
     """
@@ -140,23 +140,20 @@ class ThetaType:
     genus: int
     lattice: Lattice
     rows: np.ndarray
-    offsets: np.ndarray
     j_values: np.ndarray
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.rows, dtype=np.complex128)
-        offsets = np.asarray(self.offsets, dtype=np.complex128)
         jv = np.asarray(self.j_values, dtype=np.complex128)
         k = 2 * self.genus
-        if rows.shape != (k, self.genus) or offsets.shape != (k,) or jv.shape != (k,):
+        if rows.shape != (k, self.genus) or jv.shape != (k,):
             raise ValueError("type data shape mismatch")
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "j_values", jv)
 
     def l_value(self, x: Sequence[complex], gen_index: int) -> complex:
         xv = np.asarray(x, dtype=np.complex128)
-        return complex(self.rows[gen_index] @ xv + self.offsets[gen_index])
+        return complex(self.rows[gen_index] @ xv)
 
     def factor(self, x: Sequence[complex], gen_index: int) -> complex:
         """e(L(x,l) + J(l)) for the given generator."""
@@ -171,7 +168,6 @@ def trivial_type(lattice: Lattice) -> ThetaType:
         g,
         lattice,
         np.zeros((2 * g, g), dtype=np.complex128),
-        np.zeros(2 * g, dtype=np.complex128),
         np.zeros(2 * g, dtype=np.complex128),
     )
 
@@ -189,13 +185,12 @@ def riemann_type_of(spec: RiemannThetaSpec) -> ThetaType:
         gens.append(spec.tau[:, j])
     lattice = Lattice(np.stack(gens))
     rows = np.zeros((2 * g, g), dtype=np.complex128)
-    offsets = np.zeros(2 * g, dtype=np.complex128)
     jv = np.zeros(2 * g, dtype=np.complex128)
     for j in range(g):
         jv[j] = spec.alpha[j]
         rows[g + j, j] = -1.0
         jv[g + j] = -spec.tau[j, j] / 2.0 - spec.beta[j]
-    return ThetaType(g, lattice, rows, offsets, jv)
+    return ThetaType(g, lattice, rows, jv)
 
 
 def multiply_types(t1: ThetaType, t2: ThetaType) -> ThetaType:
@@ -208,7 +203,6 @@ def multiply_types(t1: ThetaType, t2: ThetaType) -> ThetaType:
         t1.genus,
         t1.lattice,
         t1.rows + t2.rows,
-        t1.offsets + t2.offsets,
         t1.j_values + t2.j_values,
     )
 

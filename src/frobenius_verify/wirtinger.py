@@ -231,15 +231,13 @@ class Jet:
         return acc + cmath.log(c0)
 
 
-def seed(point: Sequence[complex], order: int = JET_ORDER) -> list[Jet]:
+def seed(point: Sequence[complex]) -> list[Jet]:
     """Jets of the coordinate functions at ``point``.
 
     Returns 2n jets: entries ``0..n-1`` are ``z_a`` (constant term
     ``point[a]``, unit coefficient at ``alpha = e_a``), entries
     ``n..2n-1`` are ``zbar_a``.
     """
-    if order != JET_ORDER:
-        raise ValueError(f"unsupported jet order {order}; only {JET_ORDER}")
     pt = np.asarray(point, dtype=np.complex128)
     dim = len(pt)
     t = _table(dim)

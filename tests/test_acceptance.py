@@ -21,7 +21,7 @@ from frobenius_verify.catalog import (
     hopf_affine_condition,
     hyperelliptic_catalog,
     is_free,
-    isometry_check,
+    isometry_defect,
     square_lattice,
     validate_group,
 )
@@ -63,8 +63,7 @@ def _flat_suite_ok(report) -> bool:
             (sample["max_curvature"], sample["wdvv"], sample["associator"])
         )
         residuals = [
-            sample["kahler_symmetry"],
-            sample["rank3_symmetry"],
+            sample["metric_hermiticity"],
             sample["max_curvature"],
             sample["wdvv"],
             sample["associator"],
@@ -98,7 +97,7 @@ def test_criterion_02_surface_classification():
             free, _ = is_free(entry.action)
             ok = ok and report.ok and free
             ok = ok and not contains_translations(entry.action)
-        ok = ok and isometry_check(entry) < 1e-12
+            ok = ok and isometry_defect(entry.action) < 1e-12
         verify = run_verify(entry_to_spec(entry), CONFIG)
         ok = ok and verify.verdict == "frobenius" and _flat_suite_ok(verify)
     _announce(2, "eight surface entries, full flat suite", ok)

@@ -13,7 +13,6 @@ from frobenius_verify.catalog import (
     hopf_affine_condition,
     hyperelliptic_catalog,
     is_free,
-    isometry_check,
     isometry_defect,
     metadata_rows,
     negative_controls,
@@ -174,7 +173,7 @@ def test_catalog_entry_validations():
         free, _ = is_free(entry.action)
         assert free, entry.name
         assert not contains_translations(entry.action), entry.name
-        assert isometry_check(entry) < 1e-12, entry.name
+        assert isometry_defect(entry.action) < 1e-12, entry.name
 
 
 def test_catalog_gaussian_lattice_stable_under_rotation():
@@ -250,11 +249,6 @@ def test_isometry_defect_fixture():
     bad = AffineMap(np.diag([2.0, 1.0]).astype(complex), np.zeros(2))
     action = GroupAction(lat, (_identity(2), bad), "stretch")
     assert isometry_defect(action) == pytest.approx(3.0)
-
-
-def test_isometry_torus_vacuous():
-    entry = flat_torus_entry(2)
-    assert isometry_check(entry) == 0.0
 
 
 # --- Hopf verdicts ---------------------------------------------------------

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from frobenius_verify.cli import (
     Config,
@@ -303,3 +305,155 @@ def test_non_finite_structure_constants_give_an_error_record(monkeypatch):
     assert [s.get("error") for s in report.samples] == [
         None, "non-finite structure constants", None, None
     ]
+
+
+def _two_dim(name, potential, **extra):
+    box = [[-0.4, 0.4], [-0.4, 0.4]]
+    return dict(name=name, dim=2, potential=potential,
+                sample_domain={"re": box, "im": box}, **extra)
+
+
+SQUARE_LATTICE_2 = TORUS_SPEC["lattice"]
+IDENTITY_2 = {"A": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "t": [[0, 0], [0, 0]]}
+FLAT_2 = "z1*zbar1 + z2*zbar2"
+
+
+@pytest.mark.parametrize(
+    "spec, verdict, reasons",
+    [
+        (_two_dim("flat", FLAT_2), "frobenius", []),
+        (_two_dim("non-hermitian", FLAT_2 + " + 0.000000005*z1*zbar2"), "not-frobenius",
+         ["structural identities violated"]),
+        (_two_dim("curved", "log(1 + z1*zbar1 + z2*zbar2)"), "not-frobenius",
+         ["curvature or associativity constraint violated"]),
+        (_two_dim("translation", FLAT_2, lattice=SQUARE_LATTICE_2, group={"elements": [
+            IDENTITY_2, {"A": IDENTITY_2["A"], "t": [[0.5, 0], [0, 0]]}]}),
+         "not-frobenius", ["action contains translations"]),
+        (_two_dim("shear", FLAT_2, lattice=SQUARE_LATTICE_2, group={"elements": [
+            IDENTITY_2, {"A": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]], "t": [[0, 0], [0, 0]]}]}),
+         "not-frobenius", ["action not free", "group check failed: closure",
+                           "group check failed: finite", "group check failed: isometry"]),
+        (_two_dim("log-domain", "log(z1*zbar1) + z2*zbar2"), "error",
+         ["degenerate metric or domain error at sampled points"]),
+    ],
+    ids=lambda v: v["name"] if isinstance(v, dict) else None,
+)
+def test_verdict_branches(spec, verdict, reasons):
+    report = run_verify(load_manifold_spec(spec), Config(samples=8))
+    assert (report.verdict, report.reasons) == (verdict, reasons)
+
+
+def test_sample_record_keys():
+    report = run_verify(load_manifold_spec(FS_SPEC), Config(samples=2))
+    assert {key for sample in report.samples for key in sample} == {
+        "index", "point", "metric_hermiticity", "min_singular", "condition_number",
+        "max_curvature", "wdvv", "ricci_hermiticity", "max_ricci", "commutator",
+        "associator", "compat", "positive_definite", "unit_exists", "pencil",
+    }
+    assert {key for s in report.samples for row in s["pencil"] for key in row} == {
+        "lambda", "curvature_norm", "trace_norm",
+    }
+
+
+def _with(**changes):
+    spec = json.loads(json.dumps(TORUS_SPEC))
+    spec.update(changes)
+    return spec
+
+
+def _with_domain(part, ranges):
+    spec = _with()
+    spec["sample_domain"][part] = ranges
+    return spec
+
+
+def _with_group(elements):
+    return _with(group={"elements": elements})
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        (_with(sample_domain=[[-1, 1], [-1, 1]]), "sample_domain"),
+        (_with_domain("re", [["a", 1], [-1, 1]]), "sample_domain.re"),
+        (_with_domain("im", [[-1, 1], [1]]), "sample_domain.im"),
+        (_with_domain("re", [[-0.4, 1e400], [-1, 1]]), "sample_domain.re"),
+        ([TORUS_SPEC], "spec"),
+        (_with(dim="x"), "dim"),
+        (_with(dim=1.5), "dim"),
+        (_with(lattice={"generators": SQUARE_LATTICE_2["generators"][:3]}), "lattice"),
+        (_with(lattice=[[["a", 0], [0, 0]]] + SQUARE_LATTICE_2["generators"][1:]), "lattice"),
+        (_with(lattice=[SQUARE_LATTICE_2["generators"][0]] * 4), "lattice"),
+        (_with_group([{"A": [[[1, 0]]], "t": [[0, 0], [0, 0]]}]), "group element A"),
+        (_with_group(3), "group elements"),
+        (_with_group([IDENTITY_2, 5]), "group element"),
+        (_with(potential="(" * 2000 + FLAT_2 + ")" * 2000), "potential"),
+        (_with(potential="1e999*" + FLAT_2), "potential"),
+        (_with(expected_class=["torus"]), "expected_class"),
+    ],
+)
+def test_malformed_spec_is_an_input_error(tmp_path, capsys, payload, field):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(payload))
+    assert main(["--samples", "2", "verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert field in captured.err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _paths(value, prefix=()):
+    """Every position inside a JSON value, as a tuple of keys/indices."""
+    yield prefix
+    if isinstance(value, dict):
+        items = value.items()
+    else:
+        items = enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _replaced(spec, path, value):
+    if not path:
+        return value
+    out = json.loads(json.dumps(spec))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+GROUP_SPEC = dict(ROTATION_SPEC, name="rotation")
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(JSON_VALUES)
+@example(None)
+@example(True)
+@example(3)
+@example(-1.5)
+@example("z1")
+@example([])
+@example({})
+def test_spec_loading_never_fails_outside_spec_error(value):
+    """Any JSON gives a typed spec or a SpecError: a valid group spec with
+    the value put at each of its positions in turn (the whole spec
+    included)."""
+    for path in _paths(GROUP_SPEC):
+        try:
+            spec = load_manifold_spec(_replaced(GROUP_SPEC, path, value))
+        except SpecError:
+            continue
+        assert isinstance(spec, ManifoldSpec)
+        assert isinstance(spec.name, str) and isinstance(spec.potential, str)
+        assert type(spec.dim) is int
+        assert spec.expected_class is None or isinstance(spec.expected_class, str)

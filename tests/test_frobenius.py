@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import brute_associator, brute_compat, brute_multiply, brute_pencil
+from helpers import brute_associator, brute_compat, brute_pencil
 
 from frobenius_verify.expr import parse
 from frobenius_verify.frobenius import (
@@ -8,8 +8,6 @@ from frobenius_verify.frobenius import (
     affine_vector_field_check,
     associator,
     commutator,
-    curvature_via_algebra,
-    direct_sum_algebra,
     fiber_algebra_from_metric,
     find_unit,
     frobenius_compat,
@@ -139,55 +137,6 @@ def test_fiber_algebra_scalar_structure_constant():
     md = metric_at(QUARTIC1, [0.5])
     hol = fiber_algebra_from_metric(md)
     assert hol.C[0, 0, 0] == pytest.approx(0.5 / 1.25)
-
-
-def test_direct_sum_algebra_blocks():
-    md = metric_at(POLY2, [0.2, -0.1 + 0.05j])
-    alg = direct_sum_algebra(md)
-    assert alg.dim == 4
-    # symmetric form with the metric on the off-diagonal blocks only
-    assert np.array_equal(alg.form, alg.form.T)
-    assert np.array_equal(alg.form[:2, 2:], md.g)
-    assert np.max(np.abs(alg.form[:2, :2])) == 0.0
-    assert np.max(np.abs(alg.form[2:, 2:])) == 0.0
-    # mixed products vanish; pure blocks are the fiber algebras
-    assert np.max(np.abs(alg.C[:2, :2, 2:])) == 0.0
-    assert np.max(np.abs(alg.C[:2, 2:, :2])) == 0.0
-    assert np.array_equal(alg.C[:2, :2, :2], md.christoffel)
-    assert commutator(alg) < 1e-12
-
-
-def test_direct_sum_algebra_flat_is_frobenius():
-    md = metric_at(FLAT2, [0.1, -0.3])
-    alg = direct_sum_algebra(md)
-    assert np.max(np.abs(alg.C)) == 0.0
-    assert associator(alg) == 0.0
-    assert frobenius_compat(alg) == 0.0
-    # nondegenerate pairing between the two fibers
-    assert abs(np.linalg.det(alg.form)) > 0.5
-
-
-def test_curvature_via_algebra_flat():
-    md = metric_at(FLAT2, [0.1, 0.1])
-    assert np.max(np.abs(curvature_via_algebra(md, (0, 1, 1)))) == 0.0
-
-
-def test_curvature_via_algebra_antisymmetry():
-    md = metric_at(POLY2, [0.3 + 0.05j, -0.2 + 0.1j])
-    for i, j, k in ((0, 1, 0), (0, 1, 1), (1, 0, 0)):
-        fwd = curvature_via_algebra(md, (i, j, k))
-        bwd = curvature_via_algebra(md, (j, i, k))
-        assert np.array_equal(fwd, -bwd)
-
-
-def test_curvature_via_algebra_matches_brute_force():
-    md = metric_at(POLY2, [0.25 - 0.1j, 0.15 + 0.2j])
-    C = md.christoffel
-    basis = np.eye(2, dtype=np.complex128)
-    for i, j, k in ((0, 1, 0), (0, 1, 1)):
-        brute = brute_multiply(C, basis[i], brute_multiply(C, basis[j], basis[k]))
-        brute -= brute_multiply(C, basis[j], brute_multiply(C, basis[i], basis[k]))
-        assert np.allclose(curvature_via_algebra(md, (i, j, k)), brute, atol=1e-14)
 
 
 def test_pencil_flat_torus():

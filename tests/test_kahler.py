@@ -17,7 +17,6 @@ from frobenius_verify.expr import (
 from frobenius_verify.cli import _sample_records
 from frobenius_verify.expr import LogDomainError
 from frobenius_verify.kahler import (
-    ChartPoint,
     DegenerateMetricError,
     MetricData,
     christoffel_derivatives,
@@ -57,11 +56,6 @@ def test_quartic_curvature_value():
     md = metric_at(QUARTIC1, [0.0])
     assert md.g[0, 0] == pytest.approx(1.0)
     assert md.curvature[0, 0, 0, 0] == pytest.approx(1.0)
-
-
-def test_chart_point_wrapper():
-    md = metric_at(FS1, ChartPoint(np.array([0.0]), label="origin"))
-    assert md.g[0, 0] == pytest.approx(1.0)
 
 
 def test_kahler_residuals_zero_for_derived_bundle():

@@ -139,7 +139,7 @@ def test_multiply_types_commutative_associative():
     for _ in range(3):
         from frobenius_verify.theta import ThetaType
 
-        types.append(ThetaType(1, lattice, dyadic((2, 1)), dyadic(2), dyadic(2)))
+        types.append(ThetaType(1, lattice, dyadic((2, 1)), dyadic(2)))
     t1, t2, t3 = types
     ab = multiply_types(t1, t2)
     ba = multiply_types(t2, t1)

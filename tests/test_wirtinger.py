@@ -37,11 +37,6 @@ def test_seed_higher_coefficients_zero():
         assert nonzero <= 2  # constant term and the unit coefficient
 
 
-def test_seed_unsupported_order():
-    with pytest.raises(ValueError):
-        seed([0.0], order=3)
-
-
 def test_modulus_squared_jet():
     expr = parse("z1*zbar1", 1)
     for pt in ([0.0], [0.4 - 0.2j]):
