@@ -178,7 +178,14 @@ class AffineMap:
             raise ValueError("affine map has singular linear part")
 
     def compose(self, other: "AffineMap") -> "AffineMap":
-        return AffineMap(self.A @ other.A, self.A @ other.t + self.t)
+        """``self`` after ``other``.  A product of invertible maps is
+        invertible, so the singular-part check on input is skipped: rounding
+        trips it on products of a tiny linear part or on long powers of a
+        hyperbolic one."""
+        product = object.__new__(AffineMap)
+        object.__setattr__(product, "A", self.A @ other.A)
+        object.__setattr__(product, "t", self.A @ other.t + self.t)
+        return product
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         return self.A @ z + self.t
@@ -255,14 +262,21 @@ def validate_group(action: GroupAction) -> GroupReport:
     finite = True
     identity = AffineMap(np.eye(lat.dim), np.zeros(lat.dim))
     for el in els:
-        power = el
-        for _ in range(ORDER_BOUND):
-            if _same_mod_lattice(power, identity, lat):
-                break
-            power = power.compose(el)
-        else:
+        # A^k = I forces |det A| = 1: a contracting or expanding linear
+        # part has infinite order
+        if abs(abs(np.linalg.det(el.A)) - 1.0) > MATCH_TOL:
             finite = False
             break
+        power = el
+        # powers of a hyperbolic part may overflow; no power then matches
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(ORDER_BOUND):
+                if _same_mod_lattice(power, identity, lat):
+                    break
+                power = power.compose(el)
+            else:
+                finite = False
+                break
 
     faithful = True
     for i in range(len(els)):

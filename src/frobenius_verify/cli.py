@@ -59,7 +59,9 @@ CHECKS = (
     ("associator", "associativity"),
     ("pencil.curvature_norm", "associativity"),
 )
-# (group report key, passing value, reason when it does not pass)
+# (group report key, passing value, reason when it does not pass); a
+# None value is undecided and gives no reason: freeness is only asked of
+# an action that maps the lattice onto itself
 GROUP_CHECKS = (
     ("closure", True, "group check failed: closure"),
     ("lattice_stable", True, "group check failed: lattice_stable"),
@@ -112,6 +114,11 @@ class Config:
             raise SpecError(f"samples must be at least 1, got {self.samples}")
         if not self.lambda_grid:
             raise SpecError("lambda grid is empty")
+        # the theta index box holds (2 radius + 1)^genus terms
+        if not 1 <= self.radius <= th.MAX_RADIUS:
+            raise SpecError(
+                f"--radius must be between 1 and {th.MAX_RADIUS}, got {self.radius}"
+            )
         for name, value in self.tolerances.items():
             if not (math.isfinite(value) and value > 0):
                 raise SpecError(
@@ -364,7 +371,7 @@ def _sample_records(
 
 def _group_record(action: cat.GroupAction, tol: float) -> dict:
     report = cat.validate_group(action)
-    free, witness = cat.is_free(action)
+    free, witness = cat.is_free(action) if report.lattice_stable else (None, None)
     translations = cat.contains_translations(action)
     defect = cat.isometry_defect(action)
     return {
@@ -415,7 +422,10 @@ def run_verify(spec: ManifoldSpec, config: Config) -> Report:
         lattice = _lattice_from_spec(spec.lattice, spec.dim)
         action = _group_from_spec(spec.group, lattice, spec.name)
         group_rec = _group_record(action, tol["isometry"])
-        reasons = [why for key, passing, why in GROUP_CHECKS if group_rec[key] != passing]
+        reasons = [
+            why for key, passing, why in GROUP_CHECKS
+            if group_rec[key] not in (passing, None)
+        ]
     group_ok = not reasons
 
     if any("error" in s for s in samples):
@@ -546,15 +556,25 @@ def run_theta(
     spec = th.RiemannThetaSpec(
         tau=tau, alpha=np.zeros(g), beta=np.zeros(g), level=level
     )
+    # the level count first: it rejects an unsupported genus or level
+    # before any series is summed
+    dim_result = th.level_space_dimension(
+        g, level, tau, samples=max(4 * level**g, 16), radius=config.radius,
+        seed=_derive_seed(config.seed, f"theta-rank-{g}-{level}"),
+    )
     rng = np.random.default_rng(_derive_seed(config.seed, f"theta-{g}-{level}"))
     zs = rng.random((z_samples, g)) + 0.2j * rng.random((z_samples, g))
+    t1 = th.riemann_type_of(spec)
+    gens = t1.lattice.generators
+    # one batched series per characteristic: the points and their 2g shifts
+    base1, shifted1 = th.values_with_shifts(spec, zs, gens, config.radius)
 
     qp_rows = []
     worst_qp = 0.0
     for gen_index in range(2 * g):
         for row in range(z_samples):
-            res = th.quasi_periodicity_residual(
-                spec, zs[row], gen_index, config.radius
+            res = th.shift_residual(
+                t1.factor(zs[row], gen_index), base1[row], shifted1[gen_index][row]
             )
             worst_qp = max(worst_qp, res)
             qp_rows.append(
@@ -569,27 +589,19 @@ def run_theta(
     spec2 = th.RiemannThetaSpec(
         tau=tau, alpha=np.full(g, 0.5), beta=np.zeros(g), level=level
     )
-    t1, t2 = th.riemann_type_of(spec), th.riemann_type_of(spec2)
-    tsum = th.multiply_types(t1, t2)
+    tsum = th.multiply_types(t1, th.riemann_type_of(spec2))
+    mult_rows = min(z_samples, 8)
+    base2, shifted2 = th.values_with_shifts(spec2, zs[:mult_rows], gens, config.radius)
     worst_mult = 0.0
     for gen_index in range(2 * g):
-        for row in range(min(z_samples, 8)):
-            z = zs[row]
-            shift = t1.lattice.generators[gen_index]
-            h1 = th.eval_riemann_theta(spec, z, config.radius).value
-            h2 = th.eval_riemann_theta(spec2, z, config.radius).value
-            h1s = th.eval_riemann_theta(spec, z + shift, config.radius).value
-            h2s = th.eval_riemann_theta(spec2, z + shift, config.radius).value
-            lhs = h1s * h2s
-            rhs = tsum.factor(z, gen_index) * h1 * h2
+        for row in range(mult_rows):
+            h1, h2 = base1[row], base2[row]
+            lhs = shifted1[gen_index][row] * shifted2[gen_index][row]
+            rhs = tsum.factor(zs[row], gen_index) * h1 * h2
             worst_mult = max(
                 worst_mult, abs(lhs - rhs) / max(abs(h1 * h2), th.RESIDUAL_FLOOR)
             )
 
-    dim_result = th.level_space_dimension(
-        g, level, tau, samples=max(4 * level**g, 16), radius=config.radius,
-        seed=_derive_seed(config.seed, f"theta-rank-{g}-{level}"),
-    )
     expected_dim = level**g
     ok = (
         worst_qp < config.tolerances["theta"]

@@ -18,12 +18,22 @@ extends to integer combinations linearly in the generator slot,
 appear when iterating shifts are shifts of J by integers times L-rows
 and do not change the stored data.  Types add under multiplication of
 theta functions, which is the group law checked here.
+
+Evaluation is batched: one call takes a single point or a stack of
+points.  The index box is built once per (genus, radius) and shared
+read-only, the quadratic term once per call, and the points are walked
+in blocks of at most ``BLOCK_ENTRIES`` series terms, so peak memory does
+not grow with the batch.  Each row of a block is formed with the same
+matrix-vector product as a one-point call, so a batched value equals the
+one-point value bit for bit.  The radius is bounded by ``MAX_RADIUS``:
+the box holds (2R+1)^g terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from functools import lru_cache
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -31,6 +41,11 @@ from .catalog import Lattice
 
 RANK_THRESHOLD = 1e-8
 RESIDUAL_FLOOR = 1e-6
+MAX_RADIUS = 200
+# Series terms per exp(quad + lin) block: rows of a block are points, so
+# at genus 1 (61 terms at radius 30) a block holds 67 points, at genus 2
+# (3721 terms) one.
+BLOCK_ENTRIES = 4096
 
 
 class ThetaError(Exception):
@@ -83,48 +98,71 @@ class RiemannThetaSpec:
 
 
 class ThetaValue(NamedTuple):
-    value: complex
-    tail_bound: float
+    """One point gives a complex value and a float bound; a batch of
+    points gives an array of each."""
+
+    value: Union[complex, np.ndarray]
+    tail_bound: Union[float, np.ndarray]
 
 
+@lru_cache(maxsize=8)
 def _index_box(g: int, radius: int) -> np.ndarray:
     axes = [np.arange(-radius, radius + 1)] * g
     grid = np.meshgrid(*axes, indexing="ij")
-    return np.stack([a.reshape(-1) for a in grid], axis=1).astype(np.float64)
+    box = np.stack([a.reshape(-1) for a in grid], axis=1).astype(np.float64)
+    box.flags.writeable = False
+    return box
 
 
-def _tail_estimate(spec: RiemannThetaSpec, z: np.ndarray, radius: int) -> float:
-    """Gaussian-decay estimate of the discarded tail (heuristic bound)."""
+def _tail_estimate(spec: RiemannThetaSpec, zs: np.ndarray, radius: int) -> np.ndarray:
+    """Gaussian-decay estimate of the discarded tail (heuristic bound),
+    one per row of ``zs``: 60 shells beyond the box."""
     g = spec.genus
     lam = float(np.linalg.eigvalsh(spec.tau.imag)[0])
-    drift = float(np.linalg.norm(np.imag(z + spec.beta)))
-    start = radius + 1 - float(np.max(np.abs(spec.alpha))) if g else radius + 1
+    start = radius + 1 - float(np.max(np.abs(spec.alpha)))
     if start <= 0:
-        return float("inf")
-    total = 0.0
-    for k in range(60):
-        s = start + k
-        shell = float((2 * s + 1) ** g - max(0.0, 2 * s - 1) ** g)
-        exponent = -np.pi * lam * s * s + 2.0 * np.pi * drift * np.sqrt(g) * s
-        if exponent > 700.0:
-            return float("inf")
-        total += shell * float(np.exp(exponent))
-    return total
+        return np.full(len(zs), np.inf)
+    drift = np.linalg.norm(np.imag(zs + spec.beta), axis=1)[:, None]
+    s = start + np.arange(60.0)
+    shell = (2 * s + 1) ** g - np.maximum(0.0, 2 * s - 1) ** g
+    exponent = -np.pi * lam * s * s + 2.0 * np.pi * drift * np.sqrt(g) * s
+    with np.errstate(over="ignore"):
+        total = np.sum(shell * np.exp(exponent), axis=1)
+    return np.where(np.max(exponent, axis=1) > 700.0, np.inf, total)
 
 
 def eval_riemann_theta(
     spec: RiemannThetaSpec, z: Sequence[complex], radius: int
 ) -> ThetaValue:
-    """Truncated series value plus a tail-bound estimate."""
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
-    zv = np.asarray(z, dtype=np.complex128).reshape(spec.genus)
-    n = _index_box(spec.genus, radius)
-    w = n + spec.alpha
+    """Truncated series value plus a tail-bound estimate.
+
+    ``z`` is one point of shape ``(g,)`` or a batch of shape
+    ``(Nz, g)``; a batch gives ``(Nz,)`` arrays whose rows equal the
+    one-point results bit for bit.  ``1 <= radius <= MAX_RADIUS``.
+    """
+    if not 1 <= radius <= MAX_RADIUS:
+        raise ValueError(f"radius must be between 1 and {MAX_RADIUS}")
+    g = spec.genus
+    zs = np.asarray(z, dtype=np.complex128)
+    single = zs.ndim < 2
+    if single:
+        zs = zs.reshape(1, g)
+    elif zs.ndim != 2 or zs.shape[1] != g:
+        raise ValueError(f"z must have shape ({g},) or (Nz, {g})")
+    w = _index_box(g, radius) + spec.alpha
     quad = 1j * np.pi * np.einsum("ni,ij,nj->n", w, spec.tau, w)
-    lin = 2j * np.pi * (w @ (zv + spec.beta))
-    value = complex(np.sum(np.exp(quad + lin)))
-    return ThetaValue(value, _tail_estimate(spec, zv, radius))
+    values = np.empty(len(zs), dtype=np.complex128)
+    step = max(1, BLOCK_ENTRIES // len(w))
+    for start in range(0, len(zs), step):
+        shifted = zs[start : start + step] + spec.beta
+        # a stack of matrix-vector products, one per point, as a one-point
+        # call makes; one (rows, g) @ w.T product rounds differently
+        lin = 2j * np.pi * np.matmul(w, shifted[:, :, None])[:, :, 0]
+        values[start : start + step] = np.sum(np.exp(quad + lin), axis=1)
+    tails = _tail_estimate(spec, zs, radius)
+    if single:
+        return ThetaValue(complex(values[0]), float(tails[0]))
+    return ThetaValue(values, tails)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,26 +245,44 @@ def multiply_types(t1: ThetaType, t2: ThetaType) -> ThetaType:
     )
 
 
+def values_with_shifts(
+    spec: RiemannThetaSpec, zs: np.ndarray, shifts: np.ndarray, radius: int
+) -> tuple[list, list]:
+    """Theta at each row of ``zs`` and at ``zs + shifts[k]`` for every
+    row of ``shifts``, from one batched call: ``(base, shifted)`` with
+    ``shifted[k][i]`` the value at ``zs[i] + shifts[k]``, as Python
+    complex numbers."""
+    zs = np.asarray(zs, dtype=np.complex128)
+    points = np.concatenate([zs, (zs + shifts[:, None, :]).reshape(-1, spec.genus)])
+    values = eval_riemann_theta(spec, points, radius).value.tolist()
+    n = len(zs)
+    return values[:n], [values[n * (k + 1) : n * (k + 2)] for k in range(len(shifts))]
+
+
+def shift_residual(factor: complex, base: complex, shifted: complex) -> float:
+    """|H(z+l) - factor H(z)| / max(|H(z)|, floor) with
+    ``factor = e(L(z,l)+J(l))``."""
+    return abs(shifted - factor * base) / max(abs(base), RESIDUAL_FLOOR)
+
+
 def quasi_periodicity_residual(
     spec: RiemannThetaSpec,
     z: Sequence[complex],
     gen_index: int,
     radius: int,
 ) -> float:
-    """|H(z+l) - e(L(z,l)+J(l)) H(z)| / max(|H(z)|, floor) for the
-    lattice generator with the given index (0..2g-1).
+    """Quasi-periodicity residual (:func:`shift_residual`) at ``z`` for
+    the lattice generator with the given index (0..2g-1).
 
     The default tolerances downstream assume the smallest eigenvalue of
     Im tau is at least 0.5, so the truncation error at radius 30 sits far
     below them; slower-decaying period matrices need a larger radius.
     """
     ttype = riemann_type_of(spec)
-    zv = np.asarray(z, dtype=np.complex128).reshape(spec.genus)
-    shift = ttype.lattice.generators[gen_index]
-    lhs = eval_riemann_theta(spec, zv + shift, radius).value
-    base = eval_riemann_theta(spec, zv, radius).value
-    rhs = ttype.factor(zv, gen_index) * base
-    return abs(lhs - rhs) / max(abs(base), RESIDUAL_FLOOR)
+    zv = np.asarray(z, dtype=np.complex128).reshape(1, spec.genus)
+    shift = ttype.lattice.generators[[gen_index]]
+    (base,), ((lhs,),) = values_with_shifts(spec, zv, shift, radius)
+    return shift_residual(ttype.factor(zv[0], gen_index), base, lhs)
 
 
 def level_space_dimension(
@@ -259,13 +315,16 @@ def level_space_dimension(
         for k in ks
     ]
     rng = np.random.default_rng(seed)
+    zs = np.concatenate(
+        [rng.random((samples, g)) + 0.25j * rng.random((samples, g))
+         for _ in range(resamplings)]
+    )
+    # rows: the points of every resampling in turn; columns: the f_k
+    values = np.stack(
+        [eval_riemann_theta(sp, s * zs, radius).value for sp in specs], axis=1
+    )
     ranks = []
-    for _ in range(resamplings):
-        zs = rng.random((samples, g)) + 0.25j * rng.random((samples, g))
-        mat = np.empty((samples, len(specs)), dtype=np.complex128)
-        for col, sp in enumerate(specs):
-            for row in range(samples):
-                mat[row, col] = eval_riemann_theta(sp, s * zs[row], radius).value
+    for mat in np.split(values, resamplings):
         col_scale = np.max(np.abs(mat), axis=0)
         col_scale[col_scale == 0] = 1.0
         sv = np.linalg.svd(mat / col_scale, compute_uv=False)

@@ -3,13 +3,15 @@
 Everything here is deliberately written against the public surface
 only: a dispatch-table interpreter for potential ASTs, nested
 central-difference Wirtinger derivatives with Richardson extrapolation,
-a random AST generator, and brute-force triple loops for the algebra
-axioms.  These stay independent of the code paths they check.
+a random AST generator, brute-force triple loops for the algebra
+axioms, and a term-by-term theta series.  These stay independent of the
+code paths they check.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 
 import numpy as np
 
@@ -319,3 +321,20 @@ def brute_pencil(gamma, dgam, dgam_bar, g_inv, lam):
         abs(tr[b][a] - (kappa if a == b else 0)) for a in range(n) for b in range(n)
     )
     return curvature, trace
+
+
+# --- theta series ------------------------------------------------------------
+
+
+def brute_theta(tau, alpha, beta, z, radius):
+    """Riemann theta with characteristics by a plain loop over the box
+    |n|_inf <= radius: sum of exp(pi i w^T tau w + 2 pi i w^T (z + beta))
+    with w = n + alpha."""
+    g = len(z)
+    total = 0j
+    for n in itertools.product(range(-radius, radius + 1), repeat=g):
+        w = [n[i] + alpha[i] for i in range(g)]
+        quad = sum(w[i] * tau[i][j] * w[j] for i in range(g) for j in range(g))
+        lin = sum(w[i] * (z[i] + beta[i]) for i in range(g))
+        total += cmath.exp(1j * cmath.pi * quad + 2j * cmath.pi * lin)
+    return total

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from frobenius_verify.cli import (
     run_verify,
     to_json,
 )
+from frobenius_verify.theta import MAX_RADIUS
 
 CFG = Config(samples=12)
 
@@ -264,6 +266,8 @@ def test_main_numeric_error_exit_code(tmp_path, capsys):
         (["--tolerance", "structural=0"], "structural"),
         (["--tolerance", "isometry=-1e-9"], "isometry"),
         (["--tolerance", "structural=tight"], "structural"),
+        (["--radius", "0"], "--radius"),
+        (["--radius", str(MAX_RADIUS + 1)], "--radius"),
     ],
 )
 def test_input_without_evidence_is_rejected(tmp_path, capsys, argv, field):
@@ -316,6 +320,18 @@ def _two_dim(name, potential, **extra):
 SQUARE_LATTICE_2 = TORUS_SPEC["lattice"]
 IDENTITY_2 = {"A": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "t": [[0, 0], [0, 0]]}
 FLAT_2 = "z1*zbar1 + z2*zbar2"
+# the cyclic group of rotations by 60 degrees: finite, but Z + iZ is not
+# mapped onto itself
+ROTATION_60 = [
+    {"A": [[[math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)]]], "t": [[0, 0]]}
+    for k in range(6)
+]
+
+
+def _linear_group(*rows):
+    """Identity plus the linear map with the given real 2x2 matrix."""
+    a = [[[v, 0] for v in row] for row in rows]
+    return {"elements": [IDENTITY_2, {"A": a, "t": [[0, 0], [0, 0]]}]}
 
 
 @pytest.mark.parametrize(
@@ -335,6 +351,22 @@ FLAT_2 = "z1*zbar1 + z2*zbar2"
                            "group check failed: finite", "group check failed: isometry"]),
         (_two_dim("log-domain", "log(z1*zbar1) + z2*zbar2"), "error",
          ["degenerate metric or domain error at sampled points"]),
+        (dict(ROTATION_SPEC, name="rotation-60", group={"elements": ROTATION_60}),
+         "not-frobenius", ["group check failed: lattice_stable"]),
+        (_two_dim("contracting", FLAT_2, lattice=SQUARE_LATTICE_2,
+                  group=_linear_group([0.5, 0], [0, 1])),
+         "not-frobenius", ["group check failed: closure", "group check failed: finite",
+                           "group check failed: isometry",
+                           "group check failed: lattice_stable"]),
+        (_two_dim("tiny", FLAT_2, lattice=SQUARE_LATTICE_2,
+                  group=_linear_group([1e-7, 0], [0, 1])),
+         "not-frobenius", ["group check failed: closure", "group check failed: finite",
+                           "group check failed: isometry",
+                           "group check failed: lattice_stable"]),
+        (_two_dim("hyperbolic", FLAT_2, lattice=SQUARE_LATTICE_2,
+                  group=_linear_group([2, 1], [1, 1])),
+         "not-frobenius", ["action not free", "group check failed: closure",
+                           "group check failed: finite", "group check failed: isometry"]),
     ],
     ids=lambda v: v["name"] if isinstance(v, dict) else None,
 )

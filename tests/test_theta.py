@@ -3,7 +3,10 @@ import cmath
 import numpy as np
 import pytest
 
+from frobenius_verify.cli import Config, run_theta
 from frobenius_verify.theta import (
+    BLOCK_ENTRIES,
+    MAX_RADIUS,
     LatticeMismatchError,
     RiemannThetaSpec,
     SiegelDomainError,
@@ -14,6 +17,8 @@ from frobenius_verify.theta import (
     riemann_type_of,
     trivial_type,
 )
+
+from helpers import brute_theta
 
 
 def _spec1(alpha=0.0, beta=0.0):
@@ -205,3 +210,68 @@ def test_tau_validation():
 def test_radius_validation():
     with pytest.raises(ValueError):
         eval_riemann_theta(_spec1(), [0.1], 0)
+    with pytest.raises(ValueError):
+        eval_riemann_theta(_spec1(), [0.1], MAX_RADIUS + 1)
+
+
+# (tau, alpha, beta, radius): at genus 2 a smaller radius, so a block
+# holds several points
+BATCH_CASES = [
+    ([[0.3 + 0.9j]], [0.25], [-0.4], 30),
+    ([[0.2 + 1.1j, -0.3 + 0.2j], [-0.3 + 0.2j, -0.1 + 0.8j]], [0.5, -0.2], [0.1, 0.35], 10),
+]
+
+
+def _one_point_series(spec, z, radius):
+    """The truncated series in the floating-point order reports have
+    always used: one matrix-vector product w @ (z + beta) per point."""
+    axes = [np.arange(-radius, radius + 1)] * spec.genus
+    n = np.stack([a.reshape(-1) for a in np.meshgrid(*axes, indexing="ij")], axis=1)
+    w = n.astype(np.float64) + spec.alpha
+    quad = 1j * np.pi * np.einsum("ni,ij,nj->n", w, spec.tau, w)
+    return complex(np.sum(np.exp(quad + 2j * np.pi * (w @ (z + spec.beta)))))
+
+
+@pytest.mark.parametrize("tau, alpha, beta, radius", BATCH_CASES)
+def test_batch_equals_single_points_bitwise(tau, alpha, beta, radius):
+    spec = RiemannThetaSpec(tau=tau, alpha=alpha, beta=beta)
+    g = spec.genus
+    per_block = BLOCK_ENTRIES // (2 * radius + 1) ** g
+    count = 12 * per_block + 5
+    assert per_block > 1 and count % per_block != 0
+    rng = np.random.default_rng(41)
+    zs = rng.uniform(-1, 1, (count, g)) + 0.3j * rng.uniform(-1, 1, (count, g))
+    batch = eval_riemann_theta(spec, zs, radius)
+    singles = [eval_riemann_theta(spec, z, radius) for z in zs]
+    assert batch.value.tolist() == [v.value for v in singles]
+    assert batch.tail_bound.tolist() == [v.tail_bound for v in singles]
+    assert batch.value.tolist() == [_one_point_series(spec, z, radius) for z in zs]
+
+
+@pytest.mark.parametrize("tau, alpha, beta, radius", BATCH_CASES)
+def test_batch_matches_brute_loop(tau, alpha, beta, radius):
+    spec = RiemannThetaSpec(tau=tau, alpha=alpha, beta=beta)
+    rng = np.random.default_rng(42)
+    zs = rng.uniform(-1, 1, (5, spec.genus)) + 0.3j * rng.uniform(-1, 1, (5, spec.genus))
+    values = eval_riemann_theta(spec, zs, radius).value
+    for z, value in zip(zs, values):
+        slow = brute_theta(tau, alpha, beta, z, radius)
+        assert abs(value - slow) <= 1e-12 * abs(slow)
+        assert eval_riemann_theta(spec, z, radius).value == value
+
+
+@pytest.mark.parametrize("genus, tau", [(1, [[1j]]), (2, [[1.1j, 0.2], [0.2, 0.7j]])])
+def test_run_theta_residuals_equal_one_point_residuals(genus, tau):
+    config = Config(seed=5)
+    report = run_theta(np.array(tau), 2, config)
+    spec = RiemannThetaSpec(tau=tau, alpha=np.zeros(genus), beta=np.zeros(genus))
+    assert len(report["samples"]) == 2 * genus * 20
+    for row in report["samples"]:
+        z = [re + 1j * im for re, im in row["z"]]
+        expected = quasi_periodicity_residual(spec, z, row["generator"], config.radius)
+        assert row["residual"] == expected
+
+
+def test_batch_shape_validation():
+    with pytest.raises(ValueError):
+        eval_riemann_theta(_spec1(), np.zeros((3, 2)), 30)
