@@ -706,16 +706,24 @@ def _config_from_args(args) -> Config:
 
 
 def _parse_tau(raw: str, genus: int) -> np.ndarray:
+    if genus < 1:
+        raise SpecError(f"--genus must be at least 1, got {genus}")
     raw = raw.strip()
     if raw == "i":
         return 1j * np.eye(genus)
     if raw.startswith("diag:"):
-        parts = [float(v) for v in raw[len("diag:") :].split(",")]
-        return 1j * np.diag(parts)
-    data = json.loads(raw)
-    return np.array(
-        [[complex(entry[0], entry[1]) for entry in row] for row in data]
-    )
+        try:
+            parts = [float(v) for v in raw[len("diag:") :].split(",")]
+        except ValueError:
+            raise SpecError("--tau diag entries must be finite numbers") from None
+        return 1j * np.diag([_number(v, "--tau diag entries") for v in parts])
+    try:
+        data = json.loads(raw)
+    except ValueError as exc:
+        raise SpecError(f"--tau is not i, diag:... or a JSON matrix: {exc}") from None
+    if not isinstance(data, list) or not data:
+        raise SpecError("--tau must be a non-empty JSON list of rows")
+    return np.array([_pairs(row, len(data), "--tau row") for row in data])
 
 
 def _print_report(payload, as_json: bool) -> None:
@@ -769,7 +777,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             try:
                 tau = _parse_tau(args.tau, args.genus)
                 report = run_theta(tau, args.level, config)
-            except (th.ThetaError, ValueError, json.JSONDecodeError) as exc:
+            except (th.ThetaError, ValueError, SpecError) as exc:
                 sys.stderr.write(f"error: {exc}\n")
                 return EXIT_INPUT
             _print_report(report, args.as_json)

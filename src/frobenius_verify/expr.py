@@ -51,6 +51,10 @@ class LogDomainError(ExprError):
     """log() argument has modulus below the singularity floor."""
 
 
+class ExpOverflowError(ExprError):
+    """exp() argument whose value overflows a complex double."""
+
+
 # --- AST -------------------------------------------------------------
 
 

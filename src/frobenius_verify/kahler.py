@@ -105,32 +105,33 @@ def metric_batch(
 ) -> tuple[MetricData, dict[int, KahlerError | ExprError]]:
     """All metric-level tensors at a batch of points.
 
-    Jets are evaluated point by point; everything after them runs once on
-    the stacked partials.  A point whose jet fails (log domain), whose
-    potential is not real there or whose metric is degenerate is left out
-    of the bundle and returned as ``{index: exception}``; the bundle holds
-    the other points in order.
+    The jets of all points are evaluated in one stacked pass; everything
+    after them runs once on the stacked partials.  A point whose jet fails
+    (log domain, exp out of range), whose potential is not real there,
+    whose partials are not all finite or whose metric is degenerate is
+    left out of the bundle and returned as ``{index: exception}``; the
+    bundle holds the other points in order.
     """
     n = potential.dim
     t = _table(n)
+    point = np.asarray(points, dtype=np.complex128).reshape(-1, n)
     failures: dict[int, KahlerError | ExprError] = {}
-    pts, rows = [], []
-    for idx, point in enumerate(points):
-        pt = np.asarray(point, dtype=np.complex128)
-        try:
-            jet = jet_eval(potential, pt)
-        except ExprError as exc:
-            failures[idx] = exc
-            continue
-        scale = max(1.0, float(np.max(np.abs(jet.coeffs))))
-        if hermiticity_defect(jet) > REALNESS_TOL * scale:
-            failures[idx] = RealnessError("potential is not real-valued near the point")
-            continue
-        pts.append(pt)
-        rows.append(jet.coeffs)
-    good = [idx for idx in range(len(points)) if idx not in failures]
-    point = np.array(pts, dtype=np.complex128).reshape(-1, n)
-    partials = np.array(rows, dtype=np.complex128).reshape(-1, len(t.entries)) * t.fact
+    # an overflow in the jets leaves non-finite partials, which the sample's
+    # error record below reports in place of a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        jet = jet_eval(potential, point, failures)
+        scale = np.maximum(1.0, np.max(np.abs(jet.coeffs), axis=0))
+        not_real = hermiticity_defect(jet) > REALNESS_TOL * scale
+        partials = np.ascontiguousarray(jet.coeffs.T) * t.fact
+    finite = np.all(np.isfinite(partials), axis=1)
+    for idx in np.flatnonzero(not_real):
+        failures.setdefault(
+            int(idx), RealnessError("potential is not real-valued near the point")
+        )
+    for idx in np.flatnonzero(~finite):
+        failures.setdefault(int(idx), KahlerError("non-finite partials of the potential"))
+    good = [idx for idx in range(len(point)) if idx not in failures]
+    point, partials = point[good], partials[good]
 
     g = np.take(partials, t.g_idx, axis=-1)
     sv = np.linalg.svd(g, compute_uv=False)

@@ -3,14 +3,16 @@
 Everything here is deliberately written against the public surface
 only: a dispatch-table interpreter for potential ASTs, nested
 central-difference Wirtinger derivatives with Richardson extrapolation,
-a random AST generator, brute-force triple loops for the algebra
-axioms, and a term-by-term theta series.  These stay independent of the
+a random AST generator, a scatter over every pair of the truncated jet
+product, brute-force triple loops for the algebra axioms, and a
+term-by-term theta series.  These stay independent of the
 code paths they check.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 
 import numpy as np
@@ -132,6 +134,39 @@ def random_node(rng, dim, depth):
 
 def random_potential_expr(rng, dim, depth):
     return PotentialExpr(random_node(rng, dim, depth), dim)
+
+
+# --- dense jet product ---------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _jet_pairs(dim):
+    """Index pairs of the order-4 truncated product over the multi-index
+    simplex in jet storage order (total order, then lexicographic): the
+    entries of every (i, j) with |g_i| + |g_j| <= 4, i outer, j inner,
+    and the entry of g_i + g_j."""
+    entries = sorted(
+        (g for g in itertools.product(range(5), repeat=2 * dim) if sum(g) <= 4),
+        key=lambda g: (sum(g), g),
+    )
+    index = {g: k for k, g in enumerate(entries)}
+    pairs = [
+        (i, j, index[tuple(a + b for a, b in zip(gi, gj))])
+        for i, gi in enumerate(entries)
+        for j, gj in enumerate(entries)
+        if sum(gi) + sum(gj) <= 4
+    ]
+    return tuple(np.array(col, dtype=np.intp) for col in zip(*pairs))
+
+
+def brute_jet_mul(dim, left, right):
+    """Truncated product of two coefficient arrays (``(E,)``, or ``(E, N)``
+    with a trailing sample axis) by one unbuffered scatter over every
+    pair, in pair order, starting from zero."""
+    i, j, k = _jet_pairs(dim)
+    out = np.zeros_like(left)
+    np.add.at(out, k, left[i] * right[j])
+    return out
 
 
 # --- brute-force algebra oracles ----------------------------------------

@@ -280,6 +280,66 @@ def test_input_without_evidence_is_rejected(tmp_path, capsys, argv, field):
 
 
 @pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["--tau", "[[1]]"], "--tau"),
+        (["--tau", "[[[1, 0], [0, 1]]]"], "--tau"),
+        (["--tau", "[]"], "--tau"),
+        (["--tau", "diag:nan"], "--tau"),
+        (["--tau", "diag:1,inf"], "--tau"),
+        (["--tau", "diag:1,x"], "--tau"),
+        (["--tau", "[[1"], "--tau"),
+        (["--genus", "0"], "--genus"),
+    ],
+)
+def test_theta_input_fault_names_the_flag(capsys, argv, field):
+    assert main(["theta"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert field in captured.err
+
+
+def _verify_json(tmp_path, capsys, spec, samples):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code = main(["--samples", str(samples), "--json", "verify", str(path)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_exp_overflow_is_an_error_record_at_its_sample(tmp_path, capsys):
+    spec = {
+        "name": "exp-overflow",
+        "dim": 1,
+        "potential": "exp(3000*z1*zbar1)",
+        "sample_domain": {"re": [[-0.6, 0.6]], "im": [[-0.6, 0.6]]},
+    }
+    code, report = _verify_json(tmp_path, capsys, spec, 8)
+    assert code == 3
+    assert report["verdict"] == "error"
+    overflowed = []
+    for sample in report["samples"]:
+        ((x, y),) = sample["point"]
+        exponent = 3000 * (x * x + y * y)
+        if exponent > math.log(np.finfo(float).max):
+            assert sample["error"].startswith("exp argument (")
+            assert sample["error"].endswith(") out of range")
+            overflowed.append(sample["index"])
+        elif exponent < 600:
+            assert "error" not in sample
+    assert 0 < len(overflowed) < len(report["samples"])
+
+
+def test_non_finite_partials_are_error_records(tmp_path, capsys):
+    spec = dict(FS_SPEC, name="non-finite", potential="(1e200*z1*zbar1)^2 + z2*zbar2")
+    code, report = _verify_json(tmp_path, capsys, spec, 4)
+    assert code == 3
+    assert report["verdict"] == "error"
+    assert [s["error"] for s in report["samples"]] == [
+        "non-finite partials of the potential"
+    ] * 4
+
+
+@pytest.mark.parametrize(
     "potential", ["0 - z1*zbar1 - z2*zbar2", "z1*zbar1 - z2*zbar2"]
 )
 def test_metric_not_positive_definite_is_not_frobenius(potential):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from helpers import fd_partial, random_potential_expr
+from helpers import brute_jet_mul, fd_partial, random_potential_expr
 
-from frobenius_verify.expr import eval_point, parse
+from frobenius_verify.expr import ExprError, LogDomainError, eval_point, parse
 from frobenius_verify.wirtinger import (
     Jet,
     MultiIndexPair,
@@ -166,3 +166,75 @@ def test_exp_log_roundtrip_on_jets():
     jet = jet_eval(parse("1 + z1*zbar1", 1), [0.3 - 0.2j])
     back = jet.log().exp()
     assert np.max(np.abs(back.coeffs - jet.coeffs)) < 1e-13
+
+
+def _support_of(mask) -> int:
+    return sum(1 << int(k) for k in np.flatnonzero(mask))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_restricted_product_matches_dense_scatter(dim):
+    rng = np.random.default_rng(40 + dim)
+    size = len(seed([0.0] * dim)[0].coeffs)
+    for samples in ((), (5,)):
+        for trial in range(8):
+            jets = []
+            for _ in range(2):
+                mask = rng.random(size) < rng.choice([0.03, 0.2, 0.6])
+                mask[0] = True
+                shape = (size,) + samples
+                c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                # entries outside the support are exact zeros of either sign
+                c[~mask] = -0.0 if trial % 2 else 0.0
+                jets.append(Jet(dim, c, _support_of(mask)))
+            jets.append(Jet(dim, jets[0].coeffs.copy()))  # no support: dense
+            for left, right in ((jets[0], jets[1]), (jets[1], jets[0]), (jets[2], jets[1])):
+                prod = left * right
+                dense = brute_jet_mul(dim, left.coeffs, right.coeffs)
+                assert prod.coeffs.tobytes() == dense.tobytes()
+                # the product's support covers every nonzero entry
+                nonzero = np.flatnonzero(np.any(dense != 0, axis=tuple(range(1, dense.ndim))))
+                assert all(prod.support >> int(k) & 1 for k in nonzero)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_stack_equals_one_point_jets_bit_for_bit(dim):
+    rng = np.random.default_rng(70 + dim)
+    count = 11  # not a multiple of the 8-point dim-4 batch
+    failed = 0
+    for _ in range(6):
+        expr = random_potential_expr(rng, dim, int(rng.integers(1, 4)))
+        pts = rng.uniform(-0.8, 0.8, (count, dim)) + 1j * rng.uniform(-0.8, 0.8, (count, dim))
+        failures: dict = {}
+        with np.errstate(all="ignore"):
+            stack = jet_eval(expr, pts, failures)
+            for s in range(count):
+                try:
+                    one = jet_eval(expr, pts[s])
+                except ExprError as exc:
+                    assert (type(failures[s]), str(failures[s])) == (type(exc), str(exc))
+                    failed += 1
+                    continue
+                assert s not in failures
+                assert stack.coeffs[:, s].tobytes() == one.coeffs.tobytes()
+    assert failed < 6 * count
+
+
+def test_log_domain_sample_in_a_stack_keeps_its_index():
+    expr = parse("log(z1*zbar1) + z2*zbar2*z1", 2)
+    pts = np.array(
+        [[0.3, 0.1j], [0.2 + 0.1j, 0.5], [0.0, 0.2], [-0.4j, 0.3], [0.1, -0.2]]
+    )
+    failures: dict = {}
+    stack = jet_eval(expr, pts, failures)
+    message = "log argument modulus 0.0 below floor"
+    assert {i: (type(e), str(e)) for i, e in failures.items()} == {
+        2: (LogDomainError, message)
+    }
+    for s in (0, 1, 3, 4):
+        assert stack.coeffs[:, s].tobytes() == jet_eval(expr, pts[s]).coeffs.tobytes()
+    with pytest.raises(LogDomainError, match=message):
+        jet_eval(expr, pts[2])
+    # without a failures dict the stack raises like a single point
+    with pytest.raises(LogDomainError, match=message):
+        jet_eval(expr, pts)
