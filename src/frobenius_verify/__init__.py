@@ -7,7 +7,7 @@ tests the Frobenius-algebra and pencil-of-connections axioms, validates
 the surface classification catalog and checks theta-function laws.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .expr import ParseError, PotentialExpr, eval_point, parse, to_source
 from .kahler import MetricData, metric_at, wdvv_residual_at

@@ -29,12 +29,15 @@ DEFAULT_SEED = 20240613
 DEFAULT_SAMPLES = 64
 DEFAULT_LAMBDA_GRID = (-1.0, -0.5, 0.5, 1.0, 2.0)
 DEFAULT_RADIUS = 30
+# A report holds about 1.3 KB per sample, so the cap keeps it near 13 MB.
+MAX_SAMPLES = 10_000
+# Points of the theta quasi-periodicity table (the first 8 also test products)
+THETA_POINTS = 20
 # Sample points per tensor batch: about this many entries of an n^4 tensor
 # (8 points at dim 4), so peak memory does not grow with the batch.
 BATCH_ENTRIES = 2048
 DEFAULT_TOLERANCES = {
     "structural": 1e-9,
-    "fd": 1e-4,
     "theta": 1e-8,
     "theta_mult": 1e-7,
     "isometry": 1e-12,
@@ -48,11 +51,11 @@ DISCLAIMER = (
 # is read in every row of the sample's list under its first part (the
 # pencil over the lambda grid).  A class fails when one of its checks is
 # not below the structural tolerance at some sample, so a NaN fails too.
+# Commutativity and form compatibility hold by construction (symmetric
+# Christoffel symbols, zero fiber form); tests pin them, no check reads them.
 CHECKS = (
     ("metric_hermiticity", "core"),
     ("ricci_hermiticity", "core"),
-    ("commutator", "core"),
-    ("compat", "core"),
     ("max_curvature", "flatness"),
     ("wdvv", "flatness"),
     ("pencil.trace_norm", "flatness"),
@@ -110,10 +113,12 @@ class Config:
 
     def __post_init__(self) -> None:
         # each of these would otherwise yield a verdict resting on no evidence
-        if self.samples < 1:
-            raise SpecError(f"samples must be at least 1, got {self.samples}")
+        if not 1 <= self.samples <= MAX_SAMPLES:
+            raise SpecError(f"--samples must be in 1..{MAX_SAMPLES}, got {self.samples}")
         if not self.lambda_grid:
             raise SpecError("lambda grid is empty")
+        if not all(math.isfinite(lam) for lam in self.lambda_grid):
+            raise SpecError(f"--lambda-grid entries must be finite, got {self.lambda_grid}")
         # the theta index box holds (2 radius + 1)^genus terms
         if not 1 <= self.radius <= th.MAX_RADIUS:
             raise SpecError(
@@ -323,15 +328,26 @@ def _sample_records(
     points are computed together; a point that fails a numeric check gets
     an error record and leaves the others untouched."""
     md, failures = kahler.metric_batch(potential, points)
-    finite = np.all(np.isfinite(md.christoffel), axis=(-3, -2, -1))
-    good = [idx for idx in range(len(points)) if idx not in failures]
-    for k in np.flatnonzero(~finite):
-        failures[good[k]] = kahler.KahlerError("non-finite structure constants")
-    md = md[finite]
+
+    def keep(ok: np.ndarray, why: str) -> np.ndarray:
+        """``ok``, one entry per sample left; each False gets an error record."""
+        good = [idx for idx in range(len(points)) if idx not in failures]
+        for k in np.flatnonzero(~ok):
+            failures[good[k]] = kahler.KahlerError(why)
+        return ok
+
+    md = md[keep(np.all(np.isfinite(md.christoffel), axis=(-3, -2, -1)),
+                 "non-finite structure constants")]
+    # a large lambda can overflow the pencil: an error record, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        pencil = frob.pencil_curvature(md, lambda_grid)
+    # both norms are >= 0, so their sum is finite iff both are
+    finite = np.isfinite(pencil.curvature_norm + pencil.trace_norm)
+    ok = keep(np.all(finite, axis=-1), "non-finite pencil curvature")
+    md, curvature_norm, trace_norm = md[ok], pencil.curvature_norm[ok], pencil.trace_norm[ok]
 
     ricci_herm, ricci_max = kahler.ricci_c1_check(md)
     hol = frob.fiber_algebra_from_metric(md)
-    pencil = frob.pencil_curvature(md, lambda_grid)
     units = frob.find_unit(hol)
     columns = {
         "metric_hermiticity": kahler.hermiticity(md.g),
@@ -341,9 +357,7 @@ def _sample_records(
         "wdvv": kahler.wdvv_residual_at(md),
         "ricci_hermiticity": ricci_herm,
         "max_ricci": ricci_max,
-        "commutator": frob.commutator(hol),
         "associator": frob.associator(hol),
-        "compat": frob.frobenius_compat(hol),
     }
 
     records = []
@@ -359,8 +373,8 @@ def _sample_records(
             rec["pencil"] = [
                 {
                     "lambda": lam,
-                    "curvature_norm": float(pencil.curvature_norm[k, j]),
-                    "trace_norm": float(pencil.trace_norm[k, j]),
+                    "curvature_norm": float(curvature_norm[k, j]),
+                    "trace_norm": float(trace_norm[k, j]),
                 }
                 for j, lam in enumerate(lambda_grid)
             ]
@@ -544,18 +558,11 @@ def catalog_exit_code(reports: list) -> int:
 # --- theta pipeline -----------------------------------------------------
 
 
-def run_theta(
-    tau: np.ndarray,
-    level: int,
-    config: Config,
-    z_samples: int = 20,
-) -> dict:
+def run_theta(tau: np.ndarray, level: int, config: Config) -> dict:
     """Quasi-periodicity, multiplicativity and dimension checks."""
     tau = np.asarray(tau, dtype=np.complex128)
     g = tau.shape[0]
-    spec = th.RiemannThetaSpec(
-        tau=tau, alpha=np.zeros(g), beta=np.zeros(g), level=level
-    )
+    spec = th.RiemannThetaSpec(tau=tau, alpha=np.zeros(g), beta=np.zeros(g))
     # the level count first: it rejects an unsupported genus or level
     # before any series is summed
     dim_result = th.level_space_dimension(
@@ -563,7 +570,7 @@ def run_theta(
         seed=_derive_seed(config.seed, f"theta-rank-{g}-{level}"),
     )
     rng = np.random.default_rng(_derive_seed(config.seed, f"theta-{g}-{level}"))
-    zs = rng.random((z_samples, g)) + 0.2j * rng.random((z_samples, g))
+    zs = rng.random((THETA_POINTS, g)) + 0.2j * rng.random((THETA_POINTS, g))
     t1 = th.riemann_type_of(spec)
     gens = t1.lattice.generators
     # one batched series per characteristic: the points and their 2g shifts
@@ -572,7 +579,7 @@ def run_theta(
     qp_rows = []
     worst_qp = 0.0
     for gen_index in range(2 * g):
-        for row in range(z_samples):
+        for row in range(THETA_POINTS):
             res = th.shift_residual(
                 t1.factor(zs[row], gen_index), base1[row], shifted1[gen_index][row]
             )
@@ -586,11 +593,9 @@ def run_theta(
             )
 
     # multiplicativity: product of two characteristics obeys the summed type
-    spec2 = th.RiemannThetaSpec(
-        tau=tau, alpha=np.full(g, 0.5), beta=np.zeros(g), level=level
-    )
+    spec2 = th.RiemannThetaSpec(tau=tau, alpha=np.full(g, 0.5), beta=np.zeros(g))
     tsum = th.multiply_types(t1, th.riemann_type_of(spec2))
-    mult_rows = min(z_samples, 8)
+    mult_rows = 8
     base2, shifted2 = th.values_with_shifts(spec2, zs[:mult_rows], gens, config.radius)
     worst_mult = 0.0
     for gen_index in range(2 * g):
@@ -706,8 +711,8 @@ def _config_from_args(args) -> Config:
 
 
 def _parse_tau(raw: str, genus: int) -> np.ndarray:
-    if genus < 1:
-        raise SpecError(f"--genus must be at least 1, got {genus}")
+    if not 1 <= genus <= th.MAX_GENUS:
+        raise SpecError(f"--genus must be between 1 and {th.MAX_GENUS}, got {genus}")
     raw = raw.strip()
     if raw == "i":
         return 1j * np.eye(genus)
@@ -716,14 +721,18 @@ def _parse_tau(raw: str, genus: int) -> np.ndarray:
             parts = [float(v) for v in raw[len("diag:") :].split(",")]
         except ValueError:
             raise SpecError("--tau diag entries must be finite numbers") from None
-        return 1j * np.diag([_number(v, "--tau diag entries") for v in parts])
-    try:
-        data = json.loads(raw)
-    except ValueError as exc:
-        raise SpecError(f"--tau is not i, diag:... or a JSON matrix: {exc}") from None
-    if not isinstance(data, list) or not data:
-        raise SpecError("--tau must be a non-empty JSON list of rows")
-    return np.array([_pairs(row, len(data), "--tau row") for row in data])
+        tau = 1j * np.diag([_number(v, "--tau diag entries") for v in parts])
+    else:
+        try:
+            data = json.loads(raw)
+        except ValueError as exc:
+            raise SpecError(f"--tau is not i, diag:... or a JSON matrix: {exc}") from None
+        if not isinstance(data, list) or not data:
+            raise SpecError("--tau must be a non-empty JSON list of rows")
+        tau = np.array([_pairs(row, len(data), "--tau row") for row in data])
+    if np.max(np.abs(tau)) > th.MAX_TAU:
+        raise SpecError(f"--tau entries must have modulus at most {th.MAX_TAU:g}")
+    return tau
 
 
 def _print_report(payload, as_json: bool) -> None:

@@ -20,12 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import PotentialExpr
 from .kahler import MetricData, christoffel_derivatives, worst
-from .wirtinger import jet_eval, partial
+from .wirtinger import partial  # noqa: F401  (re-exported: the one-entry read)
 
 UNIT_RESIDUAL_TOL = 1e-8
-AFFINE_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,13 +48,13 @@ class FiberAlgebra:
 
 @dataclass(frozen=True)
 class PencilSample:
-    lam: float
     curvature_norm: float
     trace_norm: float
 
 
 def commutator(alg: FiberAlgebra):
-    """Max |C^k_{ij} - C^k_{ji}|; zero iff the algebra is commutative."""
+    """Max |C^k_{ij} - C^k_{ji}|; zero iff the algebra is commutative, and
+    exactly zero on :func:`fiber_algebra_from_metric` algebras."""
     return worst(alg.C - np.swapaxes(alg.C, -1, -2), 3)
 
 
@@ -68,7 +66,8 @@ def associator(alg: FiberAlgebra):
 
 
 def frobenius_compat(alg: FiberAlgebra):
-    """Max |<e_i e_j, e_k> - <e_i, e_j e_k>| over basis triples."""
+    """Max |<e_i e_j, e_k> - <e_i, e_j e_k>| over basis triples; exactly
+    zero on :func:`fiber_algebra_from_metric` algebras (zero form)."""
     left = np.einsum("...mij,...mk->...ijk", alg.C, alg.form)
     right = np.einsum("...im,...mjk->...ijk", alg.form, alg.C)
     return worst(left - right, 3)
@@ -168,7 +167,7 @@ def pencil_curvature(md: MetricData, lam) -> PencilSample:
     dgam, dgam_bar = christoffel_derivatives(md)
     f_hol, f_mix = _curvature_form(md, dgam, dgam_bar, lam)
     norm = np.maximum(worst(f_hol, 4), worst(f_mix, 4))
-    return PencilSample(lam, norm, _einstein_defect(_trace_endomorphism(md, dgam_bar, lam)))
+    return PencilSample(norm, _einstein_defect(_trace_endomorphism(md, dgam_bar, lam)))
 
 
 def ricci_via_connection(md: MetricData) -> np.ndarray:
@@ -177,42 +176,3 @@ def ricci_via_connection(md: MetricData) -> np.ndarray:
     _, dgam_bar = christoffel_derivatives(md)
     return np.einsum("...daca->...cd", dgam_bar)
 
-
-def affine_vector_field_check(
-    field: Sequence[PotentialExpr],
-    points: Sequence[np.ndarray],
-    tol: float = AFFINE_TOL,
-) -> tuple[bool, float]:
-    """True iff every coefficient of the field is an affine function.
-
-    The test is that all second derivatives of every component vanish at
-    the sampled points (flat background gauge, so covariant second
-    derivatives are plain ones).  Returns (verdict, max second
-    derivative seen).
-    """
-    if not field:
-        raise ValueError("empty vector field")
-    n = field[0].dim
-    if any(comp.dim != n for comp in field):
-        raise ValueError("field components disagree on chart dimension")
-    worst = 0.0
-    second_orders = []
-    for a in range(n):
-        for b in range(a, n):
-            alpha = [0] * n
-            alpha[a] += 1
-            alpha[b] += 1
-            second_orders.append((tuple(alpha), (0,) * n))
-            second_orders.append(((0,) * n, tuple(alpha)))
-        for b in range(n):
-            alpha = [0] * n
-            alpha[a] = 1
-            beta = [0] * n
-            beta[b] = 1
-            second_orders.append((tuple(alpha), tuple(beta)))
-    for comp in field:
-        for pt in points:
-            jet = jet_eval(comp, np.asarray(pt, dtype=np.complex128))
-            for alpha, beta in second_orders:
-                worst = max(worst, abs(partial(jet, alpha, beta)))
-    return worst < tol, worst

@@ -67,7 +67,6 @@ class MetricData:
     """Bundle of all tensors derived from the potential's jets at one
     point, or at a batch of points stacked along leading axes."""
 
-    point: np.ndarray
     g: np.ndarray
     g_inv: np.ndarray
     phi3: np.ndarray
@@ -131,7 +130,7 @@ def metric_batch(
     for idx in np.flatnonzero(~finite):
         failures.setdefault(int(idx), KahlerError("non-finite partials of the potential"))
     good = [idx for idx in range(len(point)) if idx not in failures]
-    point, partials = point[good], partials[good]
+    partials = partials[good]
 
     g = np.take(partials, t.g_idx, axis=-1)
     sv = np.linalg.svd(g, compute_uv=False)
@@ -142,7 +141,7 @@ def metric_batch(
             f"metric degenerate at point (min singular {smin[k]:.3e}, max {smax[k]:.3e})"
         )
     keep = ~degenerate
-    point, partials, g = point[keep], partials[keep], g[keep]
+    partials, g = partials[keep], g[keep]
     smax, smin = smax[keep], smin[keep]
 
     positive = np.linalg.eigvalsh(g)[:, 0] > 0
@@ -156,7 +155,6 @@ def metric_batch(
     ricci = np.einsum("...ba,...abcd->...cd", h, curvature)
 
     md = MetricData(
-        point=point,
         g=g,
         g_inv=h,
         phi3=phi3,

@@ -40,8 +40,13 @@ import numpy as np
 from .catalog import Lattice
 
 RANK_THRESHOLD = 1e-8
+RESAMPLINGS = 3
 RESIDUAL_FLOOR = 1e-6
 MAX_RADIUS = 200
+MAX_GENUS = 2
+# Theta values and shift factors grow like exp(pi Im tau_jj); products of
+# two stay inside double precision while |tau| <= 100.
+MAX_TAU = 100.0
 # Series terms per exp(quad + lin) block: rows of a block are points, so
 # at genus 1 (61 terms at radius 30) a block holds 67 points, at genus 2
 # (3721 terms) one.
@@ -66,12 +71,11 @@ class RankUnstableError(ThetaError):
 
 @dataclass(frozen=True, eq=False)
 class RiemannThetaSpec:
-    """Series data: g x g period matrix, characteristics and level."""
+    """Series data: g x g period matrix and characteristics."""
 
     tau: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
-    level: int = 1
 
     def __post_init__(self) -> None:
         tau = np.asarray(self.tau, dtype=np.complex128)
@@ -89,8 +93,6 @@ class RiemannThetaSpec:
         object.__setattr__(
             self, "beta", np.asarray(self.beta, dtype=np.float64).reshape(tau.shape[0])
         )
-        if self.level < 1:
-            raise ValueError("level must be a positive integer")
 
     @property
     def genus(self) -> int:
@@ -153,12 +155,15 @@ def eval_riemann_theta(
     quad = 1j * np.pi * np.einsum("ni,ij,nj->n", w, spec.tau, w)
     values = np.empty(len(zs), dtype=np.complex128)
     step = max(1, BLOCK_ENTRIES // len(w))
-    for start in range(0, len(zs), step):
-        shifted = zs[start : start + step] + spec.beta
-        # a stack of matrix-vector products, one per point, as a one-point
-        # call makes; one (rows, g) @ w.T product rounds differently
-        lin = 2j * np.pi * np.matmul(w, shifted[:, :, None])[:, :, 0]
-        values[start : start + step] = np.sum(np.exp(quad + lin), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(zs), step):
+            shifted = zs[start : start + step] + spec.beta
+            # a stack of matrix-vector products, one per point, as a one-point
+            # call makes; one (rows, g) @ w.T product rounds differently
+            lin = 2j * np.pi * np.matmul(w, shifted[:, :, None])[:, :, 0]
+            values[start : start + step] = np.sum(np.exp(quad + lin), axis=1)
+    if not np.all(np.isfinite(values)):
+        raise ThetaError(f"theta series overflows at radius {radius}")
     tails = _tail_estimate(spec, zs, radius)
     if single:
         return ThetaValue(complex(values[0]), float(tails[0]))
@@ -198,16 +203,6 @@ class ThetaType:
         return complex(
             np.exp(2j * np.pi * (self.l_value(x, gen_index) + self.j_values[gen_index]))
         )
-
-
-def trivial_type(lattice: Lattice) -> ThetaType:
-    g = lattice.dim
-    return ThetaType(
-        g,
-        lattice,
-        np.zeros((2 * g, g), dtype=np.complex128),
-        np.zeros(2 * g, dtype=np.complex128),
-    )
 
 
 def riemann_type_of(spec: RiemannThetaSpec) -> ThetaType:
@@ -292,18 +287,17 @@ def level_space_dimension(
     samples: int,
     radius: int = 30,
     seed: int = 7,
-    resamplings: int = 3,
 ) -> int:
     """Numerical dimension of the space of level-s theta functions.
 
     Candidate basis: f_k(z) = theta[k/s, 0](s z, s tau) for
     k in (Z/s)^g; all f_k share one transformation type, so the space
     dimension is the rank of their evaluation matrix at generic points.
-    Rank must be stable across re-samplings, otherwise a
+    Rank must agree on ``RESAMPLINGS`` point sets, otherwise a
     RankUnstableError advises increasing ``samples``.
     """
-    if g not in (1, 2):
-        raise ValueError("supported genus: 1 or 2")
+    if not 1 <= g <= MAX_GENUS:
+        raise ValueError(f"supported genus: 1..{MAX_GENUS}")
     if s < 1 or s > 4:
         raise ValueError("supported level: 1..4")
     if samples < 4 * s**g:
@@ -311,20 +305,20 @@ def level_space_dimension(
     tau = np.asarray(tau, dtype=np.complex128).reshape(g, g)
     ks = [np.array(k) for k in np.ndindex(*([s] * g))]
     specs = [
-        RiemannThetaSpec(tau=s * tau, alpha=k / s, beta=np.zeros(g), level=s)
+        RiemannThetaSpec(tau=s * tau, alpha=k / s, beta=np.zeros(g))
         for k in ks
     ]
     rng = np.random.default_rng(seed)
     zs = np.concatenate(
         [rng.random((samples, g)) + 0.25j * rng.random((samples, g))
-         for _ in range(resamplings)]
+         for _ in range(RESAMPLINGS)]
     )
     # rows: the points of every resampling in turn; columns: the f_k
     values = np.stack(
         [eval_riemann_theta(sp, s * zs, radius).value for sp in specs], axis=1
     )
     ranks = []
-    for mat in np.split(values, resamplings):
+    for mat in np.split(values, RESAMPLINGS):
         col_scale = np.max(np.abs(mat), axis=0)
         col_scale[col_scale == 0] = 1.0
         sv = np.linalg.svd(mat / col_scale, compute_uv=False)

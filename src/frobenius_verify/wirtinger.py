@@ -65,13 +65,6 @@ from .expr import (
 JET_ORDER = 4
 
 
-class MultiIndexPair(NamedTuple):
-    """Holomorphic / antiholomorphic derivative orders, |alpha|+|beta| <= 4."""
-
-    alpha: tuple[int, ...]
-    beta: tuple[int, ...]
-
-
 class _Table(NamedTuple):
     dim: int
     entries: tuple[tuple[int, ...], ...]

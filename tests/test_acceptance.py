@@ -67,7 +67,6 @@ def _flat_suite_ok(report) -> bool:
             sample["max_curvature"],
             sample["wdvv"],
             sample["associator"],
-            sample["commutator"],
         ]
         residuals.extend(row["curvature_norm"] for row in sample["pencil"])
         residuals.extend(row["trace_norm"] for row in sample["pencil"])

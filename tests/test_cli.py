@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frobenius_verify.cli import (
+    MAX_SAMPLES,
     Config,
     ManifoldSpec,
     SpecError,
@@ -268,6 +271,13 @@ def test_main_numeric_error_exit_code(tmp_path, capsys):
         (["--tolerance", "structural=tight"], "structural"),
         (["--radius", "0"], "--radius"),
         (["--radius", str(MAX_RADIUS + 1)], "--radius"),
+        (["--samples", str(MAX_SAMPLES + 1)], "--samples"),
+        (["--samples", str(10**30)], "--samples"),
+        (["--lambda-grid=nan"], "--lambda-grid"),
+        (["--lambda-grid=inf"], "--lambda-grid"),
+        (["--lambda-grid=1,-inf"], "--lambda-grid"),
+        (["--lambda-grid=1e999"], "--lambda-grid"),
+        (["--tolerance", "fd=1e-4"], "fd"),
     ],
 )
 def test_input_without_evidence_is_rejected(tmp_path, capsys, argv, field):
@@ -290,6 +300,11 @@ def test_input_without_evidence_is_rejected(tmp_path, capsys, argv, field):
         (["--tau", "diag:1,x"], "--tau"),
         (["--tau", "[[1"], "--tau"),
         (["--genus", "0"], "--genus"),
+        (["--tau", "diag:1e308"], "--tau"),
+        (["--tau", "[[[1e308, 1]]]"], "--tau"),
+        (["--tau", "diag:100.5"], "--tau"),
+        (["--genus", "3"], "--genus"),
+        (["--genus", str(10**40)], "--genus"),
     ],
 )
 def test_theta_input_fault_names_the_flag(capsys, argv, field):
@@ -299,11 +314,31 @@ def test_theta_input_fault_names_the_flag(capsys, argv, field):
     assert field in captured.err
 
 
-def _verify_json(tmp_path, capsys, spec, samples):
+def test_samples_cap_is_checked_before_sampling():
+    assert Config(samples=MAX_SAMPLES).samples == MAX_SAMPLES
+    for samples in (MAX_SAMPLES + 1, 10**30):
+        with pytest.raises(SpecError, match="--samples"):
+            Config(samples=samples)
+    for grid in ((math.nan,), (1.0, math.inf), (-math.inf,)):
+        with pytest.raises(SpecError, match="--lambda-grid"):
+            Config(lambda_grid=grid)
+
+
+def _verify_json(tmp_path, capsys, spec, samples, *flags):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
-    code = main(["--samples", str(samples), "--json", "verify", str(path)])
+    code = main(["--samples", str(samples), *flags, "--json", "verify", str(path)])
     return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("spec", [TORUS_SPEC, FS_SPEC], ids=["flat", "curved"])
+def test_pencil_overflow_is_an_error_record(tmp_path, capsys, spec):
+    """lambda^2 overflows at 1e160: on the flat torus inf * 0 gives NaN,
+    which no verdict may rest on."""
+    code, report = _verify_json(tmp_path, capsys, spec, 3, "--lambda-grid=1,1e160")
+    assert code == 3
+    assert report["verdict"] == "error"
+    assert [s["error"] for s in report["samples"]] == ["non-finite pencil curvature"] * 3
 
 
 def test_exp_overflow_is_an_error_record_at_its_sample(tmp_path, capsys):
@@ -439,8 +474,8 @@ def test_sample_record_keys():
     report = run_verify(load_manifold_spec(FS_SPEC), Config(samples=2))
     assert {key for sample in report.samples for key in sample} == {
         "index", "point", "metric_hermiticity", "min_singular", "condition_number",
-        "max_curvature", "wdvv", "ricci_hermiticity", "max_ricci", "commutator",
-        "associator", "compat", "positive_definite", "unit_exists", "pencil",
+        "max_curvature", "wdvv", "ricci_hermiticity", "max_ricci",
+        "associator", "positive_definite", "unit_exists", "pencil",
     }
     assert {key for s in report.samples for row in s["pencil"] for key in row} == {
         "lambda", "curvature_norm", "trace_norm",
@@ -549,3 +584,136 @@ def test_spec_loading_never_fails_outside_spec_error(value):
         assert isinstance(spec.name, str) and isinstance(spec.potential, str)
         assert type(spec.dim) is int
         assert spec.expected_class is None or isinstance(spec.expected_class, str)
+
+
+# --- fuzzing main -----------------------------------------------------------
+
+BAD_NUMBERS = st.sampled_from(
+    ["nan", "inf", "-inf", "1e999", "1e308", "1e160", "-1", "0", "1.5", "x", ""]
+)
+
+
+def _mostly(valid, bad):
+    """``valid`` about seven times in eight, else ``bad`` (hypothesis draws
+    the ends of an integer range more often than the middle)."""
+    return st.integers(0, 7).flatmap(lambda k: bad if k == 3 else valid)
+
+
+def _count(valid):
+    """A count flag: small and valid, or above any cap, non-finite or malformed."""
+    huge = st.integers(MAX_SAMPLES + 1, 10**40)
+    return _mostly(valid, st.one_of(huge, BAD_NUMBERS, st.text(max_size=4))).map(str)
+
+
+def _small(valid):
+    """A genus or level: valid, or out of range without being a size that
+    would allocate if it were accepted, or malformed."""
+    return st.one_of(valid, st.sampled_from([10**40, -1, 0, 5])).map(str) | BAD_NUMBERS
+
+
+HUGE = st.sampled_from([1e160, -1e200, 1.7e308, 1e-320])
+LAMBDA_GRIDS = st.one_of(
+    st.lists(st.one_of(st.floats(-3, 3), HUGE), min_size=1, max_size=3),
+    st.lists(st.one_of(st.floats(), BAD_NUMBERS), max_size=3),
+).map(lambda xs: ",".join(map(str, xs)))
+TOLERANCES = st.lists(
+    _mostly(
+        st.tuples(
+            st.sampled_from(["structural", "theta", "theta_mult", "isometry"]),
+            st.one_of(st.floats(1e-12, 1e3), HUGE),
+        ),
+        st.tuples(
+            st.sampled_from(["structural", "isometry", "fd", "", "x=1"]),
+            st.one_of(st.floats(), BAD_NUMBERS),
+        ),
+    ).map(lambda pair: f"{pair[0]}={pair[1]}"),
+    max_size=2,
+).map(lambda items: [tok for item in items for tok in ("--tolerance", item)])
+TAUS = st.one_of(
+    st.just("i"),
+    st.lists(st.one_of(st.floats(0.5, 3), HUGE, BAD_NUMBERS), min_size=1, max_size=2).map(
+        lambda xs: "diag:" + ",".join(map(str, xs))
+    ),
+    st.sampled_from(["[[[0.1, 1]]]", "[[[0.2, 1], [0, 0.1]], [[0, 0.1], [0.3, 2]]]",
+                     "[[[0, 1e308]]]", "[[[1e308, 1]]]", "[[[0, -1]]]", "[[1]]", "[]", "{}",
+                     "[[[1, 1], [0, 0]], [[0, 0], [1, 1]]]"]),
+    st.text(max_size=8),
+)
+
+
+def _subcommand(files):
+    verify = st.sampled_from(files).map(lambda path: ["verify", path])
+    catalog = st.one_of(
+        st.just(["catalog"]),
+        st.sampled_from(["torus", "Z4", "hopf", "none-such", ""]).map(
+            lambda name: ["catalog", "--catalog", name]
+        ),
+    )
+    theta = st.tuples(
+        st.just(["theta"]),
+        _small(st.integers(1, 2)).map(lambda v: ["--genus", v]),
+        TAUS.map(lambda v: ["--tau", v]),
+        _small(st.integers(1, 3)).map(lambda v: ["--level", v]),
+    ).map(lambda parts: [tok for part in parts for tok in part])
+    junk = st.lists(
+        st.sampled_from(["verify", "theta", "--json", "--genus", "--help", "-x", "1"]),
+        max_size=3,
+    )
+    return _mostly(st.one_of(theta, verify, catalog), junk)
+
+
+@pytest.fixture(scope="module")
+def spec_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, payload in (("torus", TORUS_SPEC), ("fs", FS_SPEC), ("rotation", ROTATION_SPEC)):
+        (root / f"{name}.json").write_text(json.dumps(payload))
+    (root / "broken.json").write_text('{"name": ')
+    return [str(root / name) for name in
+            ("torus.json", "fs.json", "rotation.json", "broken.json", "missing.json")]
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: 2 on bad usage, 0 for --help
+            code = exc.code
+    return code, err.getvalue()
+
+
+def _argvs(files):
+    flags = st.tuples(
+        _count(st.integers(1, 4)).map(lambda v: ["--samples", v]),
+        _count(st.integers(1, 5)).map(lambda v: ["--radius", v]),
+        st.one_of(st.just([]), _count(st.integers(-3, 10**20)).map(lambda v: ["--seed", v])),
+        st.one_of(st.just([]), LAMBDA_GRIDS.map(lambda v: [f"--lambda-grid={v}"])),
+        TOLERANCES,
+        _mostly(st.sampled_from([[], ["--json"], ["--text"]]), st.just(["--json", "--text"])),
+        _subcommand(files),
+    )
+    return flags.map(lambda parts: [tok for part in parts for tok in part])
+
+
+def test_main_fuzz_exits_0_to_3_without_internal_error(spec_files):
+    """Every argv gives exit code 0-3 and never reaches ``internal error``.
+    ``--samples`` stays at most 4 and ``--radius`` at most 5 (or outside
+    their ranges), so no example computes much.  The explicit examples
+    are inputs that once reached a verdict or the internal-error path
+    through an overflow."""
+    torus = spec_files[0]
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_argvs(spec_files))
+    @example(["--samples", "2", "--lambda-grid=1e160", "verify", torus])
+    @example(["--samples", "2", "--lambda-grid=nan", "catalog", "--catalog", "Z4"])
+    @example(["--samples", "2", "theta", "--tau", "diag:1e308"])
+    @example(["--samples", "2", "theta", "--tau", "[[[1e308, 1]]]", "--level", "4"])
+    @example(["--samples", "2", "theta", "--genus", str(10**40)])
+    @example(["--radius", "200", "theta", "--tau", "diag:1e-300", "--level", "4"])
+    def check(argv):
+        code, err = _run_main(argv)
+        assert code in (0, 1, 2, 3), (argv, code, err)
+        assert "internal error" not in err, (argv, err)
+
+    check()

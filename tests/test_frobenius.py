@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
-from helpers import brute_associator, brute_compat, brute_pencil
+from helpers import brute_associator, brute_compat, brute_pencil, random_polynomial_potential
 
 from frobenius_verify.expr import parse
 from frobenius_verify.frobenius import (
     FiberAlgebra,
-    affine_vector_field_check,
     associator,
     commutator,
     fiber_algebra_from_metric,
@@ -193,27 +192,23 @@ def test_ricci_via_connection_agrees():
     assert np.max(np.abs(ricci_via_connection(md) - md.ricci)) < 1e-11
 
 
-def test_affine_field_linear():
-    field = [parse("z1", 2), parse("z2", 2)]
-    points = [np.array([0.3, -0.2 + 0.1j]), np.array([0.0, 0.5j])]
-    ok, residual = affine_vector_field_check(field, points)
-    assert ok
-    assert residual == 0.0
-
-
-def test_affine_field_affine():
-    field = [parse("3*z1 + 2", 2), parse("2 - z2", 2)]
-    points = [np.array([0.1, 0.2])]
-    ok, residual = affine_vector_field_check(field, points)
-    assert ok
-
-
-def test_affine_field_quadratic_fails():
-    field = [parse("z1^2", 2), parse("0", 2)]
-    points = [np.array([0.3, 0.1])]
-    ok, residual = affine_vector_field_check(field, points)
-    assert not ok
-    assert residual == pytest.approx(2.0)
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_metric_algebra_is_commutative_and_compatible_by_construction(dim):
+    """The verdict has no commutator or form-compatibility check because
+    both are exact zeros on the Christoffel algebra; if the construction
+    changes, this fails and those checks must come back."""
+    rng = np.random.default_rng(600 + dim)
+    for _ in range(4):
+        potential = random_polynomial_potential(rng, dim)
+        points = [0.3 * (rng.uniform(-1, 1, dim) + 1j * rng.uniform(-1, 1, dim))
+                  for _ in range(6)]
+        md, failures = metric_batch(potential, points)
+        assert not failures
+        hol = fiber_algebra_from_metric(md)
+        assert np.all(commutator(hol) == 0.0)
+        assert np.all(frobenius_compat(hol) == 0.0)
+        # a nonzero algebra: the zeros are not those of a vanishing C
+        assert np.max(np.abs(hol.C)) > 0
 
 
 CURVED3 = parse(

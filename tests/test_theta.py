@@ -10,12 +10,13 @@ from frobenius_verify.theta import (
     LatticeMismatchError,
     RiemannThetaSpec,
     SiegelDomainError,
+    ThetaError,
+    ThetaType,
     eval_riemann_theta,
     level_space_dimension,
     multiply_types,
     quasi_periodicity_residual,
     riemann_type_of,
-    trivial_type,
 )
 
 from helpers import brute_theta
@@ -122,7 +123,7 @@ def test_riemann_type_values():
 def test_multiply_types_identity_element():
     spec = _spec1(alpha=0.5)
     ttype = riemann_type_of(spec)
-    triv = trivial_type(ttype.lattice)
+    triv = ThetaType(1, ttype.lattice, np.zeros((2, 1)), np.zeros(2))
     combined = multiply_types(ttype, triv)
     assert np.array_equal(combined.rows, ttype.rows)
     assert np.array_equal(combined.j_values, ttype.j_values)
@@ -275,3 +276,12 @@ def test_run_theta_residuals_equal_one_point_residuals(genus, tau):
 def test_batch_shape_validation():
     with pytest.raises(ValueError):
         eval_riemann_theta(_spec1(), np.zeros((3, 2)), 30)
+
+
+def test_series_overflow_raises_instead_of_warning():
+    """With Im tau tiny the Gaussian decay is gone and exp(2 pi n Im z)
+    leaves double precision at a large radius."""
+    spec = RiemannThetaSpec(tau=np.array([[1e-300j]]), alpha=[0.0], beta=[0.0])
+    with pytest.raises(ThetaError, match="overflows"):
+        eval_riemann_theta(spec, [[0.1 + 1.0j]], MAX_RADIUS)
+    assert np.isfinite(eval_riemann_theta(spec, [0.1 + 1.0j], 5).value)
