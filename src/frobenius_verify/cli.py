@@ -119,7 +119,7 @@ class Config:
             raise SpecError("lambda grid is empty")
         if not all(math.isfinite(lam) for lam in self.lambda_grid):
             raise SpecError(f"--lambda-grid entries must be finite, got {self.lambda_grid}")
-        # the theta index box holds (2 radius + 1)^genus terms
+        # a theta series sums at most (2 radius + 1)^genus terms
         if not 1 <= self.radius <= th.MAX_RADIUS:
             raise SpecError(
                 f"--radius must be between 1 and {th.MAX_RADIUS}, got {self.radius}"
@@ -563,18 +563,19 @@ def run_theta(tau: np.ndarray, level: int, config: Config) -> dict:
     tau = np.asarray(tau, dtype=np.complex128)
     g = tau.shape[0]
     spec = th.RiemannThetaSpec(tau=tau, alpha=np.zeros(g), beta=np.zeros(g))
+    tails: list = []  # the largest tail bound of each series call
     # the level count first: it rejects an unsupported genus or level
     # before any series is summed
     dim_result = th.level_space_dimension(
         g, level, tau, samples=max(4 * level**g, 16), radius=config.radius,
-        seed=_derive_seed(config.seed, f"theta-rank-{g}-{level}"),
+        seed=_derive_seed(config.seed, f"theta-rank-{g}-{level}"), tails=tails,
     )
     rng = np.random.default_rng(_derive_seed(config.seed, f"theta-{g}-{level}"))
     zs = rng.random((THETA_POINTS, g)) + 0.2j * rng.random((THETA_POINTS, g))
     t1 = th.riemann_type_of(spec)
     gens = t1.lattice.generators
     # one batched series per characteristic: the points and their 2g shifts
-    base1, shifted1 = th.values_with_shifts(spec, zs, gens, config.radius)
+    base1, shifted1 = th.values_with_shifts(spec, zs, gens, config.radius, tails)
 
     qp_rows = []
     worst_qp = 0.0
@@ -596,23 +597,32 @@ def run_theta(tau: np.ndarray, level: int, config: Config) -> dict:
     spec2 = th.RiemannThetaSpec(tau=tau, alpha=np.full(g, 0.5), beta=np.zeros(g))
     tsum = th.multiply_types(t1, th.riemann_type_of(spec2))
     mult_rows = 8
-    base2, shifted2 = th.values_with_shifts(spec2, zs[:mult_rows], gens, config.radius)
+    base2, shifted2 = th.values_with_shifts(
+        spec2, zs[:mult_rows], gens, config.radius, tails
+    )
     worst_mult = 0.0
     for gen_index in range(2 * g):
         for row in range(mult_rows):
-            h1, h2 = base1[row], base2[row]
-            lhs = shifted1[gen_index][row] * shifted2[gen_index][row]
-            rhs = tsum.factor(zs[row], gen_index) * h1 * h2
-            worst_mult = max(
-                worst_mult, abs(lhs - rhs) / max(abs(h1 * h2), th.RESIDUAL_FLOOR)
+            res = th.shift_residual(
+                tsum.factor(zs[row], gen_index),
+                base1[row] * base2[row],
+                shifted1[gen_index][row] * shifted2[gen_index][row],
             )
+            worst_mult = max(worst_mult, res)
 
+    tail = max(tails)
     expected_dim = level**g
-    ok = (
+    reasons = []
+    if not tail <= config.tolerances["theta"]:
+        reasons.append(
+            f"theta truncation bound exceeds tolerance at radius {config.radius}"
+        )
+    if not (
         worst_qp < config.tolerances["theta"]
         and worst_mult < config.tolerances["theta_mult"]
         and dim_result == expected_dim
-    )
+    ):
+        reasons.append("theta residuals exceed tolerance")
     return {
         "spec": f"theta(g={g}, level={level})",
         "version": __version__,
@@ -623,8 +633,9 @@ def run_theta(tau: np.ndarray, level: int, config: Config) -> dict:
         "multiplicativity": worst_mult,
         "level_dimension": dim_result,
         "expected_dimension": expected_dim,
-        "verdict": "pass" if ok else "fail",
-        "reasons": [] if ok else ["theta residuals exceed tolerance"],
+        "tail_bound": tail,
+        "verdict": "fail" if reasons else "pass",
+        "reasons": reasons,
     }
 
 
@@ -663,7 +674,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_catalog.add_argument("--catalog", dest="name_filter", default=None)
 
     p_theta = sub.add_parser("theta", help="run theta-function checks")
-    p_theta.add_argument("--genus", type=int, default=1)
+    p_theta.add_argument(
+        "--genus", type=int, default=None, help="size of tau (default: that of --tau; 1 for i)"
+    )
     p_theta.add_argument(
         "--tau",
         default="i",
@@ -710,12 +723,12 @@ def _config_from_args(args) -> Config:
     )
 
 
-def _parse_tau(raw: str, genus: int) -> np.ndarray:
-    if not 1 <= genus <= th.MAX_GENUS:
+def _parse_tau(raw: str, genus: Optional[int]) -> np.ndarray:
+    if genus is not None and not 1 <= genus <= th.MAX_GENUS:
         raise SpecError(f"--genus must be between 1 and {th.MAX_GENUS}, got {genus}")
     raw = raw.strip()
     if raw == "i":
-        return 1j * np.eye(genus)
+        return 1j * np.eye(genus or 1)
     if raw.startswith("diag:"):
         try:
             parts = [float(v) for v in raw[len("diag:") :].split(",")]
@@ -730,6 +743,8 @@ def _parse_tau(raw: str, genus: int) -> np.ndarray:
         if not isinstance(data, list) or not data:
             raise SpecError("--tau must be a non-empty JSON list of rows")
         tau = np.array([_pairs(row, len(data), "--tau row") for row in data])
+    if genus is not None and genus != len(tau):
+        raise SpecError(f"--genus {genus} does not match --tau of size {len(tau)}")
     if np.max(np.abs(tau)) > th.MAX_TAU:
         raise SpecError(f"--tau entries must have modulus at most {th.MAX_TAU:g}")
     return tau

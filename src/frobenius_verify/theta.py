@@ -6,8 +6,41 @@ The series realization with characteristics (alpha, beta) is
     theta(z) = sum_{n in Z^g} exp( pi*i (n+alpha)^T tau (n+alpha)
                                    + 2*pi*i (n+alpha)^T (z+beta) )
 
-truncated to the box |n|_inf <= R.  Under a lattice shift the value
-picks up the factor e(L(x,l) + J(l)) with e(x) = exp(2*pi*i*x):
+With Y = Im tau, y = Im(z + beta) and the Gaussian centre
+c = -Y^-1 y, the modulus of the n-th term is
+
+    exp(pi y^T Y^-1 y) * exp(-pi |Y^(1/2) (n + alpha - c)|^2),
+
+an envelope times a Gaussian in n.  The sum is truncated to the
+ellipsoid pi |Y^(1/2) (n + alpha - c)|^2 <= R^2 (Deconinck, Heil,
+Bobenko, van Hoeij and Schmies, "Computing Riemann theta functions",
+Math. Comp. 73, 2004).  Their bound on the omitted terms, relative to
+the envelope,
+
+    (g/2) (2/rho)^g Gamma(g/2, (R - rho/2)^2)
+
+holds for R >= rho/2 + sqrt(g/2), where rho is at most the length of the
+shortest nonzero vector of sqrt(pi) Y^(1/2) Z^g; here
+rho = sqrt(pi lambda_min(Y)).  (Balls of radius rho/2 around the lattice
+points are disjoint, and exp(-|p|^2) is subharmonic where
+|p| >= sqrt(g/2), so each omitted term is at most its ball's mean.)  R
+is the smallest radius that brings the bound to ``TAIL_TARGET``, which
+is rounding level.
+
+One template of offsets m serves every point of a call: the lattice
+points with sqrt(pi) |Y^(1/2) m| <= R + sqrt(pi/4 sum |Y_ij|), which
+holds every point's ellipsoid whatever the fractional part of its centre
+(triangle inequality over the cube [-1/2, 1/2]^g).  Point z sums
+n = k + m with k + alpha the lattice point nearest c.  The ``radius``
+argument is an upper limit, as the box |n|_inf <= radius it once fixed:
+the template's half-widths are capped at the radius and k is clipped so
+that no summed n leaves that box.  A point whose window was capped or
+clipped gets the bound of the largest ellipsoid around its centre that
+the window still holds (infinite when it holds none in the bound's
+range).
+
+Under a lattice shift the value picks up the factor e(L(x,l) + J(l))
+with e(x) = exp(2*pi*i*x):
 
     l = e_j:      L = 0,          J = alpha_j
     l = tau e_j:  L(x) = -x_j,    J = -tau_jj / 2 - beta_j
@@ -20,20 +53,18 @@ and do not change the stored data.  Types add under multiplication of
 theta functions, which is the group law checked here.
 
 Evaluation is batched: one call takes a single point or a stack of
-points.  The index box is built once per (genus, radius) and shared
-read-only, the quadratic term once per call, and the points are walked
-in blocks of at most ``BLOCK_ENTRIES`` series terms, so peak memory does
-not grow with the batch.  Each row of a block is formed with the same
-matrix-vector product as a one-point call, so a batched value equals the
-one-point value bit for bit.  The radius is bounded by ``MAX_RADIUS``:
-the box holds (2R+1)^g terms.
+points.  Every point sums the same number of terms, so the points are
+walked in dense blocks of at most ``BLOCK_ENTRIES`` series terms and
+peak memory does not grow with the batch.  A row is formed from
+elementwise operations on that point's data alone, so a batched value
+equals the one-point value bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -47,10 +78,11 @@ MAX_GENUS = 2
 # Theta values and shift factors grow like exp(pi Im tau_jj); products of
 # two stay inside double precision while |tau| <= 100.
 MAX_TAU = 100.0
-# Series terms per exp(quad + lin) block: rows of a block are points, so
-# at genus 1 (61 terms at radius 30) a block holds 67 points, at genus 2
-# (3721 terms) one.
+# Series terms per exp block: rows of a block are points, so a block holds
+# hundreds of points at genus 1 (about 10 terms each) and dozens at genus 2.
 BLOCK_ENTRIES = 4096
+# The omitted tail, relative to the envelope, that sets the ellipsoid.
+TAIL_TARGET = 1e-16
 
 
 class ThetaError(Exception):
@@ -107,40 +139,95 @@ class ThetaValue(NamedTuple):
     tail_bound: Union[float, np.ndarray]
 
 
-@lru_cache(maxsize=8)
-def _index_box(g: int, radius: int) -> np.ndarray:
-    axes = [np.arange(-radius, radius + 1)] * g
-    grid = np.meshgrid(*axes, indexing="ij")
-    box = np.stack([a.reshape(-1) for a in grid], axis=1).astype(np.float64)
-    box.flags.writeable = False
-    return box
+def _upper_gamma(g: int, x: float) -> float:
+    """Gamma(g/2, x) by the recursion Gamma(s+1, x) = s Gamma(s, x) + x^s e^-x."""
+    if g % 2:
+        s, value = 0.5, math.sqrt(math.pi) * math.erfc(math.sqrt(x))
+    else:
+        s, value = 1.0, math.exp(-x)
+    while s < g / 2:
+        value = s * value + x**s * math.exp(-x)
+        s += 1.0
+    return value
 
 
-def _tail_estimate(spec: RiemannThetaSpec, zs: np.ndarray, radius: int) -> np.ndarray:
-    """Gaussian-decay estimate of the discarded tail (heuristic bound),
-    one per row of ``zs``: 60 shells beyond the box."""
-    g = spec.genus
-    lam = float(np.linalg.eigvalsh(spec.tau.imag)[0])
-    start = radius + 1 - float(np.max(np.abs(spec.alpha)))
-    if start <= 0:
-        return np.full(len(zs), np.inf)
-    drift = np.linalg.norm(np.imag(zs + spec.beta), axis=1)[:, None]
-    s = start + np.arange(60.0)
-    shell = (2 * s + 1) ** g - np.maximum(0.0, 2 * s - 1) ** g
-    exponent = -np.pi * lam * s * s + 2.0 * np.pi * drift * np.sqrt(g) * s
-    with np.errstate(over="ignore"):
-        total = np.sum(shell * np.exp(exponent), axis=1)
-    return np.where(np.max(exponent, axis=1) > 700.0, np.inf, total)
+def _ellipsoid_tail(g: int, rho: float, r: float) -> float:
+    """Deconinck et al. bound on the sum of exp(-|p|^2) over the points p
+    of a shifted lattice with |p| >= r, where rho is at most the length
+    of the lattice's shortest nonzero vector; inf below its range."""
+    if not r >= rho / 2 + math.sqrt(g / 2):
+        return math.inf
+    try:
+        return g / 2 * (2 / rho) ** g * _upper_gamma(g, (r - rho / 2) ** 2)
+    except OverflowError:
+        return math.inf
+
+
+class _Template(NamedTuple):
+    """The offsets m every point of a call sums, and what bounds the rest."""
+
+    offsets: np.ndarray  # (terms, g), read-only
+    half: np.ndarray  # per-axis half-widths of the offsets, at most the radius
+    r: float  # ellipsoid radius that meets TAIL_TARGET
+    outer: float  # radius of the offsets' own ellipsoid, r plus the cube pad
+    rho: float  # at most the shortest nonzero vector of sqrt(pi) Y^(1/2) Z^g
+
+
+def _template(y: np.ndarray, y_inv: np.ndarray, radius: int) -> _Template:
+    """The template for Im tau = ``y`` with its inverse, capped at ``radius``."""
+    g = len(y)
+    rho = math.sqrt(math.pi * float(np.linalg.eigvalsh(y)[0]))
+    # bisection for r to within 40 / 2**24; hi always meets the target
+    # (unless even lo + 40 does not, and then the bounds say so)
+    lo = hi = rho / 2 + math.sqrt(g / 2)
+    hi += 40.0
+    for _ in range(24):
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if _ellipsoid_tail(g, rho, mid) <= TAIL_TARGET else (mid, hi)
+    # pi d^T Y d <= pi/4 sum |Y_ij| for d in [-1/2, 1/2]^g
+    outer = hi + math.sqrt(math.pi * float(np.sum(np.abs(y)))) / 2
+    half = np.minimum(np.floor(outer * np.sqrt(np.diag(y_inv) / math.pi)), radius)
+    grid = np.meshgrid(*[np.arange(-h, h + 1) for h in half], indexing="ij")
+    box = np.stack([a.reshape(-1) for a in grid], axis=1)
+    offsets = box[math.pi * np.einsum("ki,ij,kj->k", box, y, box) <= outer * outer]
+    offsets.flags.writeable = False
+    return _Template(offsets, half, hi, outer, rho)
+
+
+def _rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """``rows @ mat.T`` with each row formed by the same elementwise
+    operations whatever the batch, so a row does not depend on the rest."""
+    return sum(rows[:, j, None] * mat[:, j] for j in range(mat.shape[1]))
+
+
+def _point_bounds(
+    tpl: _Template, y: np.ndarray, y_inv: np.ndarray, e: np.ndarray
+) -> np.ndarray:
+    """Tail bound per point whose window origin k + alpha lies at e from
+    its centre.  A term the window omits lies outside the offsets'
+    ellipsoid, at distance >= outer - |e| (in the Y metric), or beyond a
+    half-width, at |v_j| >= half_j + 1 - |e_j| with pi v^T Y v >=
+    pi v_j^2 / (Y^-1)_jj.  Unless the window was clipped, both are >= r."""
+    ye = _rows_times(e, y)
+    r_outer = tpl.outer - np.sqrt(math.pi * sum(e[:, j] * ye[:, j] for j in range(len(y))))
+    r_axis = np.min(
+        np.sqrt(math.pi / np.diag(y_inv)) * (tpl.half + 1 - np.abs(e)), axis=1
+    )
+    radii = np.minimum(tpl.r, np.minimum(r_outer, r_axis)).tolist()
+    bounds = {r: _ellipsoid_tail(len(y), tpl.rho, r) for r in set(radii)}
+    return np.array([bounds[r] for r in radii])
 
 
 def eval_riemann_theta(
     spec: RiemannThetaSpec, z: Sequence[complex], radius: int
 ) -> ThetaValue:
-    """Truncated series value plus a tail-bound estimate.
+    """Truncated series value plus the bound on what it omits.
 
     ``z`` is one point of shape ``(g,)`` or a batch of shape
     ``(Nz, g)``; a batch gives ``(Nz,)`` arrays whose rows equal the
-    one-point results bit for bit.  ``1 <= radius <= MAX_RADIUS``.
+    one-point results bit for bit.  ``1 <= radius <= MAX_RADIUS``: no
+    term with |n|_inf > radius is summed.  The bound is relative to the
+    envelope exp(pi y^T Y^-1 y), with y = Im(z + beta) and Y = Im tau.
     """
     if not 1 <= radius <= MAX_RADIUS:
         raise ValueError(f"radius must be between 1 and {MAX_RADIUS}")
@@ -151,23 +238,40 @@ def eval_riemann_theta(
         zs = zs.reshape(1, g)
     elif zs.ndim != 2 or zs.shape[1] != g:
         raise ValueError(f"z must have shape ({g},) or (Nz, {g})")
-    w = _index_box(g, radius) + spec.alpha
-    quad = 1j * np.pi * np.einsum("ni,ij,nj->n", w, spec.tau, w)
-    values = np.empty(len(zs), dtype=np.complex128)
-    step = max(1, BLOCK_ENTRIES // len(w))
-    with np.errstate(over="ignore", invalid="ignore"):
+    tau, y = spec.tau, spec.tau.imag
+    # a tiny Im tau or a huge Im z overflows somewhere below; a value that
+    # is not finite raises, and a bound that is not finite reads inf
+    with np.errstate(all="ignore"):
+        y_inv = np.linalg.inv(y)
+        tpl = _template(y, y_inv, radius)
+        shifted = zs + spec.beta
+        centre = -_rows_times(shifted.imag, y_inv)
+        # w = n + alpha = k + m: k + alpha is the lattice point nearest the
+        # centre (ties round up, so a shift by tau e_j moves k by exactly
+        # -e_j), clipped so that the window k + offsets stays in the box
+        k = np.floor(centre - spec.alpha + 0.5)
+        k = np.clip(k, tpl.half - radius, radius - tpl.half)
+        bounds = _point_bounds(tpl, y, y_inv, k + spec.alpha - centre)
+        k += spec.alpha
+        tk = _rows_times(k, tau)
+        # exponent = a (per point) + b (per offset) + m . lin (per pair)
+        a = 1j * np.pi * sum(k[:, i] * (tk[:, i] + 2 * shifted[:, i]) for i in range(g))
+        m = tpl.offsets
+        b = 1j * np.pi * np.einsum("ti,ij,tj->t", m, tau, m)
+        lin = 2j * np.pi * (tk + shifted)
+        values = np.empty(len(zs), dtype=np.complex128)
+        step = max(1, BLOCK_ENTRIES // len(m))
         for start in range(0, len(zs), step):
-            shifted = zs[start : start + step] + spec.beta
-            # a stack of matrix-vector products, one per point, as a one-point
-            # call makes; one (rows, g) @ w.T product rounds differently
-            lin = 2j * np.pi * np.matmul(w, shifted[:, :, None])[:, :, 0]
-            values[start : start + step] = np.sum(np.exp(quad + lin), axis=1)
+            rows = slice(start, start + step)
+            exponent = a[rows, None] + b
+            for j in range(g):
+                exponent = exponent + lin[rows, j, None] * m[:, j]
+            values[rows] = np.sum(np.exp(exponent), axis=1)
     if not np.all(np.isfinite(values)):
         raise ThetaError(f"theta series overflows at radius {radius}")
-    tails = _tail_estimate(spec, zs, radius)
     if single:
-        return ThetaValue(complex(values[0]), float(tails[0]))
-    return ThetaValue(values, tails)
+        return ThetaValue(complex(values[0]), float(bounds[0]))
+    return ThetaValue(values, bounds)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,23 +345,33 @@ def multiply_types(t1: ThetaType, t2: ThetaType) -> ThetaType:
 
 
 def values_with_shifts(
-    spec: RiemannThetaSpec, zs: np.ndarray, shifts: np.ndarray, radius: int
+    spec: RiemannThetaSpec,
+    zs: np.ndarray,
+    shifts: np.ndarray,
+    radius: int,
+    tails: Optional[list] = None,
 ) -> tuple[list, list]:
     """Theta at each row of ``zs`` and at ``zs + shifts[k]`` for every
     row of ``shifts``, from one batched call: ``(base, shifted)`` with
     ``shifted[k][i]`` the value at ``zs[i] + shifts[k]``, as Python
-    complex numbers."""
+    complex numbers.  Given a ``tails`` list, the largest tail bound of
+    the call is appended to it."""
     zs = np.asarray(zs, dtype=np.complex128)
     points = np.concatenate([zs, (zs + shifts[:, None, :]).reshape(-1, spec.genus)])
-    values = eval_riemann_theta(spec, points, radius).value.tolist()
+    result = eval_riemann_theta(spec, points, radius)
+    if tails is not None:
+        tails.append(float(np.max(result.tail_bound)))
+    values = result.value.tolist()
     n = len(zs)
     return values[:n], [values[n * (k + 1) : n * (k + 2)] for k in range(len(shifts))]
 
 
 def shift_residual(factor: complex, base: complex, shifted: complex) -> float:
-    """|H(z+l) - factor H(z)| / max(|H(z)|, floor) with
-    ``factor = e(L(z,l)+J(l))``."""
-    return abs(shifted - factor * base) / max(abs(base), RESIDUAL_FLOOR)
+    """|lhs - rhs| / max(|lhs|, |rhs|, floor) with lhs = H(z+l),
+    rhs = factor H(z) and ``factor = e(L(z,l)+J(l))``: relative to the
+    compared values, which grow like exp(pi Im tau) along tau."""
+    rhs = factor * base
+    return abs(shifted - rhs) / max(abs(shifted), abs(rhs), RESIDUAL_FLOOR)
 
 
 def quasi_periodicity_residual(
@@ -269,9 +383,8 @@ def quasi_periodicity_residual(
     """Quasi-periodicity residual (:func:`shift_residual`) at ``z`` for
     the lattice generator with the given index (0..2g-1).
 
-    The default tolerances downstream assume the smallest eigenvalue of
-    Im tau is at least 0.5, so the truncation error at radius 30 sits far
-    below them; slower-decaying period matrices need a larger radius.
+    The series sum to rounding level unless ``radius`` cuts them
+    short; :func:`eval_riemann_theta` bounds what a cut leaves out.
     """
     ttype = riemann_type_of(spec)
     zv = np.asarray(z, dtype=np.complex128).reshape(1, spec.genus)
@@ -287,6 +400,7 @@ def level_space_dimension(
     samples: int,
     radius: int = 30,
     seed: int = 7,
+    tails: Optional[list] = None,
 ) -> int:
     """Numerical dimension of the space of level-s theta functions.
 
@@ -294,7 +408,8 @@ def level_space_dimension(
     k in (Z/s)^g; all f_k share one transformation type, so the space
     dimension is the rank of their evaluation matrix at generic points.
     Rank must agree on ``RESAMPLINGS`` point sets, otherwise a
-    RankUnstableError advises increasing ``samples``.
+    RankUnstableError advises increasing ``samples``.  Given a ``tails``
+    list, the largest tail bound of the series is appended to it.
     """
     if not 1 <= g <= MAX_GENUS:
         raise ValueError(f"supported genus: 1..{MAX_GENUS}")
@@ -313,10 +428,11 @@ def level_space_dimension(
         [rng.random((samples, g)) + 0.25j * rng.random((samples, g))
          for _ in range(RESAMPLINGS)]
     )
+    results = [eval_riemann_theta(sp, s * zs, radius) for sp in specs]
+    if tails is not None:
+        tails.append(max(float(np.max(r.tail_bound)) for r in results))
     # rows: the points of every resampling in turn; columns: the f_k
-    values = np.stack(
-        [eval_riemann_theta(sp, s * zs, radius).value for sp in specs], axis=1
-    )
+    values = np.stack([r.value for r in results], axis=1)
     ranks = []
     for mat in np.split(values, RESAMPLINGS):
         col_scale = np.max(np.abs(mat), axis=0)

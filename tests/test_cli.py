@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from frobenius_verify import theta as th
 from frobenius_verify.cli import (
     MAX_SAMPLES,
     Config,
@@ -305,6 +306,7 @@ def test_input_without_evidence_is_rejected(tmp_path, capsys, argv, field):
         (["--tau", "diag:100.5"], "--tau"),
         (["--genus", "3"], "--genus"),
         (["--genus", str(10**40)], "--genus"),
+        (["--genus", "1", "--tau", "diag:1,2"], "--genus"),
     ],
 )
 def test_theta_input_fault_names_the_flag(capsys, argv, field):
@@ -312,6 +314,59 @@ def test_theta_input_fault_names_the_flag(capsys, argv, field):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert field in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, spec",
+    [
+        (["--tau", "diag:1,2"], "theta(g=2, level=1)"),
+        (["--genus", "2", "--tau", "diag:1,2"], "theta(g=2, level=1)"),
+        (["--genus", "2"], "theta(g=2, level=1)"),
+        ([], "theta(g=1, level=1)"),
+    ],
+)
+def test_theta_genus_defaults_to_the_size_of_tau(capsys, argv, spec):
+    assert main(["--json", "theta", "--level", "1"] + argv) == 0
+    assert json.loads(capsys.readouterr().out)["spec"] == spec
+
+
+@pytest.mark.parametrize("tau", ["diag:3", "diag:5"])
+def test_theta_laws_hold_at_large_im_tau(capsys, tau):
+    """Values and shift factors grow like exp(pi Im tau); the residuals
+    are relative to the compared values, so rounding stays small."""
+    assert main(["--json", "theta", "--tau", tau, "--level", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "pass"
+    assert max(row["residual"] for row in report["samples"]) < 1e-13
+    assert report["multiplicativity"] < 1e-13
+
+
+def test_theta_truncation_bound_over_tolerance_fails(capsys):
+    """Im tau = 0.05 needs about 30 terms a side; radius 2 cuts the
+    series short, and the verdict says so."""
+    assert main(["--json", "--radius", "2", "theta", "--tau", "diag:0.05"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "fail"
+    assert report["tail_bound"] > report["tolerances"]["theta"]
+    assert "theta truncation bound exceeds tolerance at radius 2" in report["reasons"]
+
+
+def test_theta_report_tail_bound_is_the_largest_of_its_series(monkeypatch):
+    bounds = []
+
+    def recording(spec, z, radius):
+        result = original(spec, z, radius)
+        bounds.extend(np.ravel(result.tail_bound).tolist())
+        return result
+
+    original = th.eval_riemann_theta
+    monkeypatch.setattr(th, "eval_riemann_theta", recording)
+    tau = np.array([[0.2 + 0.6j, 0.1 + 0.2j], [0.1 + 0.2j, -0.3 + 0.8j]])
+    for radius in (3, 30):
+        bounds.clear()
+        report = run_theta(tau, 2, Config(radius=radius))
+        assert len(bounds) == 3 * 16 * 4 + 20 * 5 + 8 * 5
+        assert report["tail_bound"] == max(bounds)
 
 
 def test_samples_cap_is_checked_before_sampling():
@@ -711,6 +766,7 @@ def test_main_fuzz_exits_0_to_3_without_internal_error(spec_files):
     @example(["--samples", "2", "theta", "--tau", "[[[1e308, 1]]]", "--level", "4"])
     @example(["--samples", "2", "theta", "--genus", str(10**40)])
     @example(["--radius", "200", "theta", "--tau", "diag:1e-300", "--level", "4"])
+    @example(["--radius", "5", "theta", "--tau", "diag:1e-310", "--level", "4"])
     def check(argv):
         code, err = _run_main(argv)
         assert code in (0, 1, 2, 3), (argv, code, err)

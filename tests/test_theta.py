@@ -3,20 +3,25 @@ import cmath
 import numpy as np
 import pytest
 
+from frobenius_verify import theta as th
 from frobenius_verify.cli import Config, run_theta
 from frobenius_verify.theta import (
     BLOCK_ENTRIES,
     MAX_RADIUS,
+    TAIL_TARGET,
     LatticeMismatchError,
     RiemannThetaSpec,
     SiegelDomainError,
     ThetaError,
     ThetaType,
+    _template,
     eval_riemann_theta,
     level_space_dimension,
     multiply_types,
     quasi_periodicity_residual,
     riemann_type_of,
+    shift_residual,
+    values_with_shifts,
 )
 
 from helpers import brute_theta
@@ -78,6 +83,20 @@ def test_quasi_periodicity_at_theta_zero_uses_floor():
     z = [(1 + 1j) / 2]
     assert quasi_periodicity_residual(spec, z, 0, 30) < 1e-8
     assert quasi_periodicity_residual(spec, z, 1, 30) < 1e-8
+
+
+@pytest.mark.parametrize("gen", [0, 1])
+def test_shift_residual_catches_a_perturbed_factor(gen):
+    """At Im tau = 3 the compared values reach exp(3 pi) ~ 1e4; a factor
+    whose J is off by 1e-6 is still far outside the tolerance."""
+    spec = RiemannThetaSpec(tau=[[0.2 + 3j]], alpha=[0.0], beta=[0.0])
+    ttype = riemann_type_of(spec)
+    bad = ThetaType(1, ttype.lattice, ttype.rows, ttype.j_values + 1e-6)
+    zs = np.array([[0.13 + 0.07j], [-0.42 + 0.19j]])
+    base, (shifted,) = values_with_shifts(spec, zs, ttype.lattice.generators[[gen]], 30)
+    for z, h, hs in zip(zs, base, shifted):
+        assert shift_residual(ttype.factor(z, gen), h, hs) < 1e-13
+        assert shift_residual(bad.factor(z, gen), h, hs) > 1e-6
 
 
 def test_quasi_periodicity_genus_two():
@@ -196,6 +215,23 @@ def test_level_space_dimension(g, s, tau, expected):
     assert level_space_dimension(g, s, tau, samples=max(16, 4 * s**g)) == expected
 
 
+@pytest.mark.parametrize("radius", [2, 30])
+def test_level_space_dimension_appends_its_largest_tail_bound(monkeypatch, radius):
+    bounds = []
+
+    def recording(spec, z, radius):
+        result = original(spec, z, radius)
+        bounds.extend(result.tail_bound.tolist())
+        return result
+
+    original = th.eval_riemann_theta
+    monkeypatch.setattr(th, "eval_riemann_theta", recording)
+    tails = [1.0]
+    assert level_space_dimension(2, 2, np.diag([0.6j, 0.9j]), 16, radius, tails=tails) == 4
+    assert len(bounds) == 4 * 16 * 3
+    assert tails == [1.0, max(bounds)]
+
+
 def test_level_space_dimension_requires_enough_samples():
     with pytest.raises(ValueError):
         level_space_dimension(1, 2, [[1j]], samples=4)
@@ -215,38 +251,102 @@ def test_radius_validation():
         eval_riemann_theta(_spec1(), [0.1], MAX_RADIUS + 1)
 
 
-# (tau, alpha, beta, radius): at genus 2 a smaller radius, so a block
-# holds several points
+# (tau, alpha, beta, radius)
 BATCH_CASES = [
     ([[0.3 + 0.9j]], [0.25], [-0.4], 30),
     ([[0.2 + 1.1j, -0.3 + 0.2j], [-0.3 + 0.2j, -0.1 + 0.8j]], [0.5, -0.2], [0.1, 0.35], 10),
 ]
 
 
-def _one_point_series(spec, z, radius):
-    """The truncated series in the floating-point order reports have
-    always used: one matrix-vector product w @ (z + beta) per point."""
-    axes = [np.arange(-radius, radius + 1)] * spec.genus
-    n = np.stack([a.reshape(-1) for a in np.meshgrid(*axes, indexing="ij")], axis=1)
-    w = n.astype(np.float64) + spec.alpha
-    quad = 1j * np.pi * np.einsum("ni,ij,nj->n", w, spec.tau, w)
-    return complex(np.sum(np.exp(quad + 2j * np.pi * (w @ (z + spec.beta)))))
-
-
 @pytest.mark.parametrize("tau, alpha, beta, radius", BATCH_CASES)
 def test_batch_equals_single_points_bitwise(tau, alpha, beta, radius):
     spec = RiemannThetaSpec(tau=tau, alpha=alpha, beta=beta)
     g = spec.genus
-    per_block = BLOCK_ENTRIES // (2 * radius + 1) ** g
-    count = 12 * per_block + 5
+    y = spec.tau.imag
+    per_block = BLOCK_ENTRIES // len(_template(y, np.linalg.inv(y), radius).offsets)
+    count = 3 * per_block + 5
     assert per_block > 1 and count % per_block != 0
     rng = np.random.default_rng(41)
-    zs = rng.uniform(-1, 1, (count, g)) + 0.3j * rng.uniform(-1, 1, (count, g))
+    # |Im z| up to 2 moves the Gaussian centres, so rows sum different n
+    zs = rng.uniform(-1, 1, (count, g)) + 2j * rng.uniform(-1, 1, (count, g))
     batch = eval_riemann_theta(spec, zs, radius)
     singles = [eval_riemann_theta(spec, z, radius) for z in zs]
     assert batch.value.tolist() == [v.value for v in singles]
     assert batch.tail_bound.tolist() == [v.tail_bound for v in singles]
-    assert batch.value.tolist() == [_one_point_series(spec, z, radius) for z in zs]
+
+
+# (tau, alpha, beta): genus 1 and 2 with nonzero characteristics, and a
+# full Im tau with eigenvalues 0.5 and 1.3 whose axes are skewed
+ORACLE_CASES = [
+    ([[0.3 + 0.9j]], [0.25], [-0.4]),
+    ([[0.4 + 0.6j, 0], [0, -0.2 + 1.4j]], [0.5, 0.5], [0.5, 0.0]),
+    ([[0.2 + 0.9j, -0.3 + 0.4j], [-0.3 + 0.4j, -0.1 + 0.9j]], [0.5, -0.2], [0.1, 0.35]),
+]
+# Each term's exponent is formed with absolute error about eps times its
+# size (up to a few hundred here), so both sums are good to about 1e-13
+# of the envelope.
+ROUNDING = 1e-13
+
+
+@pytest.mark.parametrize("tau, alpha, beta", ORACLE_CASES)
+def test_template_holds_every_centre_ellipsoid(tau, alpha, beta):
+    """Whatever the centre's offset d from its nearest lattice point (the
+    cube's corners and random points), every m with
+    pi (m - d)^T Y (m - d) <= r^2 is a template offset."""
+    y = np.array(tau).imag
+    y_inv = np.linalg.inv(y)
+    tpl = _template(y, y_inv, 30)
+    offsets = {tuple(m) for m in tpl.offsets.tolist()}
+    g = len(y)
+    rng = np.random.default_rng(44)
+    corners = np.array(np.meshgrid(*[[-0.5, 0.5]] * g)).reshape(g, -1).T
+    # |m_j - d_j| <= r sqrt((Y^-1)_jj / pi) on the ellipsoid
+    reach = int(np.ceil(tpl.r * np.sqrt(np.max(np.diag(y_inv)) / np.pi))) + 1
+    box = np.array(np.meshgrid(*[np.arange(-reach, reach + 1.0)] * g)).reshape(g, -1).T
+    for d in np.concatenate([corners, rng.uniform(-0.5, 0.5, (40, g))]):
+        v = box - d
+        inside = box[np.pi * np.einsum("ki,ij,kj->k", v, y, v) <= tpl.r**2]
+        assert len(inside) > 0
+        assert {tuple(m) for m in inside.tolist()} <= offsets
+
+
+def _assert_within_tail_bound(tau, alpha, beta, zs, radius):
+    """Each value is the full series (``brute_theta`` over |n|_inf <= 30)
+    up to its tail bound plus rounding, both relative to the envelope."""
+    spec = RiemannThetaSpec(tau=tau, alpha=alpha, beta=beta)
+    y_inv = np.linalg.inv(spec.tau.imag)
+    result = eval_riemann_theta(spec, zs, radius)
+    for z, value, tail in zip(zs, result.value, result.tail_bound):
+        y = (z + spec.beta).imag
+        envelope = np.exp(np.pi * y @ y_inv @ y)
+        slow = brute_theta(tau, alpha, beta, z, 30)
+        assert abs(value - slow) <= (tail + ROUNDING) * envelope
+    return result.tail_bound
+
+
+# radius 30 holds every window; 1-3 cap them, and the per-point bound
+# must still cover what they leave out of the full series
+@pytest.mark.parametrize("radius", [30, 3, 2, 1])
+@pytest.mark.parametrize("tau, alpha, beta", ORACLE_CASES)
+def test_series_matches_brute_box_within_tail_bound(tau, alpha, beta, radius):
+    g = len(tau)
+    rng = np.random.default_rng(43)
+    zs = rng.uniform(-1, 1, (6, g)) + 2j * rng.uniform(-1, 1, (6, g))
+    tails = _assert_within_tail_bound(tau, alpha, beta, zs, radius)
+    assert (np.max(tails) <= TAIL_TARGET) == (radius == 30)
+
+
+def test_window_clipped_off_its_centre_stays_within_its_tail_bound():
+    """Radius 6 leaves the skewed template (half-widths 5) room for
+    k in [-1, 1]^2; centres t (1, 1) beyond that lose the terms in the
+    corners of the box that the template's ellipse leaves out, which only
+    the distance from the centre to the ellipse bounds."""
+    tau, alpha, beta = ORACLE_CASES[2]
+    y = np.array(tau).imag
+    centres = np.outer([2.5, 2.75, 3.0, 3.25], [1.0, 1.0])
+    zs = np.array([0.3, -0.2]) - 1j * centres @ y
+    tails = _assert_within_tail_bound(tau, alpha, beta, zs, 6)
+    assert np.all((1e-8 < tails) & (tails < 1))
 
 
 @pytest.mark.parametrize("tau, alpha, beta, radius", BATCH_CASES)
