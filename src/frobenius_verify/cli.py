@@ -12,6 +12,7 @@ Exit codes: 0 all expected, 1 verdict mismatch, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -158,11 +159,87 @@ class Report:
 
 
 def to_json(payload) -> str:
+    """The payload as ``json.dumps(payload, sort_keys=True, indent=2)``
+    writes it, plus a newline, byte for byte.  That call runs CPython's
+    pure-Python encoder (the C one takes no indent), so reports are
+    written here instead; dict keys must be strings."""
     if isinstance(payload, Report):
         payload = payload.to_dict()
     elif isinstance(payload, list):
         payload = [p.to_dict() if isinstance(p, Report) else p for p in payload]
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    out: list = []
+    _write(payload, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+# float.__repr__ of the values json writes as its own tokens
+_FLOAT_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+@functools.lru_cache(maxsize=256)
+def _dict_heads(keys: tuple, newline: str) -> tuple:
+    """(key, text before its value) for the keys of a dict in sorted order,
+    the dict starting on the line that ``newline`` ends."""
+    inner = newline + "  "
+    return tuple(
+        (key, ("," if k else "{") + inner + _encode_str(key) + ": ")
+        for k, key in enumerate(sorted(keys))
+    )
+
+
+def _write(value, newline: str, emit) -> None:
+    """Pass the chunks of ``value`` to ``emit`` in order; ``newline`` is a
+    line break followed by the indentation of the line ``value`` starts on."""
+    cls = type(value)
+    if cls is float:
+        text = float.__repr__(value)
+        emit(_FLOAT_TOKENS.get(text, text))
+    elif cls is dict:
+        if not value:
+            emit("{}")
+            return
+        inner = newline + "  "
+        for key, head in _dict_heads(tuple(value), newline):
+            emit(head)
+            _write(value[key], inner, emit)
+        emit(newline + "}")
+    elif cls is list or cls is tuple:
+        if not value:
+            emit("[]")
+            return
+        inner = newline + "  "
+        sep, rest = "[" + inner, "," + inner
+        for item in value:
+            emit(sep)
+            _write(item, inner, emit)
+            sep = rest
+        emit(newline + "]")
+    elif cls is str:
+        emit(_encode_str(value))
+    elif value is None:
+        emit("null")
+    elif value is True:
+        emit("true")
+    elif value is False:
+        emit("false")
+    elif cls is int:
+        emit(int.__repr__(value))
+    # subclasses, written as json.dumps writes them (np.float64 is a float)
+    elif isinstance(value, str):
+        emit(_encode_str(value))
+    elif isinstance(value, int):
+        emit(int.__repr__(value))
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        emit(_FLOAT_TOKENS.get(text, text))
+    elif isinstance(value, (list, tuple)):
+        _write(list(value), newline, emit)
+    elif isinstance(value, dict):
+        _write(dict(value), newline, emit)
+    else:
+        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
 
 
 # --- spec files -------------------------------------------------------
@@ -642,7 +719,10 @@ def run_theta(tau: np.ndarray, level: int, config: Config) -> dict:
 # --- command line -------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line, built once per process: parsing leaves it as it
+    was (``append`` copies its default list before adding to it)."""
     parser = argparse.ArgumentParser(
         prog="frobenius-verify",
         description="Verify flat-Kahler / Frobenius structure from chart data.",

@@ -84,10 +84,9 @@ def find_unit(alg: FiberAlgebra):
     # row (k,i): sum_j C[k][j][i] u_j = delta_{ki}
     rows = np.swapaxes(alg.C, -1, -2).reshape(-1, n * n, n)
     b = np.eye(n, dtype=np.complex128).reshape(n * n)
-    units = []
-    for a in rows:  # LAPACK least squares does not take a stack
-        u, *_ = np.linalg.lstsq(a, b, rcond=None)
-        units.append(u if float(np.max(np.abs(a @ u - b))) < UNIT_RESIDUAL_TOL else None)
+    u = np.linalg.pinv(rows) @ b  # one minimum-norm solution per sample
+    residual = np.max(np.abs(rows @ u[..., None] - b[:, None]), axis=(1, 2))
+    units = [x if r < UNIT_RESIDUAL_TOL else None for x, r in zip(u, residual)]
     return units if alg.C.ndim > 3 else units[0]
 
 

@@ -62,6 +62,7 @@ equals the one-point value bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
@@ -83,6 +84,10 @@ MAX_TAU = 100.0
 BLOCK_ENTRIES = 4096
 # The omitted tail, relative to the envelope, that sets the ellipsoid.
 TAIL_TARGET = 1e-16
+# Templates kept: a command uses two Im tau (tau for the checked
+# characteristics, level * tau for the level count).  A template holds at
+# most (2 MAX_RADIUS + 1)^g offsets, 2.6 MB at genus 2.
+TEMPLATE_CACHE = 8
 
 
 class ThetaError(Exception):
@@ -167,15 +172,19 @@ class _Template(NamedTuple):
     """The offsets m every point of a call sums, and what bounds the rest."""
 
     offsets: np.ndarray  # (terms, g), read-only
-    half: np.ndarray  # per-axis half-widths of the offsets, at most the radius
+    half: np.ndarray  # per-axis half-widths of the offsets, at most the radius; read-only
     r: float  # ellipsoid radius that meets TAIL_TARGET
     outer: float  # radius of the offsets' own ellipsoid, r plus the cube pad
     rho: float  # at most the shortest nonzero vector of sqrt(pi) Y^(1/2) Z^g
 
 
-def _template(y: np.ndarray, y_inv: np.ndarray, radius: int) -> _Template:
-    """The template for Im tau = ``y`` with its inverse, capped at ``radius``."""
-    g = len(y)
+@functools.lru_cache(maxsize=TEMPLATE_CACHE)
+def _template(y_bytes: bytes, g: int, radius: int) -> _Template:
+    """The template for the g x g Im tau with C-order bytes ``y_bytes``,
+    capped at ``radius``.  Cached: the characteristics of one command
+    share their Im tau, so a command builds two templates, not six."""
+    y = np.frombuffer(y_bytes).reshape(g, g)
+    y_inv = np.linalg.inv(y)
     rho = math.sqrt(math.pi * float(np.linalg.eigvalsh(y)[0]))
     # bisection for r to within 40 / 2**24; hi always meets the target
     # (unless even lo + 40 does not, and then the bounds say so)
@@ -191,6 +200,7 @@ def _template(y: np.ndarray, y_inv: np.ndarray, radius: int) -> _Template:
     box = np.stack([a.reshape(-1) for a in grid], axis=1)
     offsets = box[math.pi * np.einsum("ki,ij,kj->k", box, y, box) <= outer * outer]
     offsets.flags.writeable = False
+    half.flags.writeable = False
     return _Template(offsets, half, hi, outer, rho)
 
 
@@ -243,7 +253,7 @@ def eval_riemann_theta(
     # is not finite raises, and a bound that is not finite reads inf
     with np.errstate(all="ignore"):
         y_inv = np.linalg.inv(y)
-        tpl = _template(y, y_inv, radius)
+        tpl = _template(y.tobytes(), g, radius)
         shifted = zs + spec.beta
         centre = -_rows_times(shifted.imag, y_inv)
         # w = n + alpha = k + m: k + alpha is the lattice point nearest the

@@ -15,6 +15,7 @@ from frobenius_verify.cli import (
     Config,
     ManifoldSpec,
     SpecError,
+    _build_parser,
     catalog_exit_code,
     load_manifold_spec,
     main,
@@ -161,6 +162,85 @@ def test_report_schema_keys():
     for key in ("spec", "version", "seed", "tolerances", "samples", "group",
                 "verdict", "reasons", "disclaimer"):
         assert key in payload
+
+
+# --- report emission ---------------------------------------------------------
+
+
+def _json_dumps(payload) -> str:
+    """The format ``to_json`` promises, from the standard library."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+# surrogates included: a lone one is written as a \ud8xx escape
+JSON_TEXT = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=6),
+    st.sampled_from(["", '"', "\\", "\x00\x1f\x7f", "\ud800", "\udfff", "é", " ", "𝔽"]),
+)
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**80), 2**80),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 2**70,
+                     np.float64(math.nan), np.float64(-math.inf)]),
+    JSON_TEXT,
+)
+JSON_PAYLOADS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(JSON_TEXT, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(JSON_PAYLOADS)
+@example({"a": [], "b": {}, "c": (), "": [[{}]]})
+@example([math.nan, math.inf, -math.inf, -0.0, np.float64(0.1), 2**70, True, None])
+def test_to_json_matches_json_dumps(payload):
+    assert to_json(payload) == _json_dumps(payload)
+
+
+@pytest.mark.parametrize("value", [1j, np.int64(1), np.bool_(True), {1, 2}, b"x", object()])
+def test_to_json_rejects_what_json_rejects(value):
+    for payload in (value, [value], {"k": value}):
+        with pytest.raises(TypeError):
+            _json_dumps(payload)
+        with pytest.raises(TypeError):
+            to_json(payload)
+
+
+def test_to_json_matches_json_dumps_on_reports():
+    report = run_verify(load_manifold_spec(ROTATION_SPEC), Config(samples=3))
+    assert to_json(report) == _json_dumps(report.to_dict())
+    reports = run_catalog(None, Config(samples=2))
+    # catalog metadata holds np.float64 values
+    notes = [r["metadata"]["absorbed_translation"] for r in reports
+             if "absorbed_translation" in r.get("metadata", {})]
+    assert notes and type(notes[0][0][0]) is np.float64
+    assert to_json(reports) == _json_dumps(reports)
+    theta = run_theta(np.diag([1j, 2j]), 2, Config())
+    assert to_json(theta) == _json_dumps(theta)
+
+
+def test_parser_is_reused_without_carrying_state(capsys):
+    """``main`` builds its parser once; a ``--tolerance`` or ``--seed``
+    of one call does not reach the next."""
+    argv = ["--json", "theta", "--tau", "diag:1", "--level", "1"]
+    assert main(["--tolerance", "theta=1e-3", "--seed", "5"] + argv) == 0
+    assert json.loads(capsys.readouterr().out)["tolerances"]["theta"] == 1e-3
+    assert main(argv) == 0
+    reused = capsys.readouterr().out
+    assert _build_parser() is _build_parser()
+    _build_parser.cache_clear()
+    assert main(argv) == 0
+    assert reused == capsys.readouterr().out
+    assert json.loads(reused)["tolerances"] == Config().tolerances
 
 
 def test_main_verify_exit_codes(tmp_path, capsys):

@@ -4,6 +4,7 @@ from helpers import brute_associator, brute_compat, brute_pencil, random_polynom
 
 from frobenius_verify.expr import parse
 from frobenius_verify.frobenius import (
+    UNIT_RESIDUAL_TOL,
     FiberAlgebra,
     associator,
     commutator,
@@ -122,6 +123,39 @@ def test_find_unit_diagonal_algebra():
     unit = find_unit(alg)
     assert unit is not None
     assert np.allclose(unit, np.ones(3))
+
+
+def _unit_by_least_squares(C):
+    """One LAPACK least-squares solve for the unit, with the residual test
+    of ``find_unit``: the per-sample loop the batched solve replaced."""
+    n = C.shape[-1]
+    a = np.swapaxes(C, -1, -2).reshape(n * n, n)
+    b = np.eye(n).reshape(n * n)
+    u = np.linalg.lstsq(a, b, rcond=None)[0]
+    return u if np.max(np.abs(a @ u - b)) < UNIT_RESIDUAL_TOL else None
+
+
+def test_batched_find_unit_agrees_with_per_sample_least_squares():
+    rng = np.random.default_rng(3)
+    diag = _alg(3, {(k, k, k): 1.0 for k in range(3)}).C
+    # the same unital algebra in a random basis: C'^k_ij = Q^k_a C^a_bc P^b_i P^c_j
+    p = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    skew = np.einsum("ka,abc,bi,cj->kij", np.linalg.inv(p), diag, p, p)
+    stack = [
+        diag,
+        skew,
+        diag + 1e-12 * rng.normal(size=(3, 3, 3)),
+        diag + 1e-3 * rng.normal(size=(3, 3, 3)),
+        rng.normal(size=(3, 3, 3)),
+        np.zeros((3, 3, 3)),
+    ]
+    units = find_unit(FiberAlgebra(3, np.stack(stack), np.zeros((len(stack), 3, 3))))
+    expected = [_unit_by_least_squares(C) for C in stack]
+    assert [u is not None for u in expected] == [True, True, True, False, False, False]
+    assert [u is not None for u in units] == [u is not None for u in expected]
+    for u, ref in zip(units, expected):
+        if ref is not None:
+            assert np.allclose(u, ref, rtol=0, atol=1e-12)
 
 
 def test_fiber_algebra_flat_is_zero():

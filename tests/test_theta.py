@@ -263,7 +263,7 @@ def test_batch_equals_single_points_bitwise(tau, alpha, beta, radius):
     spec = RiemannThetaSpec(tau=tau, alpha=alpha, beta=beta)
     g = spec.genus
     y = spec.tau.imag
-    per_block = BLOCK_ENTRIES // len(_template(y, np.linalg.inv(y), radius).offsets)
+    per_block = BLOCK_ENTRIES // len(_template(y.tobytes(), g, radius).offsets)
     count = 3 * per_block + 5
     assert per_block > 1 and count % per_block != 0
     rng = np.random.default_rng(41)
@@ -295,7 +295,7 @@ def test_template_holds_every_centre_ellipsoid(tau, alpha, beta):
     pi (m - d)^T Y (m - d) <= r^2 is a template offset."""
     y = np.array(tau).imag
     y_inv = np.linalg.inv(y)
-    tpl = _template(y, y_inv, 30)
+    tpl = _template(y.tobytes(), len(y), 30)
     offsets = {tuple(m) for m in tpl.offsets.tolist()}
     g = len(y)
     rng = np.random.default_rng(44)
@@ -308,6 +308,19 @@ def test_template_holds_every_centre_ellipsoid(tau, alpha, beta):
         inside = box[np.pi * np.einsum("ki,ij,kj->k", v, y, v) <= tpl.r**2]
         assert len(inside) > 0
         assert {tuple(m) for m in inside.tolist()} <= offsets
+
+
+def test_template_is_built_once_per_im_tau():
+    """A genus-2 level-2 command sums six characteristics over two Im tau
+    (tau and level * tau) and builds two templates; a cached template
+    cannot be written to."""
+    _template.cache_clear()
+    run_theta(np.diag([1j, 2j]), 2, Config())
+    info = _template.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
+    tpl = _template(np.diag([1.0, 2.0]).tobytes(), 2, Config().radius)
+    assert _template.cache_info().misses == 2
+    assert not tpl.offsets.flags.writeable and not tpl.half.flags.writeable
 
 
 def _assert_within_tail_bound(tau, alpha, beta, zs, radius):
