@@ -11,10 +11,11 @@ a free translation-free action on a complex torus embeds into the
 diagonal stabilizer of a fixed eigenvector, hence is cyclic).  The
 original family group is kept as metadata under ``holonomy``.
 
-Freeness is decided by exact integer linear algebra: the fixed-point
-equation ``(A - I) x = -t (mod lattice)`` is transported to lattice
-coordinates where ``A - I`` is an integer matrix, and solvability is
-read off the Smith normal form.
+Every group check reads one form of the action: each element
+``z -> A z + t`` in lattice coordinates is ``x -> M x + s`` (mod Z^2n).
+The lattice is stable iff every M is integral; two elements are one map
+of the torus iff their M agree and their s differ by an integer vector.
+Freeness is read off the Smith normal form of the integer ``M - I``.
 """
 
 from __future__ import annotations
@@ -178,23 +179,11 @@ class AffineMap:
             raise ValueError("affine map has singular linear part")
 
     def compose(self, other: "AffineMap") -> "AffineMap":
-        """``self`` after ``other``.  A product of invertible maps is
-        invertible, so the singular-part check on input is skipped: rounding
-        trips it on products of a tiny linear part or on long powers of a
-        hyperbolic one."""
-        product = object.__new__(AffineMap)
-        object.__setattr__(product, "A", self.A @ other.A)
-        object.__setattr__(product, "t", self.A @ other.t + self.t)
-        return product
+        """``self`` after ``other``."""
+        return AffineMap(self.A @ other.A, self.A @ other.t + self.t)
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         return self.A @ z + self.t
-
-    def is_identity(self, lattice: Lattice, tol: float = MATCH_TOL) -> bool:
-        n = self.A.shape[0]
-        return bool(np.max(np.abs(self.A - np.eye(n))) < tol) and lattice.contains(
-            self.t, tol
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,125 +223,105 @@ class CatalogEntry:
 # --- group validation -------------------------------------------------
 
 
-def _same_mod_lattice(g: AffineMap, h: AffineMap, lattice: Lattice) -> bool:
-    if np.max(np.abs(g.A - h.A)) >= MATCH_TOL:
-        return False
-    return lattice.contains(g.t - h.t)
+def _lattice_form(action: GroupAction) -> tuple[np.ndarray, np.ndarray]:
+    """Every element as ``x -> M x + s`` in lattice coordinates: ``M``
+    (G, 2n, 2n) is ``B^-1 R(A) B`` for the real lattice basis ``B``, and
+    ``s`` (G, 2n) is ``B^-1 [Re t; Im t]``, one matrix-vector product per
+    element so that fixed-point witnesses keep their last bits."""
+    basis = action.lattice.real_basis()
+    inv = np.linalg.inv(basis)
+    a = np.stack([el.A for el in action.elements])
+    m = inv @ np.block([[a.real, -a.imag], [a.imag, a.real]]) @ basis
+    s = np.stack([inv @ np.concatenate([el.t.real, el.t.imag]) for el in action.elements])
+    return m, s
+
+
+def _same(m1, s1, m2, s2) -> np.ndarray:
+    """Whether ``(m1, s1)`` and ``(m2, s2)`` are one map of the torus,
+    broadcast over the leading axes.  NaN compares unequal."""
+    ds = s1 - s2
+    linear = np.all(np.abs(m1 - m2) < MATCH_TOL, axis=(-2, -1))
+    return linear & np.all(np.abs(ds - np.round(ds)) < MATCH_TOL, axis=-1)
 
 
 def validate_group(action: GroupAction) -> GroupReport:
     """Closure mod lattice, lattice stability, finiteness, faithfulness."""
-    lat = action.lattice
-    els = action.elements
+    m, s = _lattice_form(action)
+    eye = np.eye(m.shape[-1])
 
-    stable = all(
-        lat.contains(el.A @ gen) for el in els for gen in lat.generators
-    )
+    stable = bool(np.all(np.abs(m - np.round(m)) < MATCH_TOL))
 
-    closure = True
-    for g in els:
-        for h in els:
-            comp = g.compose(h)
-            if not any(_same_mod_lattice(comp, el, lat) for el in els):
-                closure = False
-                break
-        if not closure:
-            break
+    comp_m = np.einsum("gij,hjk->ghik", m, m)
+    comp_s = np.einsum("gij,hj->ghi", m, s) + s[:, None]
+    # one left factor at a time: memory grows as |G|^2, not |G|^3
+    rows = zip(comp_m[:, :, None], comp_s[:, :, None])
+    closure = all(np.any(_same(cm, cs, m, s), axis=-1).all() for cm, cs in rows)
 
-    finite = True
-    identity = AffineMap(np.eye(lat.dim), np.zeros(lat.dim))
-    for el in els:
-        # A^k = I forces |det A| = 1: a contracting or expanding linear
-        # part has infinite order
-        if abs(abs(np.linalg.det(el.A)) - 1.0) > MATCH_TOL:
-            finite = False
-            break
-        power = el
+    same = _same(m[:, None], s[:, None], m, s)
+    faithful = not np.any(np.triu(same, 1))
+
+    # M^k = I forces |det M| = |det A|^2 = 1: a contracting or expanding
+    # linear part has infinite order
+    finite = bool(np.all(np.abs(np.abs(np.linalg.det(m)) - 1.0) <= MATCH_TOL))
+    if finite:
+        power_m, power_s = m, s
+        reached = np.zeros(len(m), dtype=bool)
         # powers of a hyperbolic part may overflow; no power then matches
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(ORDER_BOUND):
-                if _same_mod_lattice(power, identity, lat):
+                reached |= _same(power_m, power_s, eye, 0.0)
+                if reached.all():
                     break
-                power = power.compose(el)
+                power_s = np.einsum("gij,gj->gi", power_m, s) + power_s
+                power_m = power_m @ m
             else:
                 finite = False
-                break
-
-    faithful = True
-    for i in range(len(els)):
-        for j in range(i + 1, len(els)):
-            if _same_mod_lattice(els[i], els[j], lat):
-                faithful = False
 
     return GroupReport(closure, stable, finite, faithful)
-
-
-def _real_linear(a: np.ndarray) -> np.ndarray:
-    """2n x 2n real matrix of z -> A z acting on stacked (Re, Im)."""
-    re, im = a.real, a.imag
-    top = np.concatenate([re, -im], axis=1)
-    bot = np.concatenate([im, re], axis=1)
-    return np.concatenate([top, bot], axis=0)
 
 
 def is_free(action: GroupAction) -> tuple[bool, Optional[np.ndarray]]:
     """Decide whether the action has no fixed point on the torus.
 
-    For each non-identity element ``(A, t)`` the fixed-point condition
-    ``(A - I) x = -t (mod lattice)`` is rewritten in lattice coordinates
-    where ``A - I`` becomes an integer matrix T; with ``U T V = D`` in
-    Smith normal form a solution exists iff ``(U tau)_i`` is an integer
-    on every zero row of D.  On failure a fixed-point witness in C^n is
-    returned.
+    For each non-identity element ``x -> M x + s`` in lattice coordinates
+    the fixed-point condition is ``(M - I) x = -s (mod Z^2n)`` with the
+    integer matrix ``T = M - I``; with ``U T V = D`` in Smith normal form
+    a solution exists iff ``(U s)_i`` is an integer on every zero row of
+    D.  On failure a fixed-point witness in C^n is returned.
     """
-    lat = action.lattice
-    n = lat.dim
-    basis = lat.real_basis()
-    basis_inv = np.linalg.inv(basis)
-    identity = AffineMap(np.eye(n), np.zeros(n))
+    n = action.lattice.dim
+    basis = action.lattice.real_basis()
+    m, s = _lattice_form(action)
+    eye = np.eye(2 * n)
+    moving = ~_same(m, s, eye, 0.0)
 
-    for el in action.elements:
-        if _same_mod_lattice(el, identity, lat):
-            continue
-        m_real = _real_linear(el.A - np.eye(n))
-        t_float = basis_inv @ m_real @ basis
+    for mk, tau in zip(m[moving], s[moving]):
+        t_float = mk - eye
         t_int = np.round(t_float)
         if np.max(np.abs(t_float - t_int)) > MATCH_TOL:
             raise ValueError("lattice is not stable under the linear part")
-        tau = basis_inv @ np.concatenate([el.t.real, el.t.imag])
         u, d, v = smith_normal_form(t_int.astype(np.int64))
         w = np.array(u, dtype=np.float64) @ tau
-        diag = [int(d[i][i]) for i in range(2 * n)]
-        solvable = all(
-            abs(w[i] - round(w[i])) < MATCH_TOL
-            for i in range(2 * n)
-            if diag[i] == 0
-        )
-        if solvable:
+        diag = np.diagonal(d).astype(np.float64)
+        pivot = diag != 0
+        if np.all(np.abs(w - np.round(w))[~pivot] < MATCH_TOL):
             eta = np.zeros(2 * n)
-            for i in range(2 * n):
-                if diag[i] != 0:
-                    eta[i] = -w[i] / diag[i]
+            eta[pivot] = -w[pivot] / diag[pivot]
             xi = np.array(v, dtype=np.float64) @ eta
-            x_real = basis @ xi
-            witness = x_real[:n] + 1j * x_real[n:]
-            moved = el.apply(witness) - witness
-            if not lat.contains(moved, 1e-6):
+            moved = t_float @ xi + tau
+            if not np.max(np.abs(moved - np.round(moved))) < 1e-6:
                 raise AssertionError("fixed-point witness failed verification")
-            return False, witness
+            x_real = basis @ xi
+            return False, x_real[:n] + 1j * x_real[n:]
     return True, None
 
 
 def contains_translations(action: GroupAction) -> bool:
-    """True iff a non-identity element has exact identity linear part."""
-    n = action.lattice.dim
-    identity = AffineMap(np.eye(n), np.zeros(n))
-    for el in action.elements:
-        if _same_mod_lattice(el, identity, action.lattice):
-            continue
-        if np.max(np.abs(el.A - np.eye(n))) < EXACT_TOL:
-            return True
-    return False
+    """True iff a non-identity element is a pure translation (M = I)."""
+    m, s = _lattice_form(action)
+    eye = np.eye(m.shape[-1])
+    pure = np.all(np.abs(m - eye) < EXACT_TOL, axis=(-2, -1))
+    return bool(np.any(pure & ~_same(m, s, eye, 0.0)))
 
 
 def isometry_defect(action: GroupAction) -> float:

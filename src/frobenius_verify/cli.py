@@ -342,8 +342,8 @@ def _lattice_from_spec(generators, dim: int) -> cat.Lattice:
 
 
 def _group_from_spec(elements, lattice: cat.Lattice, name: str) -> cat.GroupAction:
-    if not isinstance(elements, list):
-        raise SpecError("group elements must be a list")
+    if not isinstance(elements, list) or not elements:
+        raise SpecError("group elements must be a non-empty list")
     dim = lattice.dim
     maps = []
     for el in elements:
@@ -372,34 +372,26 @@ def _derive_seed(seed: int, label: str) -> int:
 
 def sample_points(
     spec_domain: dict, dim: int, count: int, seed: int, label: str
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Seeded Kronecker (additive-recurrence) low-discrepancy points
-    inside the domain box."""
+    inside the domain box, one per row of a (count, dim) array."""
     rng = np.random.default_rng(_derive_seed(seed, label))
     offsets = rng.random(2 * dim)
     alphas = np.sqrt(np.array(_PRIMES[: 2 * dim], dtype=np.float64))
     alphas -= np.floor(alphas)
-    re_ranges = [(float(lo), float(hi)) for lo, hi in spec_domain["re"]]
-    im_ranges = [(float(lo), float(hi)) for lo, hi in spec_domain["im"]]
-    points = []
-    for k in range(1, count + 1):
-        u = np.mod(offsets + k * alphas, 1.0)
-        z = np.empty(dim, dtype=np.complex128)
-        for a in range(dim):
-            lo_r, hi_r = re_ranges[a]
-            lo_i, hi_i = im_ranges[a]
-            z[a] = complex(
-                lo_r + u[a] * (hi_r - lo_r), lo_i + u[dim + a] * (hi_i - lo_i)
-            )
-        points.append(z)
-    return points
+    lo, hi = np.array([*spec_domain["re"], *spec_domain["im"]], dtype=np.float64).T
+    u = np.mod(offsets + np.arange(1, count + 1)[:, None] * alphas, 1.0)
+    x = lo + u * (hi - lo)
+    z = np.empty((count, dim), dtype=np.complex128)
+    z.real, z.imag = x[:, :dim], x[:, dim:]
+    return z
 
 
 # --- manifold verification --------------------------------------------
 
 
 def _sample_records(
-    potential: PotentialExpr, points: Sequence[np.ndarray], lambda_grid: Sequence[float]
+    potential: PotentialExpr, points: np.ndarray, lambda_grid: Sequence[float]
 ) -> list:
     """Records of a batch of sample points, in order.  The tensors of all
     points are computed together; a point that fails a numeric check gets

@@ -4,8 +4,10 @@ Everything here is deliberately written against the public surface
 only: a dispatch-table interpreter for potential ASTs, nested
 central-difference Wirtinger derivatives with Richardson extrapolation,
 a random AST generator, a scatter over every pair of the truncated jet
-product, brute-force triple loops for the algebra axioms, and a
-term-by-term theta series.  These stay independent of the
+product, brute-force triple loops for the algebra axioms, a
+term-by-term theta series, group checks in complex coordinates with a
+bounded search for fixed points, and a per-point loop for the sample
+points.  These stay independent of the
 code paths they check.
 """
 
@@ -13,7 +15,9 @@ from __future__ import annotations
 
 import cmath
 import functools
+import hashlib
 import itertools
+import math
 
 import numpy as np
 
@@ -373,3 +377,144 @@ def brute_theta(tau, alpha, beta, z, radius):
         lin = sum(w[i] * (z[i] + beta[i]) for i in range(g))
         total += cmath.exp(1j * cmath.pi * quad + 2j * cmath.pi * lin)
     return total
+
+
+# --- group actions on a torus -------------------------------------------------
+
+GROUP_TOL = 1e-9
+ORDER_LIMIT = 512
+
+
+def _lattice_coords(lattice, vector):
+    """Real coordinates of a vector of C^n in the lattice generators, by one
+    solve."""
+    gens = np.asarray(lattice.generators)
+    basis = np.concatenate([gens.real, gens.imag], axis=1).T
+    vec = np.asarray(vector, dtype=np.complex128)
+    return np.linalg.solve(basis, np.concatenate([vec.real, vec.imag]))
+
+
+def _in_lattice(lattice, vector, tol=GROUP_TOL):
+    coords = _lattice_coords(lattice, vector)
+    return bool(np.all(np.abs(coords - np.round(coords)) < tol))
+
+
+def _same_map(lattice, g, h):
+    """``(A, t)`` pairs that are one map of the torus."""
+    return bool(np.all(np.abs(g[0] - h[0]) < GROUP_TOL)) and _in_lattice(
+        lattice, g[1] - h[1]
+    )
+
+
+def _has_finite_order(lattice, g):
+    a, t = g
+    if not abs(abs(np.linalg.det(a)) - 1.0) <= GROUP_TOL:
+        return False
+    n = len(t)
+    identity = (np.eye(n), np.zeros(n))
+    power = g
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(ORDER_LIMIT):
+            if _same_map(lattice, power, identity):
+                return True
+            power = (power[0] @ a, power[0] @ t + power[1])
+    return False
+
+
+def fixes_mod_lattice(lattice, g, point, tol=1e-8):
+    """Whether ``z -> A z + t`` moves ``point`` by a lattice vector."""
+    a, t = g
+    return _in_lattice(lattice, a @ point + t - point, tol)
+
+
+def _fixed_point(lattice, g):
+    """A fixed point of ``z -> A z + t`` on the torus, or None.
+
+    In lattice coordinates the map is ``x -> (T + I) x + tau`` with T an
+    integer matrix.  A fixed point is an x with ``T x + tau`` integral;
+    writing x = x0 + k with k integral and x0 in [0, 1)^2n shows that the
+    integral ``m = T x0 + tau`` then lies in the box ``tau + T [0, 1]^2n``.
+    Each integer m in that box is tested for ``m - tau`` in the column
+    space of T.
+    """
+    a, t = g
+    n = len(t)
+    gens = np.asarray(lattice.generators)
+    cols = [_lattice_coords(lattice, a @ gen - gen) for gen in gens]
+    big_t = np.round(np.stack(cols, axis=1))
+    tau = _lattice_coords(lattice, t)
+    low = tau + np.minimum(big_t, 0).sum(axis=1)
+    high = tau + np.maximum(big_t, 0).sum(axis=1)
+    ranges = [range(math.ceil(lo - GROUP_TOL), math.floor(hi + GROUP_TOL) + 1)
+              for lo, hi in zip(low, high)]
+    for m in itertools.product(*ranges):
+        rhs = np.array(m, dtype=np.float64) - tau
+        x, *_ = np.linalg.lstsq(big_t, rhs, rcond=None)
+        if np.max(np.abs(big_t @ x - rhs)) < 1e-7:
+            real = np.concatenate([gens.real, gens.imag], axis=1).T @ x
+            return real[:n] + 1j * real[n:]
+    return None
+
+
+def brute_group_checks(action):
+    """Every group check of a torus action, in complex coordinates.
+
+    Closure and faithfulness by explicit loops over pairs and triples,
+    with one lattice solve per compared pair; finiteness by powers of
+    each element; freeness (decided only on a stable lattice, else None)
+    by a bounded search for a fixed point of each non-identity element.
+    """
+    lat = action.lattice
+    maps = [(el.A, el.t) for el in action.elements]
+    n = lat.generators.shape[1]
+    identity = (np.eye(n), np.zeros(n))
+    moving = [g for g in maps if not _same_map(lat, g, identity)]
+    stable = all(_in_lattice(lat, a @ gen) for a, _ in maps for gen in lat.generators)
+    closure = all(
+        any(_same_map(lat, (ga @ ha, ga @ ht + gt), k) for k in maps)
+        for ga, gt in maps
+        for ha, ht in maps
+    )
+    faithful = not any(
+        _same_map(lat, maps[i], maps[j])
+        for i in range(len(maps))
+        for j in range(i + 1, len(maps))
+    )
+    free = None
+    if stable:
+        free = all(_fixed_point(lat, g) is None for g in moving)
+    return {
+        "closure": closure,
+        "lattice_stable": stable,
+        "finite": all(_has_finite_order(lat, g) for g in maps),
+        "faithful": faithful,
+        "contains_translations": any(
+            np.all(np.abs(a - np.eye(n)) < 1e-12) for a, _ in moving
+        ),
+        "free": free,
+        "moving": moving,
+    }
+
+
+# --- sample points ------------------------------------------------------------
+
+_SAMPLE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+
+def reference_sample_points(spec_domain, dim, count, seed, label):
+    """Kronecker points in the domain box, one point and one axis at a time."""
+    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
+    rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
+    offsets = rng.random(2 * dim)
+    alphas = np.sqrt(np.array(_SAMPLE_PRIMES[: 2 * dim], dtype=np.float64))
+    alphas -= np.floor(alphas)
+    points = []
+    for k in range(1, count + 1):
+        u = np.mod(offsets + k * alphas, 1.0)
+        z = np.empty(dim, dtype=np.complex128)
+        for a in range(dim):
+            lo_r, hi_r = (float(v) for v in spec_domain["re"][a])
+            lo_i, hi_i = (float(v) for v in spec_domain["im"][a])
+            z[a] = complex(lo_r + u[a] * (hi_r - lo_r), lo_i + u[dim + a] * (hi_i - lo_i))
+        points.append(z)
+    return np.array(points).reshape(count, dim)

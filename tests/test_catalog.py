@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from helpers import brute_group_checks, fixes_mod_lattice
 
 from frobenius_verify.catalog import (
     AffineMap,
@@ -154,6 +157,107 @@ def test_free_translation_flagged_by_translation_check():
 def test_contains_translations_trivial_group():
     action = GroupAction(square_lattice(1), (_identity(1),), "trivial")
     assert not contains_translations(action)
+
+
+# --- group checks against the complex-coordinate oracle -------------------
+
+ROOTS_OF_ORDER = {2: [-1.0], 3: [RHO, RHO**2], 4: [1j, -1j], 6: [-RHO, -RHO**2]}
+
+
+def _with_identity(lattice, *maps):
+    n = lattice.dim
+    return GroupAction(lattice, (_identity(n),) + tuple(AffineMap(a, t) for a, t in maps))
+
+
+def _fixture_actions():
+    sq1, sq2 = square_lattice(1), square_lattice(2)
+    zero2 = np.zeros(2)
+
+    def linear(rows):
+        return _with_identity(sq2, (np.array(rows, dtype=complex), zero2))
+
+    sixth = [complex(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)) for k in range(6)]
+    return {
+        "trivial": GroupAction(sq2, (_identity(2),)),
+        "z2": _with_identity(sq1, (-np.eye(1), np.zeros(1))),
+        "irrational": _with_identity(sq1, (np.array([[np.exp(1j)]]), np.zeros(1))),
+        "half-period": _with_identity(
+            product_lattice([1j, 1j]), (np.diag([1.0, -1.0]), np.array([0.5, 0.0]))
+        ),
+        "half-shift": _with_identity(sq1, (np.eye(1), np.array([0.5 + 0j]))),
+        "translation": _with_identity(sq2, (np.eye(2), np.array([0.5, 0.0]))),
+        "duplicate": _with_identity(
+            sq2, (-np.eye(2), zero2), (-np.eye(2), np.array([1 + 1j, -1j]))
+        ),
+        "rotation-60": GroupAction(
+            sq1, tuple(AffineMap(np.array([[w]]), np.zeros(1)) for w in sixth)
+        ),
+        # each of finite order, but no common power below ORDER_BOUND
+        "orders-23-29": _with_identity(
+            sq1, *[(np.array([[np.exp(2j * math.pi / k)]]), np.zeros(1)) for k in (23, 29)]
+        ),
+        "shear": linear([[1, 1], [0, 1]]),
+        "contracting": linear([[0.5, 0], [0, 1]]),
+        "tiny": linear([[1e-7, 0], [0, 1]]),
+        "hyperbolic": linear([[2, 1], [1, 1]]),
+    }
+
+
+def _random_cyclic_actions(count, seed):
+    """Cyclic groups listed as g^0..g^(k-1) for g = (diag(u, v), t): u, v
+    roots of unity, t in (1/12)Z + (i/12)Z, on square or hexagonal product
+    lattices.  A rotation of order 3 or 6 does not preserve the square
+    lattice, and many translations leave g^k a non-lattice translation or
+    g with a fixed point."""
+    rng = np.random.default_rng(seed)
+    actions = []
+    for _ in range(count):
+        order = int(rng.choice([2, 3, 4, 6]))
+        lattice = product_lattice([RHO if rng.integers(2) else 1j] * 2)
+        first = 1.0 if rng.random() < 0.5 else rng.choice(ROOTS_OF_ORDER[order])
+        a = np.diag([first, rng.choice(ROOTS_OF_ORDER[order])]).astype(complex)
+        t = (rng.integers(0, 12, 2) + 1j * rng.integers(0, 12, 2)) / 12.0
+        maps, power_a, power_t = [], a, t
+        for _ in range(order - 1):
+            maps.append((power_a, power_t))
+            power_a, power_t = a @ power_a, a @ power_t + t
+        actions.append(_with_identity(lattice, *maps))
+    return actions
+
+
+def test_group_checks_agree_with_the_complex_coordinate_oracle():
+    catalog_actions = [e.action for e in hyperelliptic_catalog() if e.action is not None]
+    actions = (
+        catalog_actions
+        + list(_fixture_actions().values())
+        + _random_cyclic_actions(200, seed=9)
+    )
+    counts = {"not free": 0, "not closed": 0, "not stable": 0, "not finite": 0}
+    for action in actions:
+        expect = brute_group_checks(action)
+        report = validate_group(action)
+        got = {
+            "closure": report.closure,
+            "lattice_stable": report.lattice_stable,
+            "finite": report.finite,
+            "faithful": report.faithful,
+            "contains_translations": contains_translations(action),
+        }
+        assert got == {key: expect[key] for key in got}
+        if report.lattice_stable:
+            free, witness = is_free(action)
+            assert free == expect["free"]
+            assert (witness is None) == free
+            if witness is not None:
+                assert any(
+                    fixes_mod_lattice(action.lattice, g, witness) for g in expect["moving"]
+                )
+        counts["not free"] += expect["free"] is False
+        counts["not closed"] += not report.closure
+        counts["not stable"] += not report.lattice_stable
+        counts["not finite"] += not report.finite
+    # the random set reaches every verdict, not only the catalog's
+    assert min(counts.values()) >= 10, counts
 
 
 # --- the eight-surface catalog ------------------------------------------

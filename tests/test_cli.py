@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from helpers import reference_sample_points
 
 from frobenius_verify import theta as th
 from frobenius_verify.cli import (
@@ -22,6 +23,7 @@ from frobenius_verify.cli import (
     run_catalog,
     run_theta,
     run_verify,
+    sample_points,
     to_json,
 )
 from frobenius_verify.theta import MAX_RADIUS
@@ -459,6 +461,22 @@ def test_samples_cap_is_checked_before_sampling():
             Config(lambda_grid=grid)
 
 
+def test_sample_points_match_a_per_point_loop():
+    rng = np.random.default_rng(17)
+    for trial in range(40):
+        dim = 1 + trial % 4
+        domain = {}
+        for part in ("re", "im"):
+            scale = 10.0 ** rng.uniform(-3, 3, dim)
+            lo = rng.uniform(-1, 1, dim) * scale
+            domain[part] = [[a, a + w] for a, w in zip(lo, rng.uniform(0.1, 2, dim) * scale)]
+        count = int(rng.integers(1, 300))
+        got = sample_points(domain, dim, count, trial, f"chart-{trial}")
+        want = reference_sample_points(domain, dim, count, trial, f"chart-{trial}")
+        assert got.shape == (count, dim)
+        assert got.tobytes() == want.tobytes()
+
+
 def _verify_json(tmp_path, capsys, spec, samples, *flags):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -652,6 +670,7 @@ def _with_group(elements):
         (_with(potential="(" * 2000 + FLAT_2 + ")" * 2000), "potential"),
         (_with(potential="1e999*" + FLAT_2), "potential"),
         (_with(expected_class=["torus"]), "expected_class"),
+        (_with_group([]), "group elements"),
     ],
 )
 def test_malformed_spec_is_an_input_error(tmp_path, capsys, payload, field):
