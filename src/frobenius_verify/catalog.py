@@ -20,6 +20,7 @@ Freeness is read off the Smith normal form of the integer ``M - I``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -192,6 +193,21 @@ class GroupAction:
     elements: tuple[AffineMap, ...]
     name: str = ""
 
+    @functools.cached_property
+    def _lattice_form(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every element as ``x -> M x + s`` in lattice coordinates: ``M``
+        (G, 2n, 2n) is ``B^-1 R(A) B`` for the real lattice basis ``B``, and
+        ``s`` (G, 2n) is ``B^-1 [Re t; Im t]``, one matrix-vector product per
+        element so that fixed-point witnesses keep their last bits.  Built
+        once per action; both arrays are read-only."""
+        basis = self.lattice.real_basis()
+        inv = np.linalg.inv(basis)
+        a = np.stack([el.A for el in self.elements])
+        m = inv @ np.block([[a.real, -a.imag], [a.imag, a.real]]) @ basis
+        s = np.stack([inv @ np.concatenate([el.t.real, el.t.imag]) for el in self.elements])
+        m.flags.writeable = s.flags.writeable = False
+        return m, s
+
 
 @dataclass(frozen=True)
 class GroupReport:
@@ -223,19 +239,6 @@ class CatalogEntry:
 # --- group validation -------------------------------------------------
 
 
-def _lattice_form(action: GroupAction) -> tuple[np.ndarray, np.ndarray]:
-    """Every element as ``x -> M x + s`` in lattice coordinates: ``M``
-    (G, 2n, 2n) is ``B^-1 R(A) B`` for the real lattice basis ``B``, and
-    ``s`` (G, 2n) is ``B^-1 [Re t; Im t]``, one matrix-vector product per
-    element so that fixed-point witnesses keep their last bits."""
-    basis = action.lattice.real_basis()
-    inv = np.linalg.inv(basis)
-    a = np.stack([el.A for el in action.elements])
-    m = inv @ np.block([[a.real, -a.imag], [a.imag, a.real]]) @ basis
-    s = np.stack([inv @ np.concatenate([el.t.real, el.t.imag]) for el in action.elements])
-    return m, s
-
-
 def _same(m1, s1, m2, s2) -> np.ndarray:
     """Whether ``(m1, s1)`` and ``(m2, s2)`` are one map of the torus,
     broadcast over the leading axes.  NaN compares unequal."""
@@ -246,10 +249,11 @@ def _same(m1, s1, m2, s2) -> np.ndarray:
 
 def validate_group(action: GroupAction) -> GroupReport:
     """Closure mod lattice, lattice stability, finiteness, faithfulness."""
-    m, s = _lattice_form(action)
+    m, s = action._lattice_form
     eye = np.eye(m.shape[-1])
 
-    stable = bool(np.all(np.abs(m - np.round(m)) < MATCH_TOL))
+    # integral, and small enough that is_free's int64 cast of M - I is exact
+    stable = bool(np.all((np.abs(m - np.round(m)) < MATCH_TOL) & (np.abs(m) < 2**53)))
 
     comp_m = np.einsum("gij,hjk->ghik", m, m)
     comp_s = np.einsum("gij,hj->ghi", m, s) + s[:, None]
@@ -291,7 +295,7 @@ def is_free(action: GroupAction) -> tuple[bool, Optional[np.ndarray]]:
     """
     n = action.lattice.dim
     basis = action.lattice.real_basis()
-    m, s = _lattice_form(action)
+    m, s = action._lattice_form
     eye = np.eye(2 * n)
     moving = ~_same(m, s, eye, 0.0)
 
@@ -318,7 +322,7 @@ def is_free(action: GroupAction) -> tuple[bool, Optional[np.ndarray]]:
 
 def contains_translations(action: GroupAction) -> bool:
     """True iff a non-identity element is a pure translation (M = I)."""
-    m, s = _lattice_form(action)
+    m, s = action._lattice_form
     eye = np.eye(m.shape[-1])
     pure = np.all(np.abs(m - eye) < EXACT_TOL, axis=(-2, -1))
     return bool(np.any(pure & ~_same(m, s, eye, 0.0)))
@@ -327,11 +331,11 @@ def contains_translations(action: GroupAction) -> bool:
 def isometry_defect(action: GroupAction) -> float:
     """Unitarity defect max |A* A - I| of the linear parts; the flat
     metric is invariant iff this vanishes."""
-    n = action.lattice.dim
-    worst = 0.0
-    for el in action.elements:
-        worst = max(worst, float(np.max(np.abs(np.conj(el.A.T) @ el.A - np.eye(n)))))
-    return worst
+    a = np.stack([el.A for el in action.elements])
+    # a huge linear part overflows A* A: the defect is then inf or NaN and fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.abs(np.conj(np.swapaxes(a, -1, -2)) @ a - np.eye(action.lattice.dim))
+    return float(np.max(defect))
 
 
 # --- catalog construction --------------------------------------------

@@ -32,6 +32,8 @@ DEFAULT_LAMBDA_GRID = (-1.0, -0.5, 0.5, 1.0, 2.0)
 DEFAULT_RADIUS = 30
 # A report holds about 1.3 KB per sample, so the cap keeps it near 13 MB.
 MAX_SAMPLES = 10_000
+# Group checks build all |G|^2 composites: about 0.1 s at 64 elements.
+MAX_GROUP_ELEMENTS = 64
 # Points of the theta quasi-periodicity table (the first 8 also test products)
 THETA_POINTS = 20
 # Sample points per tensor batch: about this many entries of an n^4 tensor
@@ -48,10 +50,11 @@ DISCLAIMER = (
     "global structure are not checked from a single chart"
 )
 
-# The verdict's checks: (per-sample report key, class); a dotted key
-# is read in every row of the sample's list under its first part (the
-# pencil over the lambda grid).  A class fails when one of its checks is
-# not below the structural tolerance at some sample, so a NaN fails too.
+# The verdict's checks: (column of the sample checks, class); the
+# columns are named as the report keys, the pencil norms as
+# ``pencil.<key>`` with one entry per sample and lambda.  A class fails
+# when one of its checks is not below the structural tolerance at some
+# sample (and lambda), so a NaN fails too.
 # Commutativity and form compatibility hold by construction (symmetric
 # Christoffel symbols, zero fiber form); tests pin them, no check reads them.
 CHECKS = (
@@ -344,6 +347,8 @@ def _lattice_from_spec(generators, dim: int) -> cat.Lattice:
 def _group_from_spec(elements, lattice: cat.Lattice, name: str) -> cat.GroupAction:
     if not isinstance(elements, list) or not elements:
         raise SpecError("group elements must be a non-empty list")
+    if len(elements) > MAX_GROUP_ELEMENTS:
+        raise SpecError(f"group elements must number at most {MAX_GROUP_ELEMENTS}")
     dim = lattice.dim
     maps = []
     for el in elements:
@@ -390,19 +395,22 @@ def sample_points(
 # --- manifold verification --------------------------------------------
 
 
-def _sample_records(
+def _sample_columns(
     potential: PotentialExpr, points: np.ndarray, lambda_grid: Sequence[float]
-) -> list:
-    """Records of a batch of sample points, in order.  The tensors of all
-    points are computed together; a point that fails a numeric check gets
-    an error record and leaves the others untouched."""
+) -> tuple[np.ndarray, dict, dict]:
+    """``(good, columns, failures)`` of a batch of points: the indices of
+    the points that pass every numeric check, one array per report key
+    over those points (the pencil norms per point and lambda), and
+    ``{index: exception}`` for the others.  One tensor pass for all."""
     md, failures = kahler.metric_batch(potential, points)
+    good = np.array([idx for idx in range(len(points)) if idx not in failures], dtype=int)
 
     def keep(ok: np.ndarray, why: str) -> np.ndarray:
-        """``ok``, one entry per sample left; each False gets an error record."""
-        good = [idx for idx in range(len(points)) if idx not in failures]
-        for k in np.flatnonzero(~ok):
-            failures[good[k]] = kahler.KahlerError(why)
+        """``ok``, one entry per point in ``good``; each False becomes a failure."""
+        nonlocal good
+        for idx in good[~ok].tolist():
+            failures[idx] = kahler.KahlerError(why)
+        good = good[ok]
         return ok
 
     md = md[keep(np.all(np.isfinite(md.christoffel), axis=(-3, -2, -1)),
@@ -413,11 +421,10 @@ def _sample_records(
     # both norms are >= 0, so their sum is finite iff both are
     finite = np.isfinite(pencil.curvature_norm + pencil.trace_norm)
     ok = keep(np.all(finite, axis=-1), "non-finite pencil curvature")
-    md, curvature_norm, trace_norm = md[ok], pencil.curvature_norm[ok], pencil.trace_norm[ok]
+    md = md[ok]
 
     ricci_herm, ricci_max = kahler.ricci_c1_check(md)
     hol = frob.fiber_algebra_from_metric(md)
-    units = frob.find_unit(hol)
     columns = {
         "metric_hermiticity": kahler.hermiticity(md.g),
         "min_singular": md.min_singular,
@@ -427,28 +434,34 @@ def _sample_records(
         "ricci_hermiticity": ricci_herm,
         "max_ricci": ricci_max,
         "associator": frob.associator(hol),
+        "positive_definite": md.positive_definite,
+        "unit_exists": np.array([u is not None for u in frob.find_unit(hol)], dtype=bool),
+        "pencil.curvature_norm": pencil.curvature_norm[ok],
+        "pencil.trace_norm": pencil.trace_norm[ok],
     }
+    return good, columns, failures
 
-    records = []
-    k = 0
-    for idx, point in enumerate(points):
-        rec = {"point": [[float(z.real), float(z.imag)] for z in point]}
-        if idx in failures:
-            rec["error"] = str(failures[idx])
-        else:
-            rec.update({key: float(col[k]) for key, col in columns.items()})
-            rec["positive_definite"] = bool(md.positive_definite[k])
-            rec["unit_exists"] = units[k] is not None
-            rec["pencil"] = [
-                {
-                    "lambda": lam,
-                    "curvature_norm": float(curvature_norm[k, j]),
-                    "trace_norm": float(trace_norm[k, j]),
-                }
-                for j, lam in enumerate(lambda_grid)
-            ]
-            k += 1
-        records.append(rec)
+
+def _sample_records(
+    points: np.ndarray, good: np.ndarray, columns: dict, failures: dict, lambda_grid
+) -> list:
+    """The report rows of the sample points, in order (the arguments as
+    :func:`_sample_columns` returns them): each row has its index and
+    point, then its column values or the error of its failure."""
+    records = [
+        {"index": idx, "point": point}
+        for idx, point in enumerate(np.stack([points.real, points.imag], axis=-1).tolist())
+    ]
+    for idx, exc in failures.items():
+        records[idx]["error"] = str(exc)
+    values = {key: col.tolist() for key, col in columns.items()}
+    curvature, trace = values.pop("pencil.curvature_norm"), values.pop("pencil.trace_norm")
+    for k, idx in enumerate(good.tolist()):
+        records[idx].update({key: column[k] for key, column in values.items()})
+        records[idx]["pencil"] = [
+            {"lambda": lam, "curvature_norm": c, "trace_norm": t}
+            for lam, c, t in zip(lambda_grid, curvature[k], trace[k])
+        ]
     return records
 
 
@@ -472,16 +485,6 @@ def _group_record(action: cat.GroupAction, tol: float) -> dict:
     }
 
 
-def _failed_classes(samples: list, tol: float) -> set:
-    failed = set()
-    for key, cls in CHECKS:
-        head, _, leaf = key.rpartition(".")
-        rows = [row for s in samples for row in s[head]] if head else samples
-        if not all(row[leaf] < tol for row in rows):
-            failed.add(cls)
-    return failed
-
-
 def run_verify(spec: ManifoldSpec, config: Config) -> Report:
     """Full verification pipeline for one chart spec (as validated by
     :func:`load_manifold_spec`)."""
@@ -490,14 +493,17 @@ def run_verify(spec: ManifoldSpec, config: Config) -> Report:
     points = sample_points(
         spec.sample_domain, spec.dim, config.samples, config.seed, spec.name
     )
-    samples: list = []
     batch = max(1, BATCH_ENTRIES // spec.dim**4)
+    goods, batches, failures = [], [], {}
     for start in range(0, len(points), batch):
-        chunk = points[start : start + batch]
-        records = _sample_records(potential, chunk, config.lambda_grid)
-        for idx, rec in enumerate(records, start):
-            rec["index"] = idx
-            samples.append(rec)
+        good, cols, fails = _sample_columns(
+            potential, points[start : start + batch], config.lambda_grid
+        )
+        goods.append(good + start)
+        batches.append(cols)
+        failures.update({start + k: exc for k, exc in fails.items()})
+    good = np.concatenate(goods)
+    columns = {key: np.concatenate([cols[key] for cols in batches]) for key in batches[0]}
 
     reasons: list[str] = []
     group_rec: Optional[dict] = None
@@ -511,12 +517,13 @@ def run_verify(spec: ManifoldSpec, config: Config) -> Report:
         ]
     group_ok = not reasons
 
-    if any("error" in s for s in samples):
+    if failures:
         reasons.append("degenerate metric or domain error at sampled points")
         verdict = "error"
     else:
-        failed = _failed_classes(samples, tol["structural"])
-        positive = all(s["positive_definite"] for s in samples)
+        structural = tol["structural"]
+        failed = {cls for key, cls in CHECKS if not np.all(columns[key] < structural)}
+        positive = np.all(columns["positive_definite"])
         if not positive:
             reasons.append("metric not positive definite at sampled points")
         if "core" in failed:
@@ -539,7 +546,7 @@ def run_verify(spec: ManifoldSpec, config: Config) -> Report:
         seed=config.seed,
         tolerances=tol,
         disclaimer=DISCLAIMER,
-        samples=samples,
+        samples=_sample_records(points, good, columns, failures, config.lambda_grid),
         group=group_rec,
         verdict=verdict,
         reasons=sorted(set(reasons)),
@@ -642,42 +649,31 @@ def run_theta(tau: np.ndarray, level: int, config: Config) -> dict:
     rng = np.random.default_rng(_derive_seed(config.seed, f"theta-{g}-{level}"))
     zs = rng.random((THETA_POINTS, g)) + 0.2j * rng.random((THETA_POINTS, g))
     t1 = th.riemann_type_of(spec)
-    gens = t1.lattice.generators
+    shifts = t1.lattice.generators
+    gens = np.arange(2 * g)[:, None]  # a row of residuals per lattice generator
     # one batched series per characteristic: the points and their 2g shifts
-    base1, shifted1 = th.values_with_shifts(spec, zs, gens, config.radius, tails)
-
-    qp_rows = []
-    worst_qp = 0.0
-    for gen_index in range(2 * g):
-        for row in range(THETA_POINTS):
-            res = th.shift_residual(
-                t1.factor(zs[row], gen_index), base1[row], shifted1[gen_index][row]
-            )
-            worst_qp = max(worst_qp, res)
-            qp_rows.append(
-                {
-                    "generator": gen_index,
-                    "z": [[float(v.real), float(v.imag)] for v in zs[row]],
-                    "residual": res,
-                }
-            )
+    base1, shifted1 = th.values_with_shifts(spec, zs, shifts, config.radius, tails)
+    qp = th.shift_residual(t1.factor(zs, gens), base1, shifted1)
 
     # multiplicativity: product of two characteristics obeys the summed type
     spec2 = th.RiemannThetaSpec(tau=tau, alpha=np.full(g, 0.5), beta=np.zeros(g))
     tsum = th.multiply_types(t1, th.riemann_type_of(spec2))
     mult_rows = 8
     base2, shifted2 = th.values_with_shifts(
-        spec2, zs[:mult_rows], gens, config.radius, tails
+        spec2, zs[:mult_rows], shifts, config.radius, tails
     )
-    worst_mult = 0.0
-    for gen_index in range(2 * g):
-        for row in range(mult_rows):
-            res = th.shift_residual(
-                tsum.factor(zs[row], gen_index),
-                base1[row] * base2[row],
-                shifted1[gen_index][row] * shifted2[gen_index][row],
-            )
-            worst_mult = max(worst_mult, res)
+    mult = th.shift_residual(
+        tsum.factor(zs[:mult_rows], gens),
+        base1[:mult_rows] * base2,
+        shifted1[:, :mult_rows] * shifted2,
+    )
+    worst_qp, worst_mult = float(np.max(qp)), float(np.max(mult))
+    points = np.stack([zs.real, zs.imag], axis=-1).tolist()
+    qp_rows = [
+        {"generator": k, "z": points[row], "residual": res}
+        for k, residuals in enumerate(qp.tolist())
+        for row, res in enumerate(residuals)
+    ]
 
     tail = max(tails)
     expected_dim = level**g

@@ -308,15 +308,13 @@ class ThetaType:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "j_values", jv)
 
-    def l_value(self, x: Sequence[complex], gen_index: int) -> complex:
-        xv = np.asarray(x, dtype=np.complex128)
-        return complex(self.rows[gen_index] @ xv)
+    def l_value(self, x: Sequence[complex], gen_index) -> np.ndarray:
+        """L(x, l_k), k = ``gen_index``, broadcast over points x (..., g) and k."""
+        return np.sum(self.rows[gen_index] * np.asarray(x, dtype=np.complex128), axis=-1)
 
-    def factor(self, x: Sequence[complex], gen_index: int) -> complex:
-        """e(L(x,l) + J(l)) for the given generator."""
-        return complex(
-            np.exp(2j * np.pi * (self.l_value(x, gen_index) + self.j_values[gen_index]))
-        )
+    def factor(self, x: Sequence[complex], gen_index) -> np.ndarray:
+        """e(L(x,l) + J(l)) for the given generator, broadcast as in l_value."""
+        return np.exp(2j * np.pi * (self.l_value(x, gen_index) + self.j_values[gen_index]))
 
 
 def riemann_type_of(spec: RiemannThetaSpec) -> ThetaType:
@@ -360,28 +358,29 @@ def values_with_shifts(
     shifts: np.ndarray,
     radius: int,
     tails: Optional[list] = None,
-) -> tuple[list, list]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Theta at each row of ``zs`` and at ``zs + shifts[k]`` for every
     row of ``shifts``, from one batched call: ``(base, shifted)`` with
-    ``shifted[k][i]`` the value at ``zs[i] + shifts[k]``, as Python
-    complex numbers.  Given a ``tails`` list, the largest tail bound of
-    the call is appended to it."""
+    ``base`` (N,) and ``shifted[k, i]`` the value at ``zs[i] + shifts[k]``.
+    Given a ``tails`` list, the largest tail bound of the call is
+    appended to it."""
     zs = np.asarray(zs, dtype=np.complex128)
     points = np.concatenate([zs, (zs + shifts[:, None, :]).reshape(-1, spec.genus)])
     result = eval_riemann_theta(spec, points, radius)
     if tails is not None:
         tails.append(float(np.max(result.tail_bound)))
-    values = result.value.tolist()
     n = len(zs)
-    return values[:n], [values[n * (k + 1) : n * (k + 2)] for k in range(len(shifts))]
+    return result.value[:n], result.value[n:].reshape(len(shifts), n)
 
 
-def shift_residual(factor: complex, base: complex, shifted: complex) -> float:
+def shift_residual(factor, base, shifted) -> np.ndarray:
     """|lhs - rhs| / max(|lhs|, |rhs|, floor) with lhs = H(z+l),
     rhs = factor H(z) and ``factor = e(L(z,l)+J(l))``: relative to the
-    compared values, which grow like exp(pi Im tau) along tau."""
+    compared values, which grow like exp(pi Im tau) along tau.  The
+    arguments broadcast; a NaN gives NaN."""
     rhs = factor * base
-    return abs(shifted - rhs) / max(abs(shifted), abs(rhs), RESIDUAL_FLOOR)
+    scale = np.maximum(np.maximum(np.abs(shifted), np.abs(rhs)), RESIDUAL_FLOOR)
+    return np.abs(shifted - rhs) / scale
 
 
 def quasi_periodicity_residual(
@@ -399,8 +398,8 @@ def quasi_periodicity_residual(
     ttype = riemann_type_of(spec)
     zv = np.asarray(z, dtype=np.complex128).reshape(1, spec.genus)
     shift = ttype.lattice.generators[[gen_index]]
-    (base,), ((lhs,),) = values_with_shifts(spec, zv, shift, radius)
-    return shift_residual(ttype.factor(zv[0], gen_index), base, lhs)
+    base, shifted = values_with_shifts(spec, zv, shift, radius)
+    return float(shift_residual(ttype.factor(zv, gen_index), base, shifted)[0, 0])
 
 
 def level_space_dimension(
@@ -441,14 +440,12 @@ def level_space_dimension(
     results = [eval_riemann_theta(sp, s * zs, radius) for sp in specs]
     if tails is not None:
         tails.append(max(float(np.max(r.tail_bound)) for r in results))
-    # rows: the points of every resampling in turn; columns: the f_k
-    values = np.stack([r.value for r in results], axis=1)
-    ranks = []
-    for mat in np.split(values, RESAMPLINGS):
-        col_scale = np.max(np.abs(mat), axis=0)
-        col_scale[col_scale == 0] = 1.0
-        sv = np.linalg.svd(mat / col_scale, compute_uv=False)
-        ranks.append(int(np.sum(sv > RANK_THRESHOLD * sv[0])))
+    # one matrix per resampling: rows are its points, columns the f_k
+    mats = np.stack([r.value for r in results], axis=1).reshape(RESAMPLINGS, samples, -1)
+    col_scale = np.max(np.abs(mats), axis=1, keepdims=True)
+    col_scale[col_scale == 0] = 1.0
+    sv = np.linalg.svd(mats / col_scale, compute_uv=False)
+    ranks = np.sum(sv > RANK_THRESHOLD * sv[:, :1], axis=1).tolist()
     if len(set(ranks)) != 1:
         raise RankUnstableError(
             f"rank unstable across re-samplings {ranks}; increase samples"

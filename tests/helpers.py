@@ -6,9 +6,10 @@ central-difference Wirtinger derivatives with Richardson extrapolation,
 a random AST generator, a scatter over every pair of the truncated jet
 product, brute-force triple loops for the algebra axioms, a
 term-by-term theta series, group checks in complex coordinates with a
-bounded search for fixed points, and a per-point loop for the sample
-points.  These stay independent of the
-code paths they check.
+bounded search for fixed points, a per-point loop for the sample
+points, and the row and per-point loops that the verdict and the theta
+residuals once ran in.  These stay independent of the code paths they
+check.
 """
 
 from __future__ import annotations
@@ -377,6 +378,72 @@ def brute_theta(tau, alpha, beta, z, radius):
         lin = sum(w[i] * (z[i] + beta[i]) for i in range(g))
         total += cmath.exp(1j * cmath.pi * quad + 2j * cmath.pi * lin)
     return total
+
+
+def scalar_theta_residuals(tau, zs, radius, mult_rows=8):
+    """The ``theta`` command's residuals one point and one Python complex
+    at a time: the quasi-periodicity residuals of the characteristic
+    [0, 0] (generator-major, as the report lists them) and the worst
+    multiplicativity residual of [0, 0] times [1/2, 0] over the first
+    ``mult_rows`` points."""
+    from frobenius_verify.theta import (
+        RESIDUAL_FLOOR,
+        RiemannThetaSpec,
+        eval_riemann_theta,
+        multiply_types,
+        riemann_type_of,
+    )
+
+    g = len(tau)
+    spec1 = RiemannThetaSpec(tau=tau, alpha=np.zeros(g), beta=np.zeros(g))
+    spec2 = RiemannThetaSpec(tau=tau, alpha=np.full(g, 0.5), beta=np.zeros(g))
+    t1 = riemann_type_of(spec1)
+    tsum = multiply_types(t1, riemann_type_of(spec2))
+    gens = t1.lattice.generators
+
+    def value(spec, z):
+        return complex(eval_riemann_theta(spec, z, radius).value)
+
+    def factor(ttype, z, k):
+        lin = complex(sum(ttype.rows[k][i] * z[i] for i in range(g)))
+        return complex(np.exp(2j * np.pi * (lin + ttype.j_values[k])))
+
+    def residual(f, base, shifted):
+        rhs = f * base
+        return abs(shifted - rhs) / max(abs(shifted), abs(rhs), RESIDUAL_FLOOR)
+
+    qp = [
+        residual(factor(t1, z, k), value(spec1, z), value(spec1, z + gens[k]))
+        for k in range(2 * g)
+        for z in zs
+    ]
+    mult = max(
+        residual(
+            factor(tsum, z, k),
+            value(spec1, z) * value(spec2, z),
+            value(spec1, z + gens[k]) * value(spec2, z + gens[k]),
+        )
+        for k in range(2 * g)
+        for z in zs[:mult_rows]
+    )
+    return qp, mult
+
+
+# --- verdicts read off report rows --------------------------------------------
+
+
+def failed_classes_from_rows(samples, checks, tol):
+    """The classes of ``checks`` ((key, class) pairs) that fail on the
+    report rows: a check fails when its value is not below ``tol`` in some
+    row.  A dotted key is read in every row of the sample's list under
+    its first part (the pencil over the lambda grid)."""
+    failed = set()
+    for key, cls in checks:
+        head, _, leaf = key.rpartition(".")
+        rows = [row for s in samples for row in s[head]] if head else samples
+        if not all(row[leaf] < tol for row in rows):
+            failed.add(cls)
+    return failed
 
 
 # --- group actions on a torus -------------------------------------------------

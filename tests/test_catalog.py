@@ -348,6 +348,16 @@ def test_flat_torus_entry_dims():
 # --- isometry ------------------------------------------------------------
 
 
+def test_lattice_form_is_built_once_and_read_only():
+    action = hyperelliptic_catalog()[3].action
+    m, s = action._lattice_form
+    again = action._lattice_form
+    assert again[0] is m and again[1] is s
+    assert not m.flags.writeable and not s.flags.writeable
+    with pytest.raises(ValueError):
+        m[0, 0, 0] = 2.0
+
+
 def test_isometry_defect_fixture():
     lat = square_lattice(2)
     bad = AffineMap(np.diag([2.0, 1.0]).astype(complex), np.zeros(2))

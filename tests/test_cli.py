@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from helpers import reference_sample_points
+from helpers import failed_classes_from_rows, reference_sample_points
 
-from frobenius_verify import theta as th
+from frobenius_verify import cli, theta as th
 from frobenius_verify.cli import (
+    CHECKS,
+    MAX_GROUP_ELEMENTS,
     MAX_SAMPLES,
     Config,
     ManifoldSpec,
@@ -615,12 +617,73 @@ def _linear_group(*rows):
                   group=_linear_group([2, 1], [1, 1])),
          "not-frobenius", ["action not free", "group check failed: closure",
                            "group check failed: finite", "group check failed: isometry"]),
+        # integral entries beyond 2**53: M - I would wrap in int64, and A* A
+        # overflows
+        (_two_dim("huge", FLAT_2, lattice=SQUARE_LATTICE_2, group={"elements": [
+            {"A": [[[1e200, 0], [0, 0]], [[0, 0], [1e-200, 0]]], "t": [[0, 0], [0, 0]]}]}),
+         "not-frobenius", ["group check failed: closure", "group check failed: finite",
+                           "group check failed: isometry",
+                           "group check failed: lattice_stable"]),
     ],
     ids=lambda v: v["name"] if isinstance(v, dict) else None,
 )
 def test_verdict_branches(spec, verdict, reasons):
     report = run_verify(load_manifold_spec(spec), Config(samples=8))
     assert (report.verdict, report.reasons) == (verdict, reasons)
+
+
+def _row_verdict(samples, tol):
+    """(verdict, reasons) of group-free report rows as the row loop
+    decided them before the verdict was read from columns."""
+    failed = failed_classes_from_rows(samples, CHECKS, tol)
+    positive = all(s["positive_definite"] for s in samples)
+    reasons = []
+    if not positive:
+        reasons.append("metric not positive definite at sampled points")
+    if "core" in failed:
+        reasons.append("structural identities violated")
+    if "core" in failed or not positive:
+        return "not-frobenius", sorted(reasons)
+    if not failed:
+        return "frobenius", []
+    if failed == {"associativity"}:
+        return "pre-frobenius", ["associativity / pencil flatness failed"]
+    return "not-frobenius", ["curvature or associativity constraint violated"]
+
+
+VERDICT_SPECS = [
+    _two_dim("flat", FLAT_2),
+    _two_dim("curved", "log(1 + z1*zbar1 + z2*zbar2)"),
+    _two_dim("non-hermitian", FLAT_2 + " + 0.000000005*z1*zbar2"),
+    _two_dim("not-positive-definite", "z1*zbar1 - z2*zbar2"),
+]
+
+
+@pytest.mark.parametrize("spec", VERDICT_SPECS, ids=lambda v: v["name"])
+def test_column_verdict_agrees_with_row_verdict(spec):
+    config = Config(samples=8)
+    report = run_verify(load_manifold_spec(spec), config)
+    expected = _row_verdict(report.samples, config.tolerances["structural"])
+    assert (report.verdict, report.reasons) == expected
+
+
+@pytest.mark.parametrize("key", [key for key, _ in CHECKS])
+def test_nan_in_a_column_fails_its_check_as_in_the_rows(monkeypatch, key):
+    columns_of = cli._sample_columns
+
+    def poisoned(*args):
+        good, columns, failures = columns_of(*args)
+        columns[key] = columns[key].copy()
+        columns[key].flat[0] = np.nan
+        return good, columns, failures
+
+    monkeypatch.setattr(cli, "_sample_columns", poisoned)
+    config = Config(samples=8)
+    report = run_verify(load_manifold_spec(VERDICT_SPECS[0]), config)
+    tol = config.tolerances["structural"]
+    assert report.verdict != "frobenius"
+    assert (report.verdict, report.reasons) == _row_verdict(report.samples, tol)
+    assert failed_classes_from_rows(report.samples, CHECKS, tol) == {dict(CHECKS)[key]}
 
 
 def test_sample_record_keys():
@@ -671,6 +734,7 @@ def _with_group(elements):
         (_with(potential="1e999*" + FLAT_2), "potential"),
         (_with(expected_class=["torus"]), "expected_class"),
         (_with_group([]), "group elements"),
+        (_with_group([IDENTITY_2] * (MAX_GROUP_ELEMENTS + 1)), "group elements"),
     ],
 )
 def test_malformed_spec_is_an_input_error(tmp_path, capsys, payload, field):

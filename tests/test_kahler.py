@@ -14,7 +14,7 @@ from frobenius_verify.expr import (
     Var,
     parse,
 )
-from frobenius_verify.cli import _sample_records
+from frobenius_verify.cli import _sample_columns, _sample_records
 from frobenius_verify.expr import LogDomainError
 from frobenius_verify.kahler import (
     DegenerateMetricError,
@@ -271,16 +271,22 @@ def test_mixed_batch_matches_one_point_results():
             metric_at(MIXED2, MIXED_POINTS[idx])
 
 
+def _records(points, grid):
+    points = np.array(points)
+    return _sample_records(points, *_sample_columns(MIXED2, points, grid), grid)
+
+
 def test_mixed_batch_records_keep_their_indices():
     grid = (-1.0, 0.5, 2.0)
-    records = _sample_records(MIXED2, MIXED_POINTS, grid)
+    records = _records(MIXED_POINTS, grid)
     assert len(records) == len(MIXED_POINTS)
     for idx, rec in enumerate(records):
+        assert rec["index"] == idx
         if idx in MIXED_ERRORS:
             assert rec["error"] == MIXED_ERRORS[idx][1]
         else:
             assert "error" not in rec
-            assert rec == _sample_records(MIXED2, [MIXED_POINTS[idx]], grid)[0]
+            assert rec == dict(_records([MIXED_POINTS[idx]], grid)[0], index=idx)
 
 
 def test_batch_with_no_good_sample():
@@ -288,5 +294,5 @@ def test_batch_with_no_good_sample():
     md, failures = metric_batch(MIXED2, bad)
     assert sorted(failures) == [0, 1]
     assert md.g.shape == (0, 2, 2)
-    records = _sample_records(MIXED2, bad, (1.0,))
+    records = _records(bad, (1.0,))
     assert [rec["error"] for rec in records] == [MIXED_ERRORS[1][1], MIXED_ERRORS[2][1]]

@@ -24,7 +24,7 @@ from frobenius_verify.theta import (
     values_with_shifts,
 )
 
-from helpers import brute_theta
+from helpers import brute_theta, scalar_theta_residuals
 
 
 def _spec1(alpha=0.0, beta=0.0):
@@ -384,6 +384,21 @@ def test_run_theta_residuals_equal_one_point_residuals(genus, tau):
         z = [re + 1j * im for re, im in row["z"]]
         expected = quasi_periodicity_residual(spec, z, row["generator"], config.radius)
         assert row["residual"] == expected
+
+
+@pytest.mark.parametrize("genus, tau", [(1, [[1j]]), (2, [[1.1j, 0.2], [0.2, 0.7j]])])
+def test_run_theta_residuals_match_the_scalar_loop(genus, tau):
+    """The array residuals against the per-point loop with Python complex
+    arithmetic.  Residuals are relative errors near 1e-16; numpy's complex
+    multiply and abs may round each operand a few ulps of 1 away from
+    Python's, so 1e-15 absolute, fixed beforehand, bounds the change."""
+    config = Config(seed=5)
+    report = run_theta(np.array(tau), 2, config)
+    zs = np.array([[re + 1j * im for re, im in row["z"]] for row in report["samples"][:20]])
+    qp, mult = scalar_theta_residuals(np.array(tau), zs, config.radius)
+    residuals = [row["residual"] for row in report["samples"]]
+    assert residuals == pytest.approx(qp, rel=0, abs=1e-15)
+    assert report["multiplicativity"] == pytest.approx(mult, rel=0, abs=1e-15)
 
 
 def test_batch_shape_validation():
