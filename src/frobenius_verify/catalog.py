@@ -31,6 +31,9 @@ from .expr import PotentialExpr, Product, Sum, Var, ConjVar
 MATCH_TOL = 1e-9
 EXACT_TOL = 1e-12
 ORDER_BOUND = 512
+# half-width of the sample box (every real and imaginary part) of an
+# entry that names none
+SAMPLE_BOX = 0.45
 
 
 # --- integer Smith normal form --------------------------------------
@@ -223,17 +226,27 @@ class GroupReport:
 
 @dataclass(frozen=True, eq=False)
 class CatalogEntry:
+    """A chart to verify (a catalog row, or a spec file once loaded)."""
+
     name: str
     dim: int
     potential: Optional[PotentialExpr]
     lattice: Optional[Lattice]
     action: Optional[GroupAction]
-    expected_class: str  # torus | hyperelliptic | negative-control | metadata
+    # torus | hyperelliptic | negative-control | metadata, or any verdict
+    # name; None on a spec file that expects nothing
+    expected_class: Optional[str]
     metadata: dict = field(default_factory=dict)
+    # {"re": [[lo, hi], ...], "im": [[lo, hi], ...]}; None gives the
+    # +-SAMPLE_BOX box
+    sample_domain: Optional[dict] = None
 
     def __post_init__(self) -> None:
         if self.potential is not None and self.potential.dim != self.dim:
             raise ValueError("potential dimension mismatch")
+        if self.sample_domain is None:
+            box = {part: [[-SAMPLE_BOX, SAMPLE_BOX]] * self.dim for part in ("re", "im")}
+            object.__setattr__(self, "sample_domain", box)
 
 
 # --- group validation -------------------------------------------------

@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,6 +32,10 @@ DEFAULT_LAMBDA_GRID = (-1.0, -0.5, 0.5, 1.0, 2.0)
 DEFAULT_RADIUS = 30
 # A report holds about 1.3 KB per sample, so the cap keeps it near 13 MB.
 MAX_SAMPLES = 10_000
+# wirtinger's jet product table has C(2n+4, 4) entries and costs the square
+# of that to build: `--samples 2 verify` on a flat chart takes 0.7 s at dim
+# 4, 1.7 s at 6 and 9 s at 8 (2-vCPU x86-64, Python 3.11, start-up included).
+MAX_DIM = 6
 # Group checks build all |G|^2 composites: about 0.1 s at 64 elements.
 MAX_GROUP_ELEMENTS = 64
 # Points of the theta quasi-periodicity table (the first 8 also test products)
@@ -98,6 +102,8 @@ class SpecError(Exception):
 
 @dataclass(frozen=True)
 class ManifoldSpec:
+    """The JSON shape of a spec file, as :func:`entry_to_spec` writes it."""
+
     name: str
     dim: int
     potential: str
@@ -135,41 +141,11 @@ class Config:
                 )
 
 
-@dataclass
-class Report:
-    """Verification outcome for one chart spec.
-
-    Verdict semantics, decided by ``CHECKS`` and ``GROUP_CHECKS``:
-    "error" when a sample hit a numeric failure (degenerate metric,
-    domain error); "not-frobenius" when the metric is not positive
-    definite or a core check fails; otherwise "frobenius" iff every
-    check and every group check passes, and "pre-frobenius" iff only
-    the associativity checks fail; "not-frobenius" in all other cases.
-    """
-
-    spec: str
-    version: str
-    seed: int
-    tolerances: dict
-    disclaimer: str
-    samples: list
-    group: Optional[dict]
-    verdict: str
-    reasons: list
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
 def to_json(payload) -> str:
     """The payload as ``json.dumps(payload, sort_keys=True, indent=2)``
     writes it, plus a newline, byte for byte.  That call runs CPython's
     pure-Python encoder (the C one takes no indent), so reports are
     written here instead; dict keys must be strings."""
-    if isinstance(payload, Report):
-        payload = payload.to_dict()
-    elif isinstance(payload, list):
-        payload = [p.to_dict() if isinstance(p, Report) else p for p in payload]
     out: list = []
     _write(payload, "\n", out.append)
     out.append("\n")
@@ -269,20 +245,26 @@ def _pairs(row, count: int, where: str) -> list[complex]:
     return [complex(_number(re, where), _number(im, where)) for re, im in row]
 
 
+def _pair_list(values) -> list:
+    """Complex numbers as ``[re, im]`` pairs, the inverse of :func:`_pairs`."""
+    return [[float(v.real), float(v.imag)] for v in values]
+
+
 def _unwrap(value, key: str):
     """The list of a ``{key: [...]}`` object; any other value as it is."""
     return value.get(key, value) if isinstance(value, dict) else value
 
 
-def load_manifold_spec(payload) -> ManifoldSpec:
-    """Validate the JSON payload of a spec file, lattice and group
-    included; every fault raises a SpecError that names the field."""
+def load_manifold_spec(payload) -> cat.CatalogEntry:
+    """The chart of a spec file's JSON payload, its potential, lattice and
+    group built here and only here; every fault raises a SpecError that
+    names the field."""
     if not isinstance(payload, dict):
         raise SpecError("spec must be a JSON object")
     try:
         name = payload["name"]
         dim = payload["dim"]
-        potential = payload["potential"]
+        source = payload["potential"]
         domain = payload["sample_domain"]
     except KeyError as exc:
         raise SpecError(f"missing spec key: {exc}") from exc
@@ -292,7 +274,9 @@ def load_manifold_spec(payload) -> ManifoldSpec:
         raise SpecError("dim must be an integer")
     if dim < 1:
         raise SpecError("dim must be >= 1")
-    if not isinstance(potential, str):
+    if dim > MAX_DIM:
+        raise SpecError(f"dim must be at most {MAX_DIM}")
+    if not isinstance(source, str):
         raise SpecError("potential must be a string")
     if not isinstance(domain, dict):
         raise SpecError("sample_domain must be an object with re and im ranges")
@@ -309,28 +293,29 @@ def load_manifold_spec(payload) -> ManifoldSpec:
             if not math.isfinite(hi - lo):
                 raise SpecError(f"sample_domain.{part} range is too wide")
     try:
-        parse(potential, dim)
+        potential = parse(source, dim)
     except ParseError as exc:
         raise SpecError(f"potential does not parse: {exc}") from exc
-    lattice = _unwrap(payload.get("lattice"), "generators")
-    group = _unwrap(payload.get("group"), "elements")
-    if group is not None and lattice is None:
+    generators = _unwrap(payload.get("lattice"), "generators")
+    elements = _unwrap(payload.get("group"), "elements")
+    if elements is not None and generators is None:
         raise SpecError("a group requires a lattice")
-    if lattice is not None:
-        lat = _lattice_from_spec(lattice, dim)
-        if group is not None:
-            _group_from_spec(group, lat, name)
+    lattice = action = None
+    if generators is not None:
+        lattice = _lattice_from_spec(generators, dim)
+        if elements is not None:
+            action = _group_from_spec(elements, lattice, name)
     expected_class = payload.get("expected_class")
     if expected_class is not None and not isinstance(expected_class, str):
         raise SpecError("expected_class must be a string")
-    return ManifoldSpec(
+    return cat.CatalogEntry(
         name=name,
         dim=dim,
         potential=potential,
-        sample_domain={"re": domain["re"], "im": domain["im"]},
         lattice=lattice,
-        group=group,
+        action=action,
         expected_class=expected_class,
+        sample_domain={"re": domain["re"], "im": domain["im"]},
     )
 
 
@@ -476,28 +461,33 @@ def _group_record(action: cat.GroupAction, tol: float) -> dict:
         "finite": report.finite,
         "faithful": report.faithful,
         "free": free,
-        "fixed_point_witness": None
-        if witness is None
-        else [[float(w.real), float(w.imag)] for w in witness],
+        "fixed_point_witness": None if witness is None else _pair_list(witness),
         "contains_translations": translations,
         "isometry_defect": defect,
         "isometry_ok": defect <= tol,
     }
 
 
-def run_verify(spec: ManifoldSpec, config: Config) -> Report:
-    """Full verification pipeline for one chart spec (as validated by
-    :func:`load_manifold_spec`)."""
+def run_verify(entry: cat.CatalogEntry, config: Config) -> dict:
+    """The report of one chart: a catalog entry, or a spec file as
+    :func:`load_manifold_spec` loads it.
+
+    Verdict semantics, decided by ``CHECKS`` and ``GROUP_CHECKS``:
+    "error" when a sample hit a numeric failure (degenerate metric,
+    domain error); "not-frobenius" when the metric is not positive
+    definite or a core check fails; otherwise "frobenius" iff every
+    check and every group check passes, and "pre-frobenius" iff only
+    the associativity checks fail; "not-frobenius" in all other cases.
+    """
     tol = config.tolerances
-    potential = parse(spec.potential, spec.dim)
     points = sample_points(
-        spec.sample_domain, spec.dim, config.samples, config.seed, spec.name
+        entry.sample_domain, entry.dim, config.samples, config.seed, entry.name
     )
-    batch = max(1, BATCH_ENTRIES // spec.dim**4)
+    batch = max(1, BATCH_ENTRIES // entry.dim**4)
     goods, batches, failures = [], [], {}
     for start in range(0, len(points), batch):
         good, cols, fails = _sample_columns(
-            potential, points[start : start + batch], config.lambda_grid
+            entry.potential, points[start : start + batch], config.lambda_grid
         )
         goods.append(good + start)
         batches.append(cols)
@@ -507,10 +497,8 @@ def run_verify(spec: ManifoldSpec, config: Config) -> Report:
 
     reasons: list[str] = []
     group_rec: Optional[dict] = None
-    if spec.group is not None:
-        lattice = _lattice_from_spec(spec.lattice, spec.dim)
-        action = _group_from_spec(spec.group, lattice, spec.name)
-        group_rec = _group_record(action, tol["isometry"])
+    if entry.action is not None:
+        group_rec = _group_record(entry.action, tol["isometry"])
         reasons = [
             why for key, passing, why in GROUP_CHECKS
             if group_rec[key] not in (passing, None)
@@ -540,50 +528,38 @@ def run_verify(spec: ManifoldSpec, config: Config) -> Report:
             if "flatness" in failed:
                 reasons.append("curvature or associativity constraint violated")
 
-    return Report(
-        spec=spec.name,
-        version=__version__,
-        seed=config.seed,
-        tolerances=tol,
-        disclaimer=DISCLAIMER,
-        samples=_sample_records(points, good, columns, failures, config.lambda_grid),
-        group=group_rec,
-        verdict=verdict,
-        reasons=sorted(set(reasons)),
-    )
+    return {
+        "spec": entry.name,
+        "version": __version__,
+        "seed": config.seed,
+        "tolerances": tol,
+        "disclaimer": DISCLAIMER,
+        "samples": _sample_records(points, good, columns, failures, config.lambda_grid),
+        "group": group_rec,
+        "verdict": verdict,
+        "reasons": sorted(set(reasons)),
+    }
 
 
 # --- catalog pipeline --------------------------------------------------
 
 
 def entry_to_spec(entry: cat.CatalogEntry) -> ManifoldSpec:
-    """Serialize a catalog entry into the spec-file shape (entries stay
-    addressable by name through the catalog filter)."""
-    n = entry.dim
-    box = {
-        "re": [[-0.45, 0.45]] * n,
-        "im": [[-0.45, 0.45]] * n,
-    }
-    lattice = None
-    group = None
+    """A chart in the spec-file shape, which :func:`load_manifold_spec`
+    loads back to the same chart."""
+    lattice = group = None
     if entry.lattice is not None:
-        lattice = [
-            [[float(v.real), float(v.imag)] for v in gen]
-            for gen in entry.lattice.generators
-        ]
+        lattice = [_pair_list(gen) for gen in entry.lattice.generators]
     if entry.action is not None:
         group = [
-            {
-                "A": [[[float(v.real), float(v.imag)] for v in row] for row in el.A],
-                "t": [[float(v.real), float(v.imag)] for v in el.t],
-            }
+            {"A": [_pair_list(row) for row in el.A], "t": _pair_list(el.t)}
             for el in entry.action.elements
         ]
     return ManifoldSpec(
         name=entry.name,
-        dim=n,
+        dim=entry.dim,
         potential=to_source(entry.potential),
-        sample_domain=box,
+        sample_domain=entry.sample_domain,
         lattice=lattice,
         group=group,
         expected_class=entry.expected_class,
@@ -597,14 +573,13 @@ def run_catalog(name_filter: Optional[str], config: Config) -> list:
     for entry in cat.hyperelliptic_catalog():
         if name_filter and name_filter not in entry.name:
             continue
-        report = run_verify(entry_to_spec(entry), config)
+        report = run_verify(entry, config)
         expected = EXPECTED_VERDICT.get(entry.expected_class, entry.expected_class)
-        payload = report.to_dict()
-        payload["expected_class"] = entry.expected_class
-        payload["expected_verdict"] = expected
-        payload["matches_expected"] = report.verdict == expected
-        payload["metadata"] = entry.metadata
-        reports.append(payload)
+        report["expected_class"] = entry.expected_class
+        report["expected_verdict"] = expected
+        report["matches_expected"] = report["verdict"] == expected
+        report["metadata"] = entry.metadata
+        reports.append(report)
     for entry in cat.negative_controls() + cat.metadata_rows():
         if name_filter and name_filter not in entry.name:
             continue
@@ -822,9 +797,7 @@ def _print_report(payload, as_json: bool) -> None:
     if as_json:
         sys.stdout.write(to_json(payload))
         return
-    items = payload if isinstance(payload, list) else [payload]
-    for item in items:
-        d = item.to_dict() if isinstance(item, Report) else item
+    for d in payload if isinstance(payload, list) else [payload]:
         name = d.get("spec", "?")
         verdict = d.get("verdict", "?")
         line = f"{name}: {verdict}"
@@ -847,18 +820,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             try:
                 with open(args.specfile, "r", encoding="utf-8") as fh:
                     payload = json.load(fh)
-                spec = load_manifold_spec(payload)
+                entry = load_manifold_spec(payload)
             except (OSError, ValueError, RecursionError, SpecError) as exc:
                 sys.stderr.write(f"error: {exc}\n")
                 return EXIT_INPUT
-            report = run_verify(spec, config)
+            report = run_verify(entry, config)
             _print_report(report, args.as_json)
-            if report.verdict == "error":
+            if report["verdict"] == "error":
                 return EXIT_NUMERIC
-            if spec.expected_class is None:
+            if entry.expected_class is None:
                 return EXIT_OK
-            expected = EXPECTED_VERDICT.get(spec.expected_class, spec.expected_class)
-            return EXIT_OK if report.verdict == expected else EXIT_MISMATCH
+            expected = EXPECTED_VERDICT.get(entry.expected_class, entry.expected_class)
+            return EXIT_OK if report["verdict"] == expected else EXIT_MISMATCH
 
         if args.command == "catalog":
             reports = run_catalog(args.name_filter, config)

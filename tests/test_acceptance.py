@@ -14,6 +14,7 @@ from helpers import fd_curvature, random_polynomial_potential
 
 from frobenius_verify.catalog import (
     AffineMap,
+    CatalogEntry,
     GroupAction,
     classification_counts,
     contains_translations,
@@ -25,8 +26,8 @@ from frobenius_verify.catalog import (
     square_lattice,
     validate_group,
 )
-from frobenius_verify.cli import Config, entry_to_spec, run_catalog, run_verify, to_json
-from frobenius_verify.expr import parse, to_source
+from frobenius_verify.cli import Config, run_catalog, run_verify, to_json
+from frobenius_verify.expr import parse
 from frobenius_verify.frobenius import (
     hermitian_einstein_trace,
     pencil_curvature_form,
@@ -56,7 +57,7 @@ def _announce(num: int, name: str, ok: bool) -> None:
 
 
 def _flat_suite_ok(report) -> bool:
-    for sample in report.samples:
+    for sample in report["samples"]:
         if "error" in sample:
             return False
         CORPUS.append(
@@ -79,9 +80,8 @@ def test_criterion_01_flat_case_end_to_end():
     start = time.monotonic()
     ok = True
     for n in (1, 2, 3):
-        spec = entry_to_spec(flat_torus_entry(n))
-        report = run_verify(spec, CONFIG)
-        ok = ok and report.verdict == "frobenius" and _flat_suite_ok(report)
+        report = run_verify(flat_torus_entry(n), CONFIG)
+        ok = ok and report["verdict"] == "frobenius" and _flat_suite_ok(report)
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 10.0
     _announce(1, f"flat tori dims 1-3, 64 samples, {elapsed:.2f}s", ok)
@@ -97,8 +97,8 @@ def test_criterion_02_surface_classification():
             ok = ok and report.ok and free
             ok = ok and not contains_translations(entry.action)
             ok = ok and isometry_defect(entry.action) < 1e-12
-        verify = run_verify(entry_to_spec(entry), CONFIG)
-        ok = ok and verify.verdict == "frobenius" and _flat_suite_ok(verify)
+        verify = run_verify(entry, CONFIG)
+        ok = ok and verify["verdict"] == "frobenius" and _flat_suite_ok(verify)
     _announce(2, "eight surface entries, full flat suite", ok)
 
 
@@ -111,24 +111,25 @@ def test_criterion_03_threefold_count_metadata():
 
 def test_criterion_04_negative_controls():
     fs = parse("log(1 + z1*zbar1 + z2*zbar2)", 2)
-    spec = entry_to_spec(flat_torus_entry(2))
     report = run_verify(
-        type(spec)(
+        CatalogEntry(
             name="fubini-study",
             dim=2,
-            potential=to_source(fs),
-            sample_domain=spec.sample_domain,
+            potential=fs,
+            lattice=None,
+            action=None,
+            expected_class=None,
         ),
         CONFIG,
     )
-    wdvv_max = max(s["wdvv"] for s in report.samples)
-    curv_max = max(s["max_curvature"] for s in report.samples)
-    for sample in report.samples:
+    wdvv_max = max(s["wdvv"] for s in report["samples"])
+    curv_max = max(s["max_curvature"] for s in report["samples"])
+    for sample in report["samples"]:
         CORPUS.append(
             (sample["max_curvature"], sample["wdvv"], sample["associator"])
         )
     ok = wdvv_max > 1e-2 and curv_max > 1e-2
-    ok = ok and report.verdict == "not-frobenius"
+    ok = ok and report["verdict"] == "not-frobenius"
 
     hopf = hopf_affine_condition(0.5, 0.5, 0.0, 3)
     ok = ok and hopf.valid and hopf.affine and not hopf.frobenius and not hopf.kahler
@@ -189,12 +190,10 @@ def test_criterion_05_curvature_oracle():
 
 def test_criterion_06_equivalence_probe():
     # add a fresh sweep so the probe is meaningful standalone
-    sweep = [
-        (entry_to_spec(flat_torus_entry(n)), 16) for n in (1, 2, 3)
-    ]
-    for spec, count in sweep:
-        report = run_verify(spec, Config(samples=count, lambda_grid=LAMBDA_GRID))
-        for sample in report.samples:
+    sweep = [(flat_torus_entry(n), 16) for n in (1, 2, 3)]
+    for entry, count in sweep:
+        report = run_verify(entry, Config(samples=count, lambda_grid=LAMBDA_GRID))
+        for sample in report["samples"]:
             CORPUS.append(
                 (sample["max_curvature"], sample["wdvv"], sample["associator"])
             )

@@ -11,15 +11,17 @@ from hypothesis import strategies as st
 from helpers import failed_classes_from_rows, reference_sample_points
 
 from frobenius_verify import cli, theta as th
+from frobenius_verify.catalog import CatalogEntry, hyperelliptic_catalog
 from frobenius_verify.cli import (
     CHECKS,
+    MAX_DIM,
     MAX_GROUP_ELEMENTS,
     MAX_SAMPLES,
     Config,
-    ManifoldSpec,
     SpecError,
     _build_parser,
     catalog_exit_code,
+    entry_to_spec,
     load_manifold_spec,
     main,
     run_catalog,
@@ -28,6 +30,7 @@ from frobenius_verify.cli import (
     sample_points,
     to_json,
 )
+from frobenius_verify.expr import PotentialExpr, parse
 from frobenius_verify.theta import MAX_RADIUS
 
 CFG = Config(samples=12)
@@ -72,8 +75,8 @@ ROTATION_SPEC = {
 
 def test_torus_spec_end_to_end():
     report = run_verify(load_manifold_spec(TORUS_SPEC), CFG)
-    assert report.verdict == "frobenius"
-    for sample in report.samples:
+    assert report["verdict"] == "frobenius"
+    for sample in report["samples"]:
         assert sample["max_curvature"] < 1e-9
         assert sample["wdvv"] < 1e-9
         for row in sample["pencil"]:
@@ -82,16 +85,16 @@ def test_torus_spec_end_to_end():
 
 def test_fubini_study_not_frobenius():
     report = run_verify(load_manifold_spec(FS_SPEC), CFG)
-    assert report.verdict == "not-frobenius"
-    assert max(s["wdvv"] for s in report.samples) > 1e-2
+    assert report["verdict"] == "not-frobenius"
+    assert max(s["wdvv"] for s in report["samples"]) > 1e-2
 
 
 def test_rotation_action_not_free():
     report = run_verify(load_manifold_spec(ROTATION_SPEC), CFG)
-    assert report.verdict == "not-frobenius"
-    assert "action not free" in report.reasons
-    assert report.group["free"] is False
-    assert report.group["fixed_point_witness"] is not None
+    assert report["verdict"] == "not-frobenius"
+    assert "action not free" in report["reasons"]
+    assert report["group"]["free"] is False
+    assert report["group"]["fixed_point_witness"] is not None
 
 
 def test_catalog_full_run():
@@ -168,6 +171,30 @@ def test_report_schema_keys():
         assert key in payload
 
 
+def test_verify_parses_the_potential_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(text, dim):
+        calls.append(text)
+        return parse(text, dim)
+
+    monkeypatch.setattr(cli, "parse", counted)
+    code, report = _verify_json(tmp_path, capsys, TORUS_SPEC, 2)
+    assert (code, report["verdict"]) == (0, "frobenius")
+    assert calls == [TORUS_SPEC["potential"]]
+
+
+@pytest.mark.parametrize("entry", hyperelliptic_catalog(), ids=lambda e: e.name)
+def test_catalog_entry_verifies_as_its_spec_file(entry):
+    """The ``catalog`` command verifies the entry itself, a spec file holds
+    what ``entry_to_spec`` writes: both give one report, byte for byte."""
+    spec = json.loads(json.dumps(dataclasses.asdict(entry_to_spec(entry))))
+    config = Config(samples=16)
+    direct = to_json(run_verify(entry, config))
+    assert direct == to_json(run_verify(load_manifold_spec(spec), config))
+    assert json.loads(direct)["verdict"] == "frobenius"
+
+
 # --- report emission ---------------------------------------------------------
 
 
@@ -221,7 +248,7 @@ def test_to_json_rejects_what_json_rejects(value):
 
 def test_to_json_matches_json_dumps_on_reports():
     report = run_verify(load_manifold_spec(ROTATION_SPEC), Config(samples=3))
-    assert to_json(report) == _json_dumps(report.to_dict())
+    assert to_json(report) == _json_dumps(report)
     reports = run_catalog(None, Config(samples=2))
     # catalog metadata holds np.float64 values
     notes = [r["metadata"]["absorbed_translation"] for r in reports
@@ -332,8 +359,8 @@ DEGENERATE_SPEC = {
 
 def test_degenerate_sample_reports_error():
     report = run_verify(load_manifold_spec(DEGENERATE_SPEC), Config(samples=4))
-    assert report.verdict == "error"
-    assert any("error" in s for s in report.samples)
+    assert report["verdict"] == "error"
+    assert any("error" in s for s in report["samples"])
 
 
 def test_main_numeric_error_exit_code(tmp_path, capsys):
@@ -535,11 +562,11 @@ def test_non_finite_partials_are_error_records(tmp_path, capsys):
 def test_metric_not_positive_definite_is_not_frobenius(potential):
     spec = dict(FS_SPEC, name="indefinite", potential=potential)
     report = run_verify(load_manifold_spec(spec), Config(samples=4))
-    assert report.verdict == "not-frobenius"
-    assert report.reasons == ["metric not positive definite at sampled points"]
-    assert not any(s["positive_definite"] for s in report.samples)
+    assert report["verdict"] == "not-frobenius"
+    assert report["reasons"] == ["metric not positive definite at sampled points"]
+    assert not any(s["positive_definite"] for s in report["samples"])
     # every other check passes: the gate alone decides
-    assert all(s["max_curvature"] == 0.0 for s in report.samples)
+    assert all(s["max_curvature"] == 0.0 for s in report["samples"])
 
 
 def test_non_finite_structure_constants_give_an_error_record(monkeypatch):
@@ -555,8 +582,8 @@ def test_non_finite_structure_constants_give_an_error_record(monkeypatch):
 
     monkeypatch.setattr(cli.kahler, "metric_batch", poisoned)
     report = run_verify(load_manifold_spec(FS_SPEC), Config(samples=4))
-    assert report.verdict == "error"
-    assert [s.get("error") for s in report.samples] == [
+    assert report["verdict"] == "error"
+    assert [s.get("error") for s in report["samples"]] == [
         None, "non-finite structure constants", None, None
     ]
 
@@ -629,7 +656,7 @@ def _linear_group(*rows):
 )
 def test_verdict_branches(spec, verdict, reasons):
     report = run_verify(load_manifold_spec(spec), Config(samples=8))
-    assert (report.verdict, report.reasons) == (verdict, reasons)
+    assert (report["verdict"], report["reasons"]) == (verdict, reasons)
 
 
 def _row_verdict(samples, tol):
@@ -663,8 +690,8 @@ VERDICT_SPECS = [
 def test_column_verdict_agrees_with_row_verdict(spec):
     config = Config(samples=8)
     report = run_verify(load_manifold_spec(spec), config)
-    expected = _row_verdict(report.samples, config.tolerances["structural"])
-    assert (report.verdict, report.reasons) == expected
+    expected = _row_verdict(report["samples"], config.tolerances["structural"])
+    assert (report["verdict"], report["reasons"]) == expected
 
 
 @pytest.mark.parametrize("key", [key for key, _ in CHECKS])
@@ -681,19 +708,19 @@ def test_nan_in_a_column_fails_its_check_as_in_the_rows(monkeypatch, key):
     config = Config(samples=8)
     report = run_verify(load_manifold_spec(VERDICT_SPECS[0]), config)
     tol = config.tolerances["structural"]
-    assert report.verdict != "frobenius"
-    assert (report.verdict, report.reasons) == _row_verdict(report.samples, tol)
-    assert failed_classes_from_rows(report.samples, CHECKS, tol) == {dict(CHECKS)[key]}
+    assert report["verdict"] != "frobenius"
+    assert (report["verdict"], report["reasons"]) == _row_verdict(report["samples"], tol)
+    assert failed_classes_from_rows(report["samples"], CHECKS, tol) == {dict(CHECKS)[key]}
 
 
 def test_sample_record_keys():
     report = run_verify(load_manifold_spec(FS_SPEC), Config(samples=2))
-    assert {key for sample in report.samples for key in sample} == {
+    assert {key for sample in report["samples"] for key in sample} == {
         "index", "point", "metric_hermiticity", "min_singular", "condition_number",
         "max_curvature", "wdvv", "ricci_hermiticity", "max_ricci",
         "associator", "positive_definite", "unit_exists", "pencil",
     }
-    assert {key for s in report.samples for row in s["pencil"] for key in row} == {
+    assert {key for s in report["samples"] for row in s["pencil"] for key in row} == {
         "lambda", "curvature_norm", "trace_norm",
     }
 
@@ -735,6 +762,7 @@ def _with_group(elements):
         (_with(expected_class=["torus"]), "expected_class"),
         (_with_group([]), "group elements"),
         (_with_group([IDENTITY_2] * (MAX_GROUP_ELEMENTS + 1)), "group elements"),
+        (_with(dim=MAX_DIM + 1), "dim"),
     ],
 )
 def test_malformed_spec_is_an_input_error(tmp_path, capsys, payload, field):
@@ -790,7 +818,7 @@ GROUP_SPEC = dict(ROTATION_SPEC, name="rotation")
 @example([])
 @example({})
 def test_spec_loading_never_fails_outside_spec_error(value):
-    """Any JSON gives a typed spec or a SpecError: a valid group spec with
+    """Any JSON gives a loaded chart or a SpecError: a valid group spec with
     the value put at each of its positions in turn (the whole spec
     included)."""
     for path in _paths(GROUP_SPEC):
@@ -798,8 +826,8 @@ def test_spec_loading_never_fails_outside_spec_error(value):
             spec = load_manifold_spec(_replaced(GROUP_SPEC, path, value))
         except SpecError:
             continue
-        assert isinstance(spec, ManifoldSpec)
-        assert isinstance(spec.name, str) and isinstance(spec.potential, str)
+        assert isinstance(spec, CatalogEntry)
+        assert isinstance(spec.name, str) and isinstance(spec.potential, PotentialExpr)
         assert type(spec.dim) is int
         assert spec.expected_class is None or isinstance(spec.expected_class, str)
 
