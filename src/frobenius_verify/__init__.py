@@ -8,23 +8,3 @@ the surface classification catalog and checks theta-function laws.
 """
 
 __version__ = "0.4.0"
-
-from .expr import ParseError, PotentialExpr, eval_point, parse, to_source
-from .kahler import MetricData, metric_at, wdvv_residual_at
-from .wirtinger import Jet, jet_eval, partial, seed
-
-__all__ = [
-    "__version__",
-    "ParseError",
-    "PotentialExpr",
-    "parse",
-    "to_source",
-    "eval_point",
-    "Jet",
-    "seed",
-    "jet_eval",
-    "partial",
-    "MetricData",
-    "metric_at",
-    "wdvv_residual_at",
-]

@@ -186,9 +186,6 @@ class AffineMap:
         """``self`` after ``other``."""
         return AffineMap(self.A @ other.A, self.A @ other.t + self.t)
 
-    def apply(self, z: np.ndarray) -> np.ndarray:
-        return self.A @ z + self.t
-
 
 @dataclass(frozen=True, eq=False)
 class GroupAction:
@@ -210,18 +207,6 @@ class GroupAction:
         s = np.stack([inv @ np.concatenate([el.t.real, el.t.imag]) for el in self.elements])
         m.flags.writeable = s.flags.writeable = False
         return m, s
-
-
-@dataclass(frozen=True)
-class GroupReport:
-    closure: bool
-    lattice_stable: bool
-    finite: bool
-    faithful: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.closure and self.lattice_stable and self.finite and self.faithful
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,8 +245,9 @@ def _same(m1, s1, m2, s2) -> np.ndarray:
     return linear & np.all(np.abs(ds - np.round(ds)) < MATCH_TOL, axis=-1)
 
 
-def validate_group(action: GroupAction) -> GroupReport:
-    """Closure mod lattice, lattice stability, finiteness, faithfulness."""
+def validate_group(action: GroupAction) -> dict[str, bool]:
+    """``{"closure", "lattice_stable", "finite", "faithful"}``: closure mod
+    lattice, lattice stability, finiteness, faithfulness."""
     m, s = action._lattice_form
     eye = np.eye(m.shape[-1])
 
@@ -294,7 +280,7 @@ def validate_group(action: GroupAction) -> GroupReport:
             else:
                 finite = False
 
-    return GroupReport(closure, stable, finite, faithful)
+    return {"closure": closure, "lattice_stable": stable, "finite": finite, "faithful": faithful}
 
 
 def is_free(action: GroupAction) -> tuple[bool, Optional[np.ndarray]]:
@@ -375,18 +361,6 @@ def product_lattice(moduli: Sequence[complex]) -> Lattice:
 
 def square_lattice(n: int) -> Lattice:
     return product_lattice([1j] * n)
-
-
-def flat_torus_entry(n: int, name: Optional[str] = None) -> CatalogEntry:
-    return CatalogEntry(
-        name=name or f"torus-{n}",
-        dim=n,
-        potential=flat_potential(n),
-        lattice=square_lattice(n),
-        action=None,
-        expected_class="torus",
-        metadata={"holonomy": "1"},
-    )
 
 
 _RHO = complex(-0.5, np.sqrt(3.0) / 2.0)  # primitive cube root of unity
@@ -509,28 +483,6 @@ def hyperelliptic_catalog() -> list[CatalogEntry]:
 
 
 # --- negative controls and metadata rows ------------------------------
-
-
-@dataclass(frozen=True)
-class HopfVerdict:
-    valid: bool
-    affine: bool
-    frobenius: bool  # always False: no Kahler metric exists
-    kahler: bool  # always False
-
-
-def hopf_affine_condition(a: complex, b: complex, c: complex, m: int) -> HopfVerdict:
-    """Classify contraction data (x, y) -> (a x + c y^m, b y).
-
-    Valid Hopf data requires 0 < |a| <= |b| < 1 and (a - b^m) c = 0.
-    A holomorphic affine structure exists iff c = 0 or m = 1; the
-    Frobenius and Kahler flags are always False for this class.
-    """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    valid = (0.0 < abs(a) <= abs(b) < 1.0) and abs((a - b**m) * c) < EXACT_TOL
-    affine = (abs(c) < EXACT_TOL) or (m == 1)
-    return HopfVerdict(valid=valid, affine=affine, frobenius=False, kahler=False)
 
 
 def negative_controls() -> list[CatalogEntry]:

@@ -32,9 +32,9 @@ DEFAULT_LAMBDA_GRID = (-1.0, -0.5, 0.5, 1.0, 2.0)
 DEFAULT_RADIUS = 30
 # A report holds about 1.3 KB per sample, so the cap keeps it near 13 MB.
 MAX_SAMPLES = 10_000
-# wirtinger's jet product table has C(2n+4, 4) entries and costs the square
-# of that to build: `--samples 2 verify` on a flat chart takes 0.7 s at dim
-# 4, 1.7 s at 6 and 9 s at 8 (2-vCPU x86-64, Python 3.11, start-up included).
+# Two above the largest dim the tests check; sample_points has primes to dim 8.
+# Cost is no bound: the jet table builds in 25 ms at dim 6, and `verify` of a
+# curved chart, 64 samples, takes 0.6 s at dim 6 and 1.2 s at 8 (2-vCPU, Py 3.11).
 MAX_DIM = 6
 # Group checks build all |G|^2 composites: about 0.1 s at 64 elements.
 MAX_GROUP_ELEMENTS = 64
@@ -89,6 +89,9 @@ EXPECTED_VERDICT = {
     "hyperelliptic": "frobenius",
     "negative-control": "not-frobenius",
 }
+# the verdicts of run_verify; a spec's expected_class is one of these or a
+# key of EXPECTED_VERDICT
+VERDICTS = ("frobenius", "pre-frobenius", "not-frobenius", "error")
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -306,8 +309,11 @@ def load_manifold_spec(payload) -> cat.CatalogEntry:
         if elements is not None:
             action = _group_from_spec(elements, lattice, name)
     expected_class = payload.get("expected_class")
-    if expected_class is not None and not isinstance(expected_class, str):
-        raise SpecError("expected_class must be a string")
+    classes = (*EXPECTED_VERDICT, *VERDICTS)
+    if expected_class is not None and expected_class not in classes:
+        raise SpecError(
+            f"expected_class must be one of {', '.join(classes)}, got {expected_class!r}"
+        )
     return cat.CatalogEntry(
         name=name,
         dim=dim,
@@ -451,21 +457,17 @@ def _sample_records(
 
 
 def _group_record(action: cat.GroupAction, tol: float) -> dict:
-    report = cat.validate_group(action)
-    free, witness = cat.is_free(action) if report.lattice_stable else (None, None)
-    translations = cat.contains_translations(action)
+    record = cat.validate_group(action)
+    free, witness = cat.is_free(action) if record["lattice_stable"] else (None, None)
     defect = cat.isometry_defect(action)
-    return {
-        "closure": report.closure,
-        "lattice_stable": report.lattice_stable,
-        "finite": report.finite,
-        "faithful": report.faithful,
-        "free": free,
-        "fixed_point_witness": None if witness is None else _pair_list(witness),
-        "contains_translations": translations,
-        "isometry_defect": defect,
-        "isometry_ok": defect <= tol,
-    }
+    record.update(
+        free=free,
+        fixed_point_witness=None if witness is None else _pair_list(witness),
+        contains_translations=cat.contains_translations(action),
+        isometry_defect=defect,
+        isometry_ok=defect <= tol,
+    )
+    return record
 
 
 def run_verify(entry: cat.CatalogEntry, config: Config) -> dict:
@@ -840,6 +842,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         if args.command == "theta":
             try:
+                if not 1 <= args.level <= th.MAX_LEVEL:
+                    raise SpecError(
+                        f"--level must be between 1 and {th.MAX_LEVEL}, got {args.level}"
+                    )
                 tau = _parse_tau(args.tau, args.genus)
                 report = run_theta(tau, args.level, config)
             except (th.ThetaError, ValueError, SpecError) as exc:

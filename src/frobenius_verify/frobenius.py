@@ -28,22 +28,19 @@ UNIT_RESIDUAL_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class FiberAlgebra:
-    """Finite-dimensional complex algebra with a symmetric bilinear form
-    (or a batch of them along leading axes)."""
+    """Finite-dimensional complex algebra (or a batch of them along
+    leading axes)."""
 
     dim: int
     C: np.ndarray  # C[k][i][j]
-    form: np.ndarray
 
     def __post_init__(self) -> None:
         C = np.asarray(self.C, dtype=np.complex128)
-        form = np.asarray(self.form, dtype=np.complex128)
-        if C.shape[-3:] != (self.dim,) * 3 or form.shape[-2:] != (self.dim,) * 2:
-            raise ValueError("structure constant / form shape mismatch")
+        if C.shape[-3:] != (self.dim,) * 3:
+            raise ValueError("structure constant shape mismatch")
         if not np.all(np.isfinite(C)):
             raise ValueError("non-finite structure constants")
         object.__setattr__(self, "C", C)
-        object.__setattr__(self, "form", form)
 
 
 @dataclass(frozen=True)
@@ -65,11 +62,12 @@ def associator(alg: FiberAlgebra):
     return worst(left - right, 4)
 
 
-def frobenius_compat(alg: FiberAlgebra):
-    """Max |<e_i e_j, e_k> - <e_i, e_j e_k>| over basis triples; exactly
-    zero on :func:`fiber_algebra_from_metric` algebras (zero form)."""
-    left = np.einsum("...mij,...mk->...ijk", alg.C, alg.form)
-    right = np.einsum("...im,...mjk->...ijk", alg.form, alg.C)
+def frobenius_compat(alg: FiberAlgebra, form: np.ndarray):
+    """Max |<e_i e_j, e_k> - <e_i, e_j e_k>| over basis triples for the
+    bilinear ``form``; the fiber form of :func:`fiber_algebra_from_metric`
+    algebras is zero, so there it is exactly zero."""
+    left = np.einsum("...mij,...mk->...ijk", alg.C, form)
+    right = np.einsum("...im,...mjk->...ijk", form, alg.C)
     return worst(left - right, 3)
 
 
@@ -96,9 +94,9 @@ def fiber_algebra_from_metric(md: MetricData) -> FiberAlgebra:
     Structure constants are the Christoffel symbols; the antiholomorphic
     fiber carries their conjugates.  The bilinear form is the metric
     restricted to the fiber, which vanishes identically because the
-    pure-index metric blocks are zero; the zero form is stored explicitly.
+    pure-index metric blocks are zero.
     """
-    return FiberAlgebra(md.dim, md.christoffel, np.zeros_like(md.g))
+    return FiberAlgebra(md.dim, md.christoffel)
 
 
 def _on_grid(lam, blocks: Sequence[np.ndarray], axes: int):
@@ -167,11 +165,3 @@ def pencil_curvature(md: MetricData, lam) -> PencilSample:
     f_hol, f_mix = _curvature_form(md, dgam, dgam_bar, lam)
     norm = np.maximum(worst(f_hol, 4), worst(f_mix, 4))
     return PencilSample(norm, _einstein_defect(_trace_endomorphism(md, dgam_bar, lam)))
-
-
-def ricci_via_connection(md: MetricData) -> np.ndarray:
-    """Ricci tensor recomputed as the fiber trace of dbar Gamma; must
-    agree with the metric-route Ricci to round-off."""
-    _, dgam_bar = christoffel_derivatives(md)
-    return np.einsum("...daca->...cd", dgam_bar)
-

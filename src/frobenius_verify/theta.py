@@ -76,6 +76,8 @@ RESAMPLINGS = 3
 RESIDUAL_FLOOR = 1e-6
 MAX_RADIUS = 200
 MAX_GENUS = 2
+# levels of the level-space count: s^g candidate functions, 16 at genus 2
+MAX_LEVEL = 4
 # Theta values and shift factors grow like exp(pi Im tau_jj); products of
 # two stay inside double precision while |tau| <= 100.
 MAX_TAU = 100.0
@@ -422,8 +424,8 @@ def level_space_dimension(
     """
     if not 1 <= g <= MAX_GENUS:
         raise ValueError(f"supported genus: 1..{MAX_GENUS}")
-    if s < 1 or s > 4:
-        raise ValueError("supported level: 1..4")
+    if not 1 <= s <= MAX_LEVEL:
+        raise ValueError(f"supported level: 1..{MAX_LEVEL}")
     if samples < 4 * s**g:
         raise ValueError(f"need at least {4 * s ** g} samples")
     tau = np.asarray(tau, dtype=np.complex128).reshape(g, g)

@@ -104,15 +104,16 @@ def _table(dim: int) -> _Table:
     conj_perm = np.array(
         [index[g[dim:] + g[:dim]] for g in entries], dtype=np.intp
     )
-    mi, mj, mk = [], [], []
-    for i, gi in enumerate(entries):
-        oi = sum(gi)
-        for j, gj in enumerate(entries):
-            if oi + sum(gj) > JET_ORDER:
-                continue
-            mi.append(i)
-            mj.append(j)
-            mk.append(index[tuple(a + b for a, b in zip(gi, gj))])
+    # the product pairs: every (i, j) of total order <= JET_ORDER, i outer and
+    # j inner; entries are sorted by order, so i pairs with the first width[i].
+    # In base JET_ORDER + 1 no digit of a kept g_i + g_j carries: codes add.
+    order = np.array([sum(g) for g in entries])
+    width = np.searchsorted(order, JET_ORDER - order, side="right")
+    mul_i = np.repeat(np.arange(len(entries)), width)
+    mul_j = np.arange(len(mul_i)) - np.repeat(np.cumsum(width) - width, width)
+    codes = np.array(entries, dtype=np.int64) @ (JET_ORDER + 1) ** np.arange(nvars)
+    by_code = np.argsort(codes)
+    mul_k = by_code[np.searchsorted(codes[by_code], codes[mul_i] + codes[mul_j])]
 
     def gather(rank: int, holo: tuple[int, ...], anti: tuple[int, ...]) -> np.ndarray:
         # entry [k_0..k_{rank-1}] of the partial d^(k at holo) dbar^(k at anti)
@@ -132,9 +133,9 @@ def _table(dim: int) -> _Table:
         index,
         fact,
         conj_perm,
-        np.array(mi, dtype=np.intp),
-        np.array(mj, dtype=np.intp),
-        np.array(mk, dtype=np.intp),
+        mul_i,
+        mul_j,
+        mul_k,
         gather(2, (0,), (1,)),
         gather(3, (0, 1), (2,)),
         gather(4, (0, 2), (1, 3)),
@@ -221,9 +222,6 @@ class Jet:
         c = np.zeros_like(self.coeffs)
         c[0] = value
         return Jet(self.dim, c, 1)
-
-    def value(self) -> complex:
-        return complex(self.coeffs[0])
 
     def _binary(self, other: "Jet | complex", op) -> "Jet":
         if isinstance(other, Jet):

@@ -9,12 +9,15 @@ term-by-term theta series, group checks in complex coordinates with a
 bounded search for fixed points, a per-point loop for the sample
 points, and the row and per-point loops that the verdict and the theta
 residuals once ran in.  These stay independent of the code paths they
-check.
+check.  Two more routes that no command takes live here too: the Ricci
+tensor as the fiber trace of dbar Gamma, and the Hopf-surface flags;
+``flat_torus_entry`` is a fixture.
 """
 
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -22,6 +25,7 @@ import math
 
 import numpy as np
 
+from frobenius_verify.catalog import EXACT_TOL, CatalogEntry, flat_potential, square_lattice
 from frobenius_verify.expr import (
     Const,
     ConjVar,
@@ -35,6 +39,7 @@ from frobenius_verify.expr import (
     Sum,
     Var,
 )
+from frobenius_verify.kahler import christoffel_derivatives
 
 # --- reference interpreter (dispatch table) ---------------------------
 
@@ -363,6 +368,13 @@ def brute_pencil(gamma, dgam, dgam_bar, g_inv, lam):
     return curvature, trace
 
 
+def ricci_via_connection(md):
+    """Ricci tensor recomputed as the fiber trace of dbar Gamma; must
+    agree with the metric-route Ricci to round-off."""
+    _, dgam_bar = christoffel_derivatives(md)
+    return np.einsum("...daca->...cd", dgam_bar)
+
+
 # --- theta series ------------------------------------------------------------
 
 
@@ -561,6 +573,44 @@ def brute_group_checks(action):
         "free": free,
         "moving": moving,
     }
+
+
+def flat_torus_entry(n, name=None):
+    """The flat square torus of dimension ``n`` as a catalog entry."""
+    return CatalogEntry(
+        name=name or f"torus-{n}",
+        dim=n,
+        potential=flat_potential(n),
+        lattice=square_lattice(n),
+        action=None,
+        expected_class="torus",
+        metadata={"holonomy": "1"},
+    )
+
+
+# --- Hopf surfaces ------------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class HopfVerdict:
+    valid: bool
+    affine: bool
+    frobenius: bool  # always False: no Kahler metric exists
+    kahler: bool  # always False
+
+
+def hopf_affine_condition(a, b, c, m):
+    """Classify contraction data (x, y) -> (a x + c y^m, b y).
+
+    Valid Hopf data requires 0 < |a| <= |b| < 1 and (a - b^m) c = 0.
+    A holomorphic affine structure exists iff c = 0 or m = 1; the
+    Frobenius and Kahler flags are always False for this class.
+    """
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    valid = (0.0 < abs(a) <= abs(b) < 1.0) and abs((a - b**m) * c) < EXACT_TOL
+    affine = (abs(c) < EXACT_TOL) or (m == 1)
+    return HopfVerdict(valid=valid, affine=affine, frobenius=False, kahler=False)
 
 
 # --- sample points ------------------------------------------------------------

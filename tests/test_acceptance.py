@@ -10,7 +10,13 @@ import time
 
 import numpy as np
 import pytest
-from helpers import fd_curvature, random_polynomial_potential
+from helpers import (
+    fd_curvature,
+    flat_torus_entry,
+    hopf_affine_condition,
+    random_polynomial_potential,
+    ricci_via_connection,
+)
 
 from frobenius_verify.catalog import (
     AffineMap,
@@ -18,21 +24,16 @@ from frobenius_verify.catalog import (
     GroupAction,
     classification_counts,
     contains_translations,
-    flat_torus_entry,
-    hopf_affine_condition,
     hyperelliptic_catalog,
     is_free,
     isometry_defect,
+    negative_controls,
     square_lattice,
     validate_group,
 )
 from frobenius_verify.cli import Config, run_catalog, run_verify, to_json
 from frobenius_verify.expr import parse
-from frobenius_verify.frobenius import (
-    hermitian_einstein_trace,
-    pencil_curvature_form,
-    ricci_via_connection,
-)
+from frobenius_verify.frobenius import hermitian_einstein_trace, pencil_curvature_form
 from frobenius_verify.kahler import metric_at
 from frobenius_verify.theta import (
     level_space_dimension,
@@ -92,9 +93,9 @@ def test_criterion_02_surface_classification():
     ok = len(entries) == 8
     for entry in entries:
         if entry.action is not None:
-            report = validate_group(entry.action)
+            checks = validate_group(entry.action)
             free, _ = is_free(entry.action)
-            ok = ok and report.ok and free
+            ok = ok and all(checks.values()) and free
             ok = ok and not contains_translations(entry.action)
             ok = ok and isometry_defect(entry.action) < 1e-12
         verify = run_verify(entry, CONFIG)
@@ -135,6 +136,13 @@ def test_criterion_04_negative_controls():
     ok = ok and hopf.valid and hopf.affine and not hopf.frobenius and not hopf.kahler
     ok = ok and not hopf_affine_condition(0.5, 0.7, 1.0, 1).valid
     ok = ok and not hopf_affine_condition(0.5, 0.5, 0.5, 2).affine
+    # the catalog's Hopf row carries the same flags
+    hopf_row = {e.name: e for e in negative_controls()}["hopf-VII0"]
+    ok = ok and hopf_row.metadata["flags"] == {
+        "frobenius": False,
+        "kahler": False,
+        "affine": True,
+    }
 
     lattice = square_lattice(1)
     rotation = GroupAction(
@@ -145,7 +153,8 @@ def test_criterion_04_negative_controls():
     free, witness = is_free(rotation)
     ok = ok and not free and witness is not None
     if witness is not None:
-        moved = rotation.elements[1].apply(witness) - witness
+        el = rotation.elements[1]
+        moved = el.A @ witness + el.t - witness
         ok = ok and lattice.contains(moved, tol=1e-8)
     _announce(4, "curved detector + Hopf flags + non-free witness", ok)
 

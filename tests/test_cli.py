@@ -14,9 +14,11 @@ from frobenius_verify import cli, theta as th
 from frobenius_verify.catalog import CatalogEntry, hyperelliptic_catalog
 from frobenius_verify.cli import (
     CHECKS,
+    EXPECTED_VERDICT,
     MAX_DIM,
     MAX_GROUP_ELEMENTS,
     MAX_SAMPLES,
+    VERDICTS,
     Config,
     SpecError,
     _build_parser,
@@ -161,6 +163,11 @@ def test_spec_errors():
     del orphan_group["lattice"]
     with pytest.raises(SpecError):
         load_manifold_spec(orphan_group)
+
+
+@pytest.mark.parametrize("name", [*EXPECTED_VERDICT, *VERDICTS])
+def test_every_expected_class_loads(name):
+    assert load_manifold_spec(dict(TORUS_SPEC, expected_class=name)).expected_class == name
 
 
 def test_report_schema_keys():
@@ -418,6 +425,9 @@ def test_input_without_evidence_is_rejected(tmp_path, capsys, argv, field):
         (["--genus", "3"], "--genus"),
         (["--genus", str(10**40)], "--genus"),
         (["--genus", "1", "--tau", "diag:1,2"], "--genus"),
+        (["--level", "5"], "--level"),
+        (["--level", "0"], "--level"),
+        (["--genus", "2", "--tau", "diag:1,2", "--level", str(th.MAX_LEVEL + 1)], "--level"),
     ],
 )
 def test_theta_input_fault_names_the_flag(capsys, argv, field):
@@ -763,6 +773,8 @@ def _with_group(elements):
         (_with_group([]), "group elements"),
         (_with_group([IDENTITY_2] * (MAX_GROUP_ELEMENTS + 1)), "group elements"),
         (_with(dim=MAX_DIM + 1), "dim"),
+        (_with(expected_class="banana"), "expected_class"),
+        (_with(expected_class="frobenious"), "expected_class"),
     ],
 )
 def test_malformed_spec_is_an_input_error(tmp_path, capsys, payload, field):

@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from helpers import brute_associator, brute_compat, brute_pencil, random_polynomial_potential
+from helpers import (
+    brute_associator,
+    brute_compat,
+    brute_pencil,
+    random_polynomial_potential,
+    ricci_via_connection,
+)
 
 from frobenius_verify.expr import parse
 from frobenius_verify.frobenius import (
@@ -14,7 +20,6 @@ from frobenius_verify.frobenius import (
     hermitian_einstein_trace,
     pencil_curvature,
     pencil_curvature_form,
-    ricci_via_connection,
     trace_endomorphism,
 )
 from frobenius_verify.kahler import christoffel_derivatives, metric_at, metric_batch
@@ -28,13 +33,11 @@ POLY2 = parse(
 )
 
 
-def _alg(dim, entries, form=None):
+def _alg(dim, entries):
     C = np.zeros((dim, dim, dim), dtype=np.complex128)
     for (k, i, j), v in entries.items():
         C[k, i, j] = v
-    if form is None:
-        form = np.zeros((dim, dim))
-    return FiberAlgebra(dim, C, form)
+    return FiberAlgebra(dim, C)
 
 
 def test_commutator_dim1():
@@ -78,7 +81,7 @@ def test_associator_random_matches_brute_force():
     for _ in range(5):
         raw = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
         C = raw + np.transpose(raw, (0, 2, 1))  # commutative, generic
-        alg = FiberAlgebra(2, C, np.zeros((2, 2)))
+        alg = FiberAlgebra(2, C)
         golden = brute_associator(C)
         assert golden > 1e-3
         assert associator(alg) == pytest.approx(golden, rel=1e-12)
@@ -88,24 +91,24 @@ def test_frobenius_compat_zero_algebra():
     rng = np.random.default_rng(4)
     form = rng.normal(size=(3, 3))
     form = form + form.T
-    alg = FiberAlgebra(3, np.zeros((3, 3, 3), dtype=complex), form)
-    assert frobenius_compat(alg) == 0.0
+    alg = FiberAlgebra(3, np.zeros((3, 3, 3), dtype=complex))
+    assert frobenius_compat(alg, form) == 0.0
 
 
 def test_frobenius_compat_group_algebra_z2():
     # regular form <g, h> = [gh = identity]
     entries = {(0, 0, 0): 1.0, (1, 0, 1): 1.0, (1, 1, 0): 1.0, (0, 1, 1): 1.0}
     form = np.eye(2)
-    alg = _alg(2, entries, form)
-    assert frobenius_compat(alg) == pytest.approx(brute_compat(alg.C, form), abs=1e-14)
-    assert frobenius_compat(alg) < 1e-14
+    alg = _alg(2, entries)
+    assert frobenius_compat(alg, form) == pytest.approx(brute_compat(alg.C, form), abs=1e-14)
+    assert frobenius_compat(alg, form) < 1e-14
 
 
 def test_frobenius_compat_broken_fixture():
     entries = {(0, 0, 0): 1.0, (1, 0, 1): 1.0, (1, 1, 0): 1.0, (0, 1, 1): 1.0}
     form = np.array([[1.0, 0.0], [0.0, 1.0 + 1e-2]])
-    alg = _alg(2, entries, form)
-    assert frobenius_compat(alg) >= 1e-2
+    alg = _alg(2, entries)
+    assert frobenius_compat(alg, form) >= 1e-2
 
 
 def test_find_unit_dim1():
@@ -149,7 +152,7 @@ def test_batched_find_unit_agrees_with_per_sample_least_squares():
         rng.normal(size=(3, 3, 3)),
         np.zeros((3, 3, 3)),
     ]
-    units = find_unit(FiberAlgebra(3, np.stack(stack), np.zeros((len(stack), 3, 3))))
+    units = find_unit(FiberAlgebra(3, np.stack(stack)))
     expected = [_unit_by_least_squares(C) for C in stack]
     assert [u is not None for u in expected] == [True, True, True, False, False, False]
     assert [u is not None for u in units] == [u is not None for u in expected]
@@ -240,7 +243,8 @@ def test_metric_algebra_is_commutative_and_compatible_by_construction(dim):
         assert not failures
         hol = fiber_algebra_from_metric(md)
         assert np.all(commutator(hol) == 0.0)
-        assert np.all(frobenius_compat(hol) == 0.0)
+        # the fiber form: the metric's pure-index block, which is zero
+        assert np.all(frobenius_compat(hol, np.zeros_like(md.g)) == 0.0)
         # a nonzero algebra: the zeros are not those of a vanishing C
         assert np.max(np.abs(hol.C)) > 0
 
@@ -304,6 +308,7 @@ def test_batched_algebra_checks_equal_one_point():
         one = fiber_algebra_from_metric(metric_at(CURVED3, point))
         assert commutator(hol)[k] == commutator(one)
         assert associator(hol)[k] == associator(one)
-        assert frobenius_compat(hol)[k] == frobenius_compat(one)
+        zero = np.zeros((3, 3))
+        assert frobenius_compat(hol, zero)[k] == frobenius_compat(one, zero)
         unit = find_unit(one)
         assert (units[k] is None) == (unit is None)

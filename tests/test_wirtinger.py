@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from helpers import brute_jet_mul, fd_partial, random_potential_expr
@@ -5,6 +7,7 @@ from helpers import brute_jet_mul, fd_partial, random_potential_expr
 from frobenius_verify.expr import ExprError, LogDomainError, eval_point, parse
 from frobenius_verify.wirtinger import (
     Jet,
+    _table,
     hermiticity_defect,
     jet_eval,
     partial,
@@ -15,7 +18,7 @@ from frobenius_verify.wirtinger import (
 def test_seed_variable_at_origin():
     jets = seed([0.0])
     z1 = jets[0]
-    assert z1.value() == 0
+    assert complex(z1.coeffs[0]) == 0
     assert partial(z1, (1,), (0,)) == 1.0
     # all other coefficients vanish
     coeffs = z1.coeffs.copy()
@@ -25,7 +28,7 @@ def test_seed_variable_at_origin():
 def test_seed_conjugate_variable():
     jets = seed([1 + 1j])
     zbar1 = jets[1]
-    assert zbar1.value() == 1 - 1j
+    assert complex(zbar1.coeffs[0]) == 1 - 1j
     assert partial(zbar1, (0,), (1,)) == 1.0
 
 
@@ -168,6 +171,28 @@ def test_exp_log_roundtrip_on_jets():
 
 def _support_of(mask) -> int:
     return sum(1 << int(k) for k in np.flatnonzero(mask))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_product_table_is_the_pair_scan(dim):
+    """The table's pairs are those of a scan over every (i, j) of the
+    multi-index simplex, i outer and j inner, keeping total order <= 4."""
+    entries = sorted(
+        (g for g in itertools.product(range(5), repeat=2 * dim) if sum(g) <= 4),
+        key=lambda g: (sum(g), g),
+    )
+    index = {g: k for k, g in enumerate(entries)}
+    pairs = [
+        (i, j, index[tuple(a + b for a, b in zip(gi, gj))])
+        for i, gi in enumerate(entries)
+        for j, gj in enumerate(entries)
+        if sum(gi) + sum(gj) <= 4
+    ]
+    t = _table(dim)
+    assert list(t.entries) == entries
+    for got, want in zip((t.mul_i, t.mul_j, t.mul_k), zip(*pairs)):
+        assert got.dtype == np.intp
+        assert got.tolist() == list(want)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
