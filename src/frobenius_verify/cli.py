@@ -40,9 +40,12 @@ MAX_DIM = 6
 MAX_GROUP_ELEMENTS = 64
 # Points of the theta quasi-periodicity table (the first 8 also test products)
 THETA_POINTS = 20
-# Sample points per tensor batch: about this many entries of an n^4 tensor
-# (8 points at dim 4), so peak memory does not grow with the batch.
-BATCH_ENTRIES = 2048
+# Sample points per tensor pass: about this many entries of an n^4 tensor,
+# twice the jet pass of kahler.JET_BATCH_ENTRIES (16 points at dim 4, 50 at
+# dim 3, all 64 at dims 1-2).  A curved dim-4 sample holds about 50 KB in
+# this pass (15 KB of MetricData, 37 KB more at the pencil's peak; tracemalloc)
+# against 125 KB in its jets, so the jets still bound the memory of a batch.
+BATCH_ENTRIES = 2 * kahler.JET_BATCH_ENTRIES
 DEFAULT_TOLERANCES = {
     "structural": 1e-9,
     "theta": 1e-8,

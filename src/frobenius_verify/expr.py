@@ -19,11 +19,10 @@ integer exponents are rejected.
 
 from __future__ import annotations
 
-import cmath
 import math
 import re as _re
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 LOG_MODULUS_FLOOR = 1e-300
 
@@ -388,43 +387,3 @@ def to_source(expr: PotentialExpr | Node) -> str:
     """Canonical source text; ``parse(to_source(e), e.dim)`` equals ``e``."""
     node = expr.root if isinstance(expr, PotentialExpr) else expr
     return _render(node)
-
-
-# --- evaluation ------------------------------------------------------
-
-
-def _eval(node: Node, z: Sequence[complex]) -> complex:
-    if isinstance(node, Const):
-        return complex(node.value)
-    if isinstance(node, Var):
-        return complex(z[node.axis])
-    if isinstance(node, ConjVar):
-        return complex(z[node.axis]).conjugate()
-    if isinstance(node, Sum):
-        return sum(s * _eval(t, z) for s, t in zip(node.signs, node.terms))
-    if isinstance(node, Product):
-        out = complex(1.0)
-        for f in node.factors:
-            out *= _eval(f, z)
-        return out
-    if isinstance(node, Power):
-        return _eval(node.base, z) ** node.exponent
-    if isinstance(node, Exp):
-        return cmath.exp(_eval(node.arg, z))
-    if isinstance(node, Log):
-        arg = _eval(node.arg, z)
-        if abs(arg) < LOG_MODULUS_FLOOR:
-            raise LogDomainError(f"log argument modulus {abs(arg)} below floor")
-        return cmath.log(arg)
-    if isinstance(node, Re):
-        return complex(_eval(node.arg, z).real)
-    if isinstance(node, Im):
-        return complex(_eval(node.arg, z).imag)
-    raise TypeError(f"unknown node {node!r}")
-
-
-def eval_point(expr: PotentialExpr, point: Sequence[complex]) -> complex:
-    """Value of the potential at ``point`` with zbar_a bound to conj(point[a])."""
-    if len(point) != expr.dim:
-        raise ValueError(f"point length {len(point)} != dim {expr.dim}")
-    return _eval(expr.root, point)

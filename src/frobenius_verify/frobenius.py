@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kahler import MetricData, christoffel_derivatives, worst
+from .kahler import MetricData, christoffel_derivatives, split, worst
 from .wirtinger import partial  # noqa: F401  (re-exported: the one-entry read)
 
 UNIT_RESIDUAL_TOL = 1e-8
@@ -57,9 +57,13 @@ def commutator(alg: FiberAlgebra):
 
 def associator(alg: FiberAlgebra):
     """Max componentwise |(e_i e_j) e_k - e_i (e_j e_k)| over basis triples."""
-    left = np.einsum("...mij,...lmk->...ijkl", alg.C, alg.C)
-    right = np.einsum("...mjk,...lim->...ijkl", alg.C, alg.C)
-    return worst(left - right, 4)
+    n, C = alg.dim, alg.C
+    # left[(i, j), (l, k)] = sum_m C[m][i][j] C[l][m][k]
+    left = split(C, 3, n, n * n).swapaxes(-1, -2) @ split(np.swapaxes(C, -3, -2), 3, n, n * n)
+    # right[(l, i), (j, k)] = sum_m C[l][i][m] C[m][j][k]
+    right = split(C, 3, n * n, n) @ split(C, 3, n, n * n)
+    right = np.einsum("...lijk->...ijlk", split(right, 2, n, n, n, n))
+    return worst(split(left, 2, n, n, n, n) - right, 4)
 
 
 def frobenius_compat(alg: FiberAlgebra, form: np.ndarray):
@@ -109,15 +113,15 @@ def _on_grid(lam, blocks: Sequence[np.ndarray], axes: int):
     return grid, [np.expand_dims(x, -axes - 1) for x in blocks]
 
 
-def _curvature_form(md: MetricData, dgam: np.ndarray, dgam_bar: np.ndarray, lam):
-    gamma = md.christoffel
+def _curvature_blocks(md: MetricData, dgam: np.ndarray, dgam_bar: np.ndarray):
+    """``(antisym, comm, mix)``, each indexed [c][d][k][j]: the pencil's
+    blocks are ``lam * antisym + lam^2 * comm`` and ``-lam * mix``."""
+    n, gamma = md.dim, md.christoffel
     antisym = np.einsum("...ckdj->...cdkj", dgam) - np.einsum("...dkcj->...cdkj", dgam)
-    comm = np.einsum("...kcm,...mdj->...cdkj", gamma, gamma) - np.einsum(
-        "...kdm,...mcj->...cdkj", gamma, gamma
-    )
-    mix = np.einsum("...dkcj->...cdkj", dgam_bar)
-    lam, (antisym, comm, mix) = _on_grid(lam, (antisym, comm, mix), 4)
-    return lam * antisym + lam * lam * comm, -lam * mix
+    # prod[(k, c), (d, j)] = sum_m Gamma^k_{cm} Gamma^m_{dj}; comm is prod minus its (c, d) swap
+    prod = split(gamma, 3, n * n, n) @ split(gamma, 3, n, n * n)
+    prod = np.einsum("...kcdj->...cdkj", split(prod, 2, n, n, n, n))
+    return antisym, prod - np.swapaxes(prod, -4, -3), np.einsum("...dkcj->...cdkj", dgam_bar)
 
 
 def _trace_endomorphism(md: MetricData, dgam_bar: np.ndarray, lam) -> np.ndarray:
@@ -144,7 +148,9 @@ def pencil_curvature_form(
     Both blocks are polynomial in lambda (degree 2 and 1) with
     coefficients fixed by the point data.
     """
-    return _curvature_form(md, *christoffel_derivatives(md), lam)
+    blocks = _curvature_blocks(md, *christoffel_derivatives(md))
+    lam, (antisym, comm, mix) = _on_grid(lam, blocks, 4)
+    return lam * antisym + lam * lam * comm, -lam * mix
 
 
 def trace_endomorphism(md: MetricData, lam) -> np.ndarray:
@@ -160,8 +166,16 @@ def hermitian_einstein_trace(md: MetricData, lam):
 
 def pencil_curvature(md: MetricData, lam) -> PencilSample:
     """Curvature and trace norms of the pencil at ``lam``; with a grid of
-    parameters each norm has one entry per (sample, lambda)."""
+    parameters each norm has one entry per (sample, lambda).  The curvature
+    norm is ``max(max|lam A + lam^2 C|, |lam| max|mix|)`` in the blocks of
+    :func:`pencil_curvature_form`, taken one lambda at a time, so no
+    (sample, lambda, n^4) grid is built."""
     dgam, dgam_bar = christoffel_derivatives(md)
-    f_hol, f_mix = _curvature_form(md, dgam, dgam_bar, lam)
-    norm = np.maximum(worst(f_hol, 4), worst(f_mix, 4))
+    antisym, comm, mix = _curvature_blocks(md, dgam, dgam_bar)
+    mix_norm = worst(mix, 4)
+    norm = [
+        np.maximum(worst(x * antisym + x * x * comm, 4), abs(x) * mix_norm)
+        for x in np.asarray(lam, dtype=float).ravel()
+    ]
+    norm = np.stack(norm, axis=-1) if np.ndim(lam) else norm[0]
     return PencilSample(norm, _einstein_defect(_trace_endomorphism(md, dgam_bar, lam)))

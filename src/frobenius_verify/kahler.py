@@ -3,9 +3,12 @@
 Every tensor carries leading sample axes in front of its index axes:
 ``g`` has shape ``(..., n, n)``, with ``(N, n, n)`` for a batch of N
 points and ``(n, n)`` for the single point of :func:`metric_at`.  The
-functions below broadcast over those axes (``...`` einsums, batched
-LAPACK) and reduce each check to one value per sample, a float for a
-single point.  Index conventions below name the trailing axes only.
+functions below broadcast over those axes and reduce each check to one
+value per sample, a float for a single point.  Contractions are
+pairwise: matrix products (``@``, batched BLAS) on views that merge the
+trailing index axes, so a product of three tensors costs two n^5 matrix
+products per sample, not one n^6 loop.  Inverse and spectra are batched
+LAPACK.  Index conventions below name the trailing axes only.
 
 Tensors are read from the stacked jet partials ``partials`` (shape
 ``(..., E)``: jet coefficients times ``alpha! beta!`` in the order of
@@ -48,6 +51,11 @@ from .wirtinger import partial  # noqa: F401  (re-exported: the one-entry read)
 
 DEGENERACY_FLOOR = 1e-8  # min singular value must exceed floor * max
 REALNESS_TOL = 1e-8
+# Sample points per jet pass: about this many entries of an n^4 tensor
+# (8 points at dim 4).  A dim-4 jet product holds up to 4,845 coefficient
+# pairs per sample: the jets of a curved dim-4 chart peak at about 125 KB
+# per sample (tracemalloc), so they, not the tensors, bound a batch's memory.
+JET_BATCH_ENTRIES = 2048
 
 
 class KahlerError(Exception):
@@ -99,17 +107,23 @@ def hermiticity(m: np.ndarray):
     return worst(m - np.conj(np.swapaxes(m, -1, -2)), 2)
 
 
+def split(x: np.ndarray, axes: int, *shape: int) -> np.ndarray:
+    """``x`` with its last ``axes`` axes reshaped to ``shape``, the leading
+    sample axes kept: a view where the axes merge or split in place."""
+    return x.reshape(x.shape[: x.ndim - axes] + shape)
+
+
 def metric_batch(
     potential: PotentialExpr, points: Sequence
 ) -> tuple[MetricData, dict[int, KahlerError | ExprError]]:
     """All metric-level tensors at a batch of points.
 
-    The jets of all points are evaluated in one stacked pass; everything
-    after them runs once on the stacked partials.  A point whose jet fails
-    (log domain, exp out of range), whose potential is not real there,
-    whose partials are not all finite or whose metric is degenerate is
-    left out of the bundle and returned as ``{index: exception}``; the
-    bundle holds the other points in order.
+    The jets are evaluated in stacked passes of ``JET_BATCH_ENTRIES // n^4``
+    points; everything after them runs once on the stacked partials.  A
+    point whose jet fails (log domain, exp out of range), whose potential
+    is not real there, whose partials are not all finite or whose metric
+    is degenerate is left out of the bundle and returned as
+    ``{index: exception}``; the bundle holds the other points in order.
     """
     n = potential.dim
     t = _table(n)
@@ -117,11 +131,18 @@ def metric_batch(
     failures: dict[int, KahlerError | ExprError] = {}
     # an overflow in the jets leaves non-finite partials, which the sample's
     # error record below reports in place of a warning
+    chunk = max(1, JET_BATCH_ENTRIES // n**4)
+    coeffs, not_real = [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        jet = jet_eval(potential, point, failures)
-        scale = np.maximum(1.0, np.max(np.abs(jet.coeffs), axis=0))
-        not_real = hermiticity_defect(jet) > REALNESS_TOL * scale
-        partials = np.ascontiguousarray(jet.coeffs.T) * t.fact
+        for start in range(0, max(len(point), 1), chunk):  # one pass for no points
+            fails: dict[int, ExprError] = {}
+            jet = jet_eval(potential, point[start : start + chunk], fails)
+            failures.update({start + k: exc for k, exc in fails.items()})
+            scale = np.maximum(1.0, np.max(np.abs(jet.coeffs), axis=0))
+            not_real.append(hermiticity_defect(jet) > REALNESS_TOL * scale)
+            coeffs.append(jet.coeffs.T)
+        partials = np.concatenate(coeffs) * t.fact
+    not_real = np.concatenate(not_real)
     finite = np.all(np.isfinite(partials), axis=1)
     for idx in np.flatnonzero(not_real):
         failures.setdefault(
@@ -147,11 +168,15 @@ def metric_batch(
     positive = np.linalg.eigvalsh(g)[:, 0] > 0
     h = np.linalg.inv(g)  # LAPACK LU with partial pivoting
     phi3 = np.take(partials, t.phi3_idx, axis=-1)
-    christoffel = np.einsum("...ije,...ek->...kij", phi3, h)
-    # gradient term: (d_c G)[a][gamma] = phi3[a][c][gamma],
-    #                (dbar_d G)[e][b]  = conj(phi3)[b][d][e]
-    grad = np.einsum("...acg,...ge,...bde->...abcd", phi3, h, np.conj(phi3))
-    curvature = np.take(partials, t.ddbar_idx, axis=-1) - grad
+    # gam[(i, j), k] = sum_e phi3[i][j][e] H[e][k], so Gamma^k_{ij} = gam[i, j, k]
+    gam = split(phi3, 3, n * n, n) @ h
+    christoffel = np.ascontiguousarray(np.einsum("...ijk->...kij", split(gam, 2, n, n, n)))
+    # gradient term sum_e gam[(a, c), e] conj(phi3)[b][d][e], from
+    # (d_c G)[a][gamma] = phi3[a][c][gamma] and (dbar_d G)[e][b] = conj(phi3)[b][d][e]
+    grad = gam @ np.swapaxes(split(np.conj(phi3), 3, n * n, n), -1, -2)
+    curvature = np.take(partials, t.ddbar_idx, axis=-1) - np.einsum(
+        "...acbd->...abcd", split(grad, 2, n, n, n, n)
+    )
     ricci = np.einsum("...ba,...abcd->...cd", h, curvature)
 
     md = MetricData(
@@ -211,12 +236,19 @@ def wdvv_residual_at(md: MetricData):
     rhs[a,b,c,d] = sum_{e,f} Phi_{b cbar ebar} g^{ebar f} Phi_{f a dbar}
 
     with Phi_{f cbar dbar} = conj(phi3)[c][d][f] and
-    Phi_{b cbar ebar} = conj(phi3)[c][e][b].
+    Phi_{b cbar ebar} = conj(phi3)[c][e][b].  The inner sum of lhs is
+    ``md.christoffel`` (Gamma^f_{ab}), that of rhs is ``H @ phi3``.
     """
-    h, phi3, phi3_bar = md.g_inv, md.phi3, np.conj(md.phi3)
-    lhs = np.einsum("...abe,...ef,...cdf->...abcd", phi3, h, phi3_bar)
-    rhs = np.einsum("...ceb,...ef,...fad->...abcd", phi3_bar, h, phi3)
-    return worst(lhs - rhs, 4)
+    n, phi3_bar = md.dim, np.conj(md.phi3)
+    # lhs[c, d, (a, b)] = sum_f conj(phi3)[c][d][f] Gamma^f_{ab}
+    lhs = split(phi3_bar, 3, n * n, n) @ split(md.christoffel, 3, n, n * n)
+    # rhs[c, b, (a, d)] = sum_e conj(phi3)[c][e][b] (H @ phi3)[e, (a, d)]
+    rhs = split(np.swapaxes(phi3_bar, -1, -2), 3, n * n, n) @ (
+        md.g_inv @ split(md.phi3, 3, n, n * n)
+    )
+    # the max runs over all entries, so both sides only need the same layout
+    rhs = np.swapaxes(split(rhs, 2, n, n, n, n), -3, -1)
+    return worst(split(lhs, 2, n, n, n, n) - rhs, 4)
 
 
 def ricci_c1_check(md: MetricData):
@@ -236,23 +268,20 @@ def christoffel_derivatives(md: MetricData) -> tuple[np.ndarray, np.ndarray]:
     ``dgam_bar[d][k][i][j] = dbar_d Gamma^k_{ij}``.
     Uses order-4 jet data: d(H) = -H dG H for both derivative types.
     """
-    t = _table(md.dim)
-    h, phi3, phi3_bar = md.g_inv, md.phi3, np.conj(md.phi3)
+    n, t = md.dim, _table(md.dim)
+    h, phi3 = md.g_inv, md.phi3
     p4a = np.take(md.partials, t.d4_idx, axis=-1)  # [i, j, c, e] = d_c Phi_{ij ebar}
-    # [i, j, e, d] = dbar_d Phi_{ij ebar}
-    p4b = np.take(md.partials, t.ddbar_idx.transpose(0, 2, 1, 3), axis=-1)
+    # [i, j, d, e] = dbar_d Phi_{ij ebar}
+    p4b = np.take(md.partials, t.ddbar_idx.transpose(0, 2, 3, 1), axis=-1)
 
-    # d_c H = -H (d_c G) H with (d_c G)[p][q] = phi3[p][c][q]
-    dg_hol = np.einsum("...pcq->...cpq", phi3)
-    dh_hol = -np.einsum("...pe,...cef,...fk->...cpk", h, dg_hol, h)
-    # dbar_d H = -H (dbar_d G) H with (dbar_d G)[p][q] = conj(phi3)[q][d][p]
-    dg_anti = np.einsum("...qdp->...dpq", phi3_bar)
-    dh_anti = -np.einsum("...pe,...def,...fk->...dpk", h, dg_anti, h)
+    def derivative(p4: np.ndarray, dg: np.ndarray) -> np.ndarray:
+        """[c][k][i][j] = sum_e p4[i][j][c][e] H[e][k] + phi3[i][j][e] (d_c H)[e][k]
+        for ``dg[p][c][q] = (d_c G)[p][q]``, with d_c H = -H (d_c G) H."""
+        dh = -(split(h @ split(dg, 3, n, n * n), 2, n * n, n) @ h)  # [(e, c), k]
+        first = split(p4, 4, n**3, n) @ h  # [(i, j, c), k]
+        second = split(phi3, 3, n * n, n) @ split(dh, 2, n, n * n)  # [(i, j), (c, k)]
+        both = split(first, 2, n, n, n, n) + split(second, 2, n, n, n, n)
+        return np.einsum("...ijck->...ckij", both)
 
-    dgam = np.einsum("...ijce,...ek->...ckij", p4a, h) + np.einsum(
-        "...ije,...cek->...ckij", phi3, dh_hol
-    )
-    dgam_bar = np.einsum("...ijed,...ek->...dkij", p4b, h) + np.einsum(
-        "...ije,...dek->...dkij", phi3, dh_anti
-    )
-    return dgam, dgam_bar
+    # (d_c G)[p][q] = phi3[p][c][q]; (dbar_d G)[p][q] = conj(phi3)[q][d][p]
+    return derivative(p4a, phi3), derivative(p4b, np.einsum("...qdp->...pdq", np.conj(phi3)))

@@ -7,11 +7,13 @@ a random AST generator, a scatter over every pair of the truncated jet
 product, brute-force triple loops for the algebra axioms, a
 term-by-term theta series, group checks in complex coordinates with a
 bounded search for fixed points, a per-point loop for the sample
-points, and the row and per-point loops that the verdict and the theta
-residuals once ran in.  These stay independent of the code paths they
-check.  Two more routes that no command takes live here too: the Ricci
-tensor as the fiber trace of dbar Gamma, and the Hopf-surface flags;
-``flat_torus_entry`` is a fixture.
+points, the row and per-point loops that the verdict and the theta
+residuals once ran in, and the tensor contractions as single
+multi-operand einsums (these read the jet table's gather indices).
+These stay independent of the code paths they check.  Two more routes
+that no command takes live here too: the Ricci tensor as the fiber
+trace of dbar Gamma, and the Hopf-surface flags; ``flat_torus_entry``
+and ``curved_bundles`` are fixtures.
 """
 
 from __future__ import annotations
@@ -216,6 +218,90 @@ def brute_compat(C, form):
                 right = basis[i] @ form @ brute_multiply(C, basis[j], basis[k])
                 worst = max(worst, abs(left - right))
     return worst
+
+
+# --- multi-operand einsum contractions -------------------------------------
+# The verify path's contractions written as single ``np.einsum`` calls over
+# all indices (one n^5-n^6 loop per sample).  The pairwise matrix products
+# in the package must agree with them to round-off, with any leading axes.
+
+
+def einsum_metric_tensors(phi3, h, ddbar):
+    """``(christoffel, curvature)`` from phi3, H and the second-derivative
+    term ``ddbar[a][b][c][d] = d_c dbar_d g_{a bbar}``."""
+    christoffel = np.einsum("...ije,...ek->...kij", phi3, h)
+    grad = np.einsum("...acg,...ge,...bde->...abcd", phi3, h, np.conj(phi3))
+    return christoffel, ddbar - grad
+
+
+def einsum_wdvv_sides(phi3, h):
+    """``(lhs, rhs)`` of the WDVV constraint on third potential derivatives."""
+    phi3_bar = np.conj(phi3)
+    lhs = np.einsum("...abe,...ef,...cdf->...abcd", phi3, h, phi3_bar)
+    rhs = np.einsum("...ceb,...ef,...fad->...abcd", phi3_bar, h, phi3)
+    return lhs, rhs
+
+
+def einsum_christoffel_derivatives(md):
+    """``(dgam, dgam_bar)``: d_c and dbar_d of Gamma^k_{ij}, [c|d][k][i][j]."""
+    from frobenius_verify.wirtinger import _table
+
+    t = _table(md.dim)
+    h, phi3, phi3_bar = md.g_inv, md.phi3, np.conj(md.phi3)
+    p4a = np.take(md.partials, t.d4_idx, axis=-1)
+    p4b = np.take(md.partials, t.ddbar_idx.transpose(0, 2, 1, 3), axis=-1)
+    dg_hol = np.einsum("...pcq->...cpq", phi3)
+    dh_hol = -np.einsum("...pe,...cef,...fk->...cpk", h, dg_hol, h)
+    dg_anti = np.einsum("...qdp->...dpq", phi3_bar)
+    dh_anti = -np.einsum("...pe,...def,...fk->...dpk", h, dg_anti, h)
+    dgam = np.einsum("...ijce,...ek->...ckij", p4a, h) + np.einsum(
+        "...ije,...cek->...ckij", phi3, dh_hol
+    )
+    dgam_bar = np.einsum("...ijed,...ek->...dkij", p4b, h) + np.einsum(
+        "...ije,...dek->...dkij", phi3, dh_anti
+    )
+    return dgam, dgam_bar
+
+
+def einsum_pencil_comm(gamma):
+    """[A_c, A_d]^k_j of the pencil, indexed [c][d][k][j]."""
+    return np.einsum("...kcm,...mdj->...cdkj", gamma, gamma) - np.einsum(
+        "...kdm,...mcj->...cdkj", gamma, gamma
+    )
+
+
+def einsum_associator_sides(C):
+    """``((e_i e_j) e_k, e_i (e_j e_k))`` componentwise, [i][j][k][l]."""
+    left = np.einsum("...mij,...lmk->...ijkl", C, C)
+    right = np.einsum("...mjk,...lim->...ijkl", C, C)
+    return left, right
+
+
+def curved_bundles(dim, seed):
+    """Metric bundles of a curved random chart at four points: batched
+    ``(4, ...)``, one point with no sample axis, and two sample axes
+    ``(2, 2, ...)`` (the batch reshaped)."""
+    from frobenius_verify.kahler import MetricData, metric_at, metric_batch
+
+    rng = np.random.default_rng(seed)
+    potential = random_polynomial_potential(rng, dim)
+    points = rng.uniform(-0.4, 0.4, (4, dim)) + 1j * rng.uniform(-0.4, 0.4, (4, dim))
+    md, failures = metric_batch(potential, points)
+    assert not failures and np.max(np.abs(md.curvature)) > 1e-3
+    pairs = MetricData(
+        **{
+            f.name: getattr(md, f.name).reshape((2, 2) + getattr(md, f.name).shape[1:])
+            for f in dataclasses.fields(md)
+        }
+    )
+    return md, metric_at(potential, points[0]), pairs
+
+
+def assert_close(got, expected, rel=1e-13):
+    """``got`` equals ``expected`` to ``rel`` times the largest |expected|."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= rel * np.max(np.abs(expected))
 
 
 # --- finite-difference curvature pipeline ---------------------------------

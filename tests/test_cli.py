@@ -976,3 +976,47 @@ def test_main_fuzz_exits_0_to_3_without_internal_error(spec_files):
         assert "internal error" not in err, (argv, err)
 
     check()
+
+
+BALL4_SPEC = {
+    "name": "ball-4",
+    "dim": 4,
+    "potential": "log(1 + z1*zbar1 + z2*zbar2 + z3*zbar3 + z4*zbar4)",
+    "sample_domain": {"re": [[-0.4, 0.4]] * 4, "im": [[-0.4, 0.4]] * 4},
+}
+CURVED3_SPEC = {
+    "name": "curved-3",
+    "dim": 3,
+    "potential": "exp(0.9*z1*zbar1 + 1.2*z2*zbar2) + 0.7*z3*zbar3 + re(exp(0.5*z1 - 0.8*z3))",
+    "sample_domain": {"re": [[-0.45, 0.45]] * 3, "im": [[-0.45, 0.45]] * 3},
+}
+
+
+@pytest.mark.parametrize("which", ["ball-4", "curved-3", "catalog"])
+def test_reports_do_not_depend_on_the_batch_sizes(monkeypatch, which):
+    if which == "catalog":
+        entry = hyperelliptic_catalog()[-1]
+    else:
+        entry = load_manifold_spec(BALL4_SPEC if which == "ball-4" else CURVED3_SPEC)
+    report = to_json(run_verify(entry, Config()))
+    # one point per jet pass and per tensor pass, then the whole chart in one of each
+    for entries in (entry.dim**4, 2**20):
+        monkeypatch.setattr(cli.kahler, "JET_BATCH_ENTRIES", entries)
+        monkeypatch.setattr(cli, "BATCH_ENTRIES", entries)
+        assert to_json(run_verify(entry, Config())) == report
+
+
+def test_verify_memory_is_bounded_by_the_batches():
+    import tracemalloc
+
+    entry = load_manifold_spec(BALL4_SPEC)
+    run_verify(entry, Config(samples=2))  # builds the dim-4 jet table outside the count
+    tracemalloc.start()
+    try:
+        run_verify(entry, Config())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 1.3 MB with 8-point jet passes and 16-point tensor passes; a
+    # single 64-point tensor pass takes about 2.8 MB
+    assert peak <= 2 * 2**20

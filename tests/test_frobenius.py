@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
 from helpers import (
+    assert_close,
+    curved_bundles,
+    einsum_associator_sides,
+    einsum_christoffel_derivatives,
+    einsum_pencil_comm,
     brute_associator,
     brute_compat,
     brute_pencil,
@@ -22,7 +27,8 @@ from frobenius_verify.frobenius import (
     pencil_curvature_form,
     trace_endomorphism,
 )
-from frobenius_verify.kahler import christoffel_derivatives, metric_at, metric_batch
+from frobenius_verify.frobenius import _curvature_blocks
+from frobenius_verify.kahler import christoffel_derivatives, metric_at, metric_batch, worst
 
 FLAT2 = parse("z1*zbar1 + z2*zbar2", 2)
 FS1 = parse("log(1 + z1*zbar1)", 1)
@@ -312,3 +318,29 @@ def test_batched_algebra_checks_equal_one_point():
         assert frobenius_compat(hol, zero)[k] == frobenius_compat(one, zero)
         unit = find_unit(one)
         assert (units[k] is None) == (unit is None)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [5, 17])
+def test_pencil_and_associator_match_the_einsum_formulas(dim, seed):
+    grid = (-1.7, 0.5, 2.0)
+    for md in curved_bundles(dim, seed):
+        dgam, dgam_bar = einsum_christoffel_derivatives(md)
+        antisym = np.einsum("...ckdj->...cdkj", dgam) - np.einsum("...dkcj->...cdkj", dgam)
+        mix = np.einsum("...dkcj->...cdkj", dgam_bar)
+        comm = einsum_pencil_comm(md.christoffel)
+        blocks = _curvature_blocks(md, *christoffel_derivatives(md))
+        for got, expected in zip(blocks, (antisym, comm, mix)):
+            assert_close(got, expected)
+        norms = pencil_curvature(md, grid).curvature_norm
+        assert np.shape(norms) == md.g.shape[:-2] + (len(grid),)
+        for j, lam in enumerate(grid):
+            f_hol, f_mix = lam * antisym + lam * lam * comm, -lam * mix
+            for got, expected in zip(pencil_curvature_form(md, lam), (f_hol, f_mix)):
+                assert_close(got, expected)
+            assert_close(norms[..., j], np.maximum(worst(f_hol, 4), worst(f_mix, 4)))
+        left, right = einsum_associator_sides(md.christoffel)
+        residual = associator(fiber_algebra_from_metric(md))
+        assert np.shape(residual) == md.g.shape[:-2]
+        scale = np.max(np.abs(left)) + np.max(np.abs(right))
+        assert np.all(np.abs(residual - worst(left - right, 4)) <= 1e-13 * scale)

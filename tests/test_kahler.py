@@ -3,7 +3,15 @@ import re
 
 import numpy as np
 import pytest
-from helpers import fd_curvature, fd_wdvv_residual
+from helpers import (
+    assert_close,
+    curved_bundles,
+    einsum_christoffel_derivatives,
+    einsum_metric_tensors,
+    einsum_wdvv_sides,
+    fd_curvature,
+    fd_wdvv_residual,
+)
 
 from frobenius_verify.expr import (
     Const,
@@ -25,7 +33,9 @@ from frobenius_verify.kahler import (
     metric_batch,
     ricci_c1_check,
     wdvv_residual_at,
+    worst,
 )
+from frobenius_verify.wirtinger import _table
 
 FLAT2 = parse("z1*zbar1 + z2*zbar2", 2)
 FS1 = parse("log(1 + z1*zbar1)", 1)
@@ -296,3 +306,19 @@ def test_batch_with_no_good_sample():
     assert md.g.shape == (0, 2, 2)
     records = _records(bad, (1.0,))
     assert [rec["error"] for rec in records] == [MIXED_ERRORS[1][1], MIXED_ERRORS[2][1]]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [5, 17])
+def test_pairwise_contractions_match_the_einsum_formulas(dim, seed):
+    for md in curved_bundles(dim, seed):
+        ddbar = np.take(md.partials, _table(dim).ddbar_idx, axis=-1)
+        christoffel, curvature = einsum_metric_tensors(md.phi3, md.g_inv, ddbar)
+        assert_close(md.christoffel, christoffel)
+        assert_close(md.curvature, curvature)
+        lhs, rhs = einsum_wdvv_sides(md.phi3, md.g_inv)
+        scale = np.max(np.abs(lhs)) + np.max(np.abs(rhs))
+        assert np.shape(wdvv_residual_at(md)) == md.g.shape[:-2]
+        assert np.all(np.abs(wdvv_residual_at(md) - worst(lhs - rhs, 4)) <= 1e-13 * scale)
+        for got, expected in zip(christoffel_derivatives(md), einsum_christoffel_derivatives(md)):
+            assert_close(got, expected)

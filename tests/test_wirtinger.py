@@ -2,9 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
-from helpers import brute_jet_mul, fd_partial, random_potential_expr
+from helpers import brute_jet_mul, fd_partial, random_potential_expr, reference_eval
 
-from frobenius_verify.expr import ExprError, LogDomainError, eval_point, parse
+from frobenius_verify.expr import ExprError, LogDomainError, parse
 from frobenius_verify.wirtinger import (
     Jet,
     _table,
@@ -57,7 +57,7 @@ def test_log_potential_fourth_partial():
     assert partial(jet, (1,), (1,)) == pytest.approx(1.0)
     assert partial(jet, (2,), (2,)) == pytest.approx(-2.0)
 
-    f = lambda z: eval_point(expr, z)
+    f = lambda z: reference_eval(expr, z)
     oracle = fd_partial(f, [0.0], (2,), (2,), h=1e-3, levels=1)
     assert abs(oracle - (-2.0)) < 1e-3
 
@@ -67,7 +67,7 @@ def test_quartic_fourth_partial():
     jet = jet_eval(expr, [0.0])
     assert partial(jet, (1,), (1,)) == pytest.approx(0.0)
     assert partial(jet, (2,), (2,)) == pytest.approx(4.0)
-    f = lambda z: eval_point(expr, z)
+    f = lambda z: reference_eval(expr, z)
     oracle = fd_partial(f, [0.0], (2,), (2,), h=0.05)
     assert oracle == pytest.approx(4.0, abs=1e-7)
 
@@ -76,7 +76,7 @@ def test_partial_order_zero_is_value():
     expr = parse("log(1 + z1*zbar1)", 1)
     pt = [0.3 + 0.1j]
     jet = jet_eval(expr, pt)
-    assert partial(jet, (0,), (0,)) == pytest.approx(eval_point(expr, pt))
+    assert partial(jet, (0,), (0,)) == pytest.approx(reference_eval(expr, pt))
 
 
 def test_partial_outside_simplex():
@@ -121,7 +121,7 @@ def test_reality_hermiticity(text, dim, pt):
 def test_finite_difference_oracle_full_simplex(text, dim, pt):
     expr = parse(text, dim)
     jet = jet_eval(expr, pt)
-    f = lambda z: eval_point(expr, z)
+    f = lambda z: reference_eval(expr, z)
     for idx in np.ndindex(*(5,) * (2 * dim)):
         if sum(idx) > 4:
             continue
