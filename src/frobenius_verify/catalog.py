@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -44,7 +45,8 @@ def smith_normal_form(mat: Sequence[Sequence[int]]):
 
     Returns ``(U, D, V)`` with ``U @ mat @ V == D``, U and V unimodular,
     and D diagonal with nonnegative entries in divisibility order.
-    Exact Python-int arithmetic throughout.
+    Exact Python-int arithmetic, one pass over the diagonal: every change
+    of the pivot ``a[t][t]`` strictly lowers its modulus.
     """
     a = [[int(v) for v in row] for row in mat]
     m = len(a)
@@ -57,9 +59,7 @@ def smith_normal_form(mat: Sequence[Sequence[int]]):
         u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
+        for row in a + v:
             row[i], row[j] = row[j], row[i]
 
     def add_row(i, j, q):  # row_i += q * row_j
@@ -67,63 +67,40 @@ def smith_normal_form(mat: Sequence[Sequence[int]]):
         u[i] = [x + q * y for x, y in zip(u[i], u[j])]
 
     def add_col(i, j, q):  # col_i += q * col_j
-        for row in a:
-            row[i] += q * row[j]
-        for row in v:
+        for row in a + v:
             row[i] += q * row[j]
 
-    def diagonalize():
-        t = 0
-        while t < min(m, n):
-            pr = pc = None
-            best = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                        best, pr, pc = abs(a[i][j]), i, j
-            if pr is None:
+    for t in range(min(m, n)):
+        block = [(abs(a[i][j]), i, j) for i in range(t, m) for j in range(t, n) if a[i][j]]
+        if not block:
+            break
+        _, i, j = min(block)
+        swap_rows(t, i)
+        swap_cols(t, j)
+        while True:
+            # Euclid on column t, then row t: a nonzero remainder is
+            # swapped in as the new, smaller pivot
+            for i in range(t + 1, m):
+                while a[i][t]:
+                    add_row(i, t, -(a[i][t] // a[t][t]))
+                    if a[i][t]:
+                        swap_rows(i, t)
+            for j in range(t + 1, n):
+                while a[t][j]:
+                    add_col(j, t, -(a[t][j] // a[t][t]))
+                    if a[t][j]:
+                        swap_cols(j, t)
+            if any(a[i][t] for i in range(t + 1, m)):
+                continue  # a column swap refilled column t
+            # a row the pivot does not divide, added to row t, leaves a
+            # remainder smaller than the pivot
+            bad = [i for i in range(t + 1, m) if any(x % a[t][t] for x in a[i][t + 1 :])]
+            if not bad:
                 break
-            swap_rows(t, pr)
-            swap_cols(t, pc)
-            while True:
-                done = True
-                for i in range(t + 1, m):
-                    if a[i][t] != 0:
-                        q = a[i][t] // a[t][t]
-                        add_row(i, t, -q)
-                        if a[i][t] != 0:
-                            swap_rows(i, t)
-                            done = False
-                for j in range(t + 1, n):
-                    if a[t][j] != 0:
-                        q = a[t][j] // a[t][t]
-                        add_col(j, t, -q)
-                        if a[t][j] != 0:
-                            swap_cols(j, t)
-                            done = False
-                if done and all(a[i][t] == 0 for i in range(t + 1, m)):
-                    if all(a[t][j] == 0 for j in range(t + 1, n)):
-                        break
-            t += 1
-        return t
-
-    rank = diagonalize()
-    # enforce the divisibility chain d_i | d_{i+1}
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank - 1):
-            di, dj = a[i][i], a[i + 1][i + 1]
-            if di != 0 and dj % di != 0:
-                add_col(i, i + 1, 1)
-                rank = diagonalize()
-                changed = True
-                break
-    for i in range(min(m, n)):
-        if a[i][i] < 0:
-            for row in v:
-                row[i] = -row[i]
-            a[i] = [-x for x in a[i]]  # only the diagonal entry is nonzero
+            add_row(t, bad[0], 1)
+        if a[t][t] < 0:
+            a[t][t] = -a[t][t]  # the only nonzero entry of row t
+            u[t] = [-x for x in u[t]]
     return (
         np.array(u, dtype=object),
         np.array(a, dtype=object),
@@ -288,9 +265,13 @@ def is_free(action: GroupAction) -> tuple[bool, Optional[np.ndarray]]:
 
     For each non-identity element ``x -> M x + s`` in lattice coordinates
     the fixed-point condition is ``(M - I) x = -s (mod Z^2n)`` with the
-    integer matrix ``T = M - I``; with ``U T V = D`` in Smith normal form
-    a solution exists iff ``(U s)_i`` is an integer on every zero row of
-    D.  On failure a fixed-point witness in C^n is returned.
+    integer matrix ``T = M - I``.  With ``U T V = D`` in Smith normal form
+    a solution exists iff ``(U s)_i`` is an integer (within MATCH_TOL) on
+    every zero row of D.  Each float of ``s`` is a dyadic rational, so
+    ``U s`` is formed exactly, over the common denominator of ``s``.  On
+    failure the fixed point ``x = V eta``, with ``eta_i = -(U s)_i / d_i``
+    on the nonzero rows, is reduced into [0, 1)^2n in exact rationals and
+    returned in C^n.
     """
     n = action.lattice.dim
     basis = action.lattice.real_basis()
@@ -304,13 +285,14 @@ def is_free(action: GroupAction) -> tuple[bool, Optional[np.ndarray]]:
         if np.max(np.abs(t_float - t_int)) > MATCH_TOL:
             raise ValueError("lattice is not stable under the linear part")
         u, d, v = smith_normal_form(t_int.astype(np.int64))
-        w = np.array(u, dtype=np.float64) @ tau
-        diag = np.diagonal(d).astype(np.float64)
+        ratios = [x.as_integer_ratio() for x in tau.tolist()]
+        den = max(q for _, q in ratios)
+        w = u @ np.array([p * (den // q) for p, q in ratios], dtype=object)
+        diag = np.diagonal(d)
         pivot = diag != 0
-        if np.all(np.abs(w - np.round(w))[~pivot] < MATCH_TOL):
-            eta = np.zeros(2 * n)
-            eta[pivot] = -w[pivot] / diag[pivot]
-            xi = np.array(v, dtype=np.float64) @ eta
+        if all(min(r, 1 - r) < MATCH_TOL for r in (w[~pivot] % den / den).tolist()):
+            eta = [Fraction(-wi, den * di) if di else 0 for wi, di in zip(w, diag)]
+            xi = np.array([float(x % 1) for x in v @ np.array(eta, dtype=object)])
             moved = t_float @ xi + tau
             if not np.max(np.abs(moved - np.round(moved))) < 1e-6:
                 raise AssertionError("fixed-point witness failed verification")

@@ -356,7 +356,14 @@ def _group_from_spec(elements, lattice: cat.Lattice, name: str) -> cat.GroupActi
             maps.append(cat.AffineMap(np.array(a), np.array(t)))
         except ValueError as exc:
             raise SpecError(f"group element: {exc}") from exc
-    return cat.GroupAction(lattice, tuple(maps), name)
+    action = cat.GroupAction(lattice, tuple(maps), name)
+    # an entry of A or t far above the lattice's scale overflows x -> M x + s
+    with np.errstate(over="ignore", invalid="ignore"):
+        m, s = action._lattice_form
+    for key, part in (("A", m), ("t", s)):
+        if not np.all(np.isfinite(part)):
+            raise SpecError(f"group element {key} has lattice coordinates that are not finite")
+    return action
 
 
 # --- sampling ---------------------------------------------------------
@@ -850,8 +857,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         f"--level must be between 1 and {th.MAX_LEVEL}, got {args.level}"
                     )
                 tau = _parse_tau(args.tau, args.genus)
-                report = run_theta(tau, args.level, config)
-            except (th.ThetaError, ValueError, SpecError) as exc:
+                try:
+                    report = run_theta(tau, args.level, config)
+                except (th.ThetaError, ValueError) as exc:
+                    # the level is checked above, so a fault here is tau's
+                    raise SpecError(f"--tau {args.tau}: {exc}") from exc
+            except SpecError as exc:
                 sys.stderr.write(f"error: {exc}\n")
                 return EXIT_INPUT
             _print_report(report, args.as_json)

@@ -282,7 +282,11 @@ class Jet:
         return (self + self.conjugate()) * 0.5
 
     def imag(self) -> "Jet":
-        return (self - self.conjugate()) * complex(0, -0.5)
+        out = (self - self.conjugate()) * complex(0, -0.5)
+        # a +0.0 imaginary part, as complex(x.imag) has: log of a negative
+        # result then lands at +pi i
+        out.coeffs[0] = out.coeffs[0].real
+        return out
 
     def pow_int(self, k: int) -> "Jet":
         if k < 0:
@@ -322,7 +326,7 @@ class Jet:
                     raise
                 failures.setdefault(s, exc)
                 out[:, s] = fallback
-        return out.reshape((-1,) + c0.shape)
+        return out.reshape((len(fallback),) + c0.shape)
 
     def exp(self, failures: dict | None = None) -> "Jet":
         # exp(c0 + N) = exp(c0) * sum_{k<=4} N^k / k!; N^5 truncates to 0.

@@ -6,7 +6,8 @@ central-difference Wirtinger derivatives with Richardson extrapolation,
 a random AST generator, a scatter over every pair of the truncated jet
 product, brute-force triple loops for the algebra axioms, a
 term-by-term theta series, group checks in complex coordinates with a
-bounded search for fixed points, a per-point loop for the sample
+bounded search for fixed points, Lefschetz numbers by an integer
+Bareiss determinant, a per-point loop for the sample
 points, the row and per-point loops that the verdict and the theta
 residuals once ran in, and the tensor contractions as single
 multi-operand einsums (these read the jet table's gather indices).
@@ -592,6 +593,47 @@ def fixes_mod_lattice(lattice, g, point, tol=1e-8):
     return _in_lattice(lattice, a @ point + t - point, tol)
 
 
+def exact_det(mat) -> int:
+    """Bareiss fraction-free determinant over the integers."""
+    a = [[int(v) for v in row] for row in mat]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def _integer_part(lattice, a):
+    """``T = M - I`` for the linear part ``a``, in lattice coordinates:
+    column k is ``a gen_k - gen_k``, rounded to integers."""
+    cols = [_lattice_coords(lattice, a @ gen - gen) for gen in np.asarray(lattice.generators)]
+    return np.round(np.stack(cols, axis=1))
+
+
+def lefschetz_numbers(action):
+    """``det(I - M)`` of each non-identity element, exactly.  A nonzero
+    Lefschetz number forces a fixed point (``(M - I) x = -s`` then has a
+    real solution), so on a free action every one is 0."""
+    lat = action.lattice
+    n = lat.generators.shape[1]
+    identity = (np.eye(n), np.zeros(n))
+    maps = [(el.A, el.t) for el in action.elements]
+    return [exact_det(-_integer_part(lat, a)) for a, t in maps
+            if not _same_map(lat, (a, t), identity)]
+
+
 def _fixed_point(lattice, g):
     """A fixed point of ``z -> A z + t`` on the torus, or None.
 
@@ -605,8 +647,7 @@ def _fixed_point(lattice, g):
     a, t = g
     n = len(t)
     gens = np.asarray(lattice.generators)
-    cols = [_lattice_coords(lattice, a @ gen - gen) for gen in gens]
-    big_t = np.round(np.stack(cols, axis=1))
+    big_t = _integer_part(lattice, a)
     tau = _lattice_coords(lattice, t)
     low = tau + np.minimum(big_t, 0).sum(axis=1)
     high = tau + np.maximum(big_t, 0).sum(axis=1)

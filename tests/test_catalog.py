@@ -1,12 +1,15 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from helpers import (
     brute_group_checks,
+    exact_det,
     fixes_mod_lattice,
     flat_torus_entry,
     hopf_affine_condition,
+    lefschetz_numbers,
 )
 
 from frobenius_verify.catalog import (
@@ -27,6 +30,7 @@ from frobenius_verify.catalog import (
     square_lattice,
     validate_group,
 )
+from frobenius_verify.cli import load_manifold_spec, main
 
 RHO = complex(-0.5, np.sqrt(3.0) / 2.0)
 
@@ -38,39 +42,18 @@ def _identity(n):
 # --- Smith normal form ------------------------------------------------
 
 
-def _exact_det(mat) -> int:
-    """Bareiss fraction-free determinant over the integers."""
-    a = [[int(v) for v in row] for row in mat]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def test_snf_properties_random_matrices():
     rng = np.random.default_rng(13)
-    for _ in range(40):
-        m = int(rng.integers(1, 6))
-        n = int(rng.integers(1, 6))
-        mat = rng.integers(-6, 7, size=(m, n))
+    for _ in range(1000):
+        m = int(rng.integers(1, 13))
+        n = int(rng.integers(1, 13))
+        bound = int(rng.integers(1, 21))
+        mat = rng.integers(-bound, bound + 1, size=(m, n))
         u, d, v = smith_normal_form(mat)
         mat_obj = np.array([[int(x) for x in row] for row in mat], dtype=object)
         assert np.array_equal(u @ mat_obj @ v, d)  # exact integer arithmetic
-        assert abs(_exact_det(u)) == 1
-        assert abs(_exact_det(v)) == 1
+        assert abs(exact_det(u)) == 1
+        assert abs(exact_det(v)) == 1
         # diagonal, nonnegative, divisibility chain
         diag = [int(d[i][i]) for i in range(min(m, n))]
         for i in range(m):
@@ -83,6 +66,41 @@ def test_snf_properties_random_matrices():
                 assert b % a == 0
             else:
                 assert b == 0
+
+
+# z -> iz on Z[i]^4 written in a skewed basis of the same lattice: naive
+# elimination grows these entries to millions of bits
+SKEWED_Z4 = [
+    [5, 23, -10, 21, 7, 54, 6, 10],
+    [-29, -103, 44, -86, -50, -229, -28, -25],
+    [-85, -278, 118, -258, -102, -670, -75, -100],
+    [-20, -56, 24, -51, 1, -142, -20, -45],
+    [-14, -34, 14, -42, -4, -101, -8, -20],
+    [10, 28, -12, 24, 2, 68, 10, 20],
+    [-17, -55, 24, -45, 5, -134, -22, -50],
+    [-14, -34, 14, -41, -5, -99, -8, -19],
+]
+DET_5004902 = [
+    [-12, 6, -6, -11, 18, -1],
+    [16, -13, -1, -6, -2, -20],
+    [7, -6, 15, -12, -7, -19],
+    [12, 1, -4, 17, 4, 19],
+    [10, 4, 0, -12, 8, 12],
+    [8, -4, -20, 10, -19, 12],
+]
+
+
+@pytest.mark.parametrize(
+    "mat, diag",
+    [(SKEWED_Z4, [1, 1, 1, 1, 2, 2, 2, 2]), (DET_5004902, [1, 1, 1, 1, 1, 5004902])],
+    ids=["skewed-z4", "det-5004902"],
+)
+def test_snf_pinned_matrices(mat, diag):
+    u, d, v = smith_normal_form(mat)
+    assert np.array_equal(u @ np.array(mat, dtype=object) @ v, d)
+    assert np.array_equal(d, np.diag(np.array(diag, dtype=object)))
+    assert abs(exact_det(u)) == abs(exact_det(v)) == 1
+    assert abs(exact_det(mat)) == math.prod(diag)
 
 
 def test_snf_identity_and_zero():
@@ -242,6 +260,7 @@ def test_group_checks_agree_with_the_complex_coordinate_oracle():
         if report["lattice_stable"]:
             free, witness = is_free(action)
             assert free == expect["free"]
+            assert not (free and any(lefschetz_numbers(action)))
             assert (witness is None) == free
             if witness is not None:
                 assert any(
@@ -253,6 +272,61 @@ def test_group_checks_agree_with_the_complex_coordinate_oracle():
         counts["not finite"] += not report["finite"]
     # the random set reaches every verdict, not only the catalog's
     assert min(counts.values()) >= 10, counts
+
+
+def _pairs(*values):
+    return [[complex(v).real, complex(v).imag] for v in values]
+
+
+# z -> iz + (1/2, 0, 0, 0) on Z[i]^4, given in a skewed basis of that lattice
+Z4_SKEW_4 = {
+    "name": "z4-skew-4",
+    "dim": 4,
+    "potential": "z1*zbar1 + z2*zbar2 + z3*zbar3 + z4*zbar4",
+    "sample_domain": {"re": [[-0.4, 0.4]] * 4, "im": [[-0.4, 0.4]] * 4},
+    "lattice": [
+        _pairs(*gen)
+        for gen in [
+            (1 - 4j, 4 + 7j, 2, 0),
+            (-2 - 16j, -1 + 17j, 7 + 2j, 0),
+            (1 + 7j, 1 - 7j, -3 - 1j, 0),
+            (-14j, 5 + 19j, 7, 1),
+            (-6j, -2j, 1, -2 - 1j),
+            (-2 - 36j, 8 + 51j, 18 + 2j, 2),
+            (-1 - 4j, -1 + 6j, 2 + 1j, 0),
+            (-2 - 6j, -2 + 14j, 4 + 2j, 2 + 1j),
+        ]
+    ],
+    "group": [{"A": [_pairs(*row) for row in 1j * np.eye(4)], "t": _pairs(0.5, 0, 0, 0)}],
+    "expected_class": "not-frobenius",
+}
+# a linear part whose M - I has entries up to 37 on the square lattice Z[i]^2
+GAUSS_2 = {
+    "name": "gauss-2",
+    "dim": 2,
+    "potential": "z1*zbar1 + z2*zbar2",
+    "sample_domain": {"re": [[-0.4, 0.4]] * 2, "im": [[-0.4, 0.4]] * 2},
+    "lattice": [_pairs(1, 0), _pairs(1j, 0), _pairs(0, 1), _pairs(0, 1j)],
+    "group": [{"A": [_pairs(-1 - 19j, -15j), _pairs(10 + 13j, 18 + 18j)], "t": _pairs(0.5, 0)}],
+}
+
+
+@pytest.mark.parametrize("spec", [Z4_SKEW_4, GAUSS_2], ids=lambda spec: spec["name"])
+def test_verify_finds_the_fixed_point_of_a_large_integer_part(tmp_path, capsys, spec):
+    """No brute_group_checks here: its box search grows with the entries
+    of M - I.  The witness is checked in complex coordinates instead."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["--json", "--samples", "2", "verify", str(path)]) == 0
+    group = json.loads(capsys.readouterr().out)["group"]
+    assert group["lattice_stable"] and group["free"] is False
+    action = load_manifold_spec(spec).action
+    (g,) = action.elements
+    witness = np.array([complex(re, im) for re, im in group["fixed_point_witness"]])
+    assert fixes_mod_lattice(action.lattice, (g.A, g.t), witness, tol=1e-8)
+    coords = action.lattice.coordinates(witness)
+    assert np.all((coords > -1e-9) & (coords < 1 + 1e-9))
+    assert all(lefschetz_numbers(action))
 
 
 # --- the eight-surface catalog ------------------------------------------

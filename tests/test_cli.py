@@ -428,6 +428,9 @@ def test_input_without_evidence_is_rejected(tmp_path, capsys, argv, field):
         (["--level", "5"], "--level"),
         (["--level", "0"], "--level"),
         (["--genus", "2", "--tau", "diag:1,2", "--level", str(th.MAX_LEVEL + 1)], "--level"),
+        (["--tau", "diag:1,2,3"], "--tau"),
+        (["--level", "1", "--tau", "[[[0, 1e-300]]]"], "--tau"),
+        (["--tau", "[[[0, 1e-300]]]"], "--tau"),
     ],
 )
 def test_theta_input_fault_names_the_flag(capsys, argv, field):
@@ -751,6 +754,18 @@ def _with_group(elements):
     return _with(group={"elements": elements})
 
 
+def _tiny_torus(element):
+    """The identity and ``element`` on the dim-1 torus with periods 1e-5 and
+    1e-5 i: an entry of 1e308 has lattice coordinates beyond the largest
+    float."""
+    return {
+        "name": "tiny-torus", "dim": 1, "potential": "z1*zbar1",
+        "sample_domain": {"re": [[-0.4, 0.4]], "im": [[-0.4, 0.4]]},
+        "lattice": [[[1e-5, 0]], [[0, 1e-5]]],
+        "group": [{"A": [[[1, 0]]], "t": [[0, 0]]}, element],
+    }
+
+
 @pytest.mark.parametrize(
     "payload, field",
     [
@@ -775,6 +790,8 @@ def _with_group(elements):
         (_with(dim=MAX_DIM + 1), "dim"),
         (_with(expected_class="banana"), "expected_class"),
         (_with(expected_class="frobenious"), "expected_class"),
+        (_tiny_torus({"A": [[[-1, 0]]], "t": [[1e308, 0]]}), "group element t"),
+        (_tiny_torus({"A": [[[1e308, 0]]], "t": [[0, 0]]}), "group element A"),
     ],
 )
 def test_malformed_spec_is_an_input_error(tmp_path, capsys, payload, field):

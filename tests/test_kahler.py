@@ -308,6 +308,17 @@ def test_batch_with_no_good_sample():
     assert [rec["error"] for rec in records] == [MIXED_ERRORS[1][1], MIXED_ERRORS[2][1]]
 
 
+@pytest.mark.parametrize("potential", [FS2, FLAT2], ids=["log", "polynomial"])
+def test_batch_of_zero_samples_is_an_empty_bundle(potential):
+    """A log potential takes each sample's log in Python; with no sample
+    there is nothing to take, and the bundle is as empty as a polynomial's."""
+    md, failures = metric_batch(potential, np.zeros((0, 2)))
+    assert failures == {}
+    assert md.g.shape == (0, 2, 2)
+    assert md.curvature.shape == (0, 2, 2, 2, 2)
+    assert md.positive_definite.shape == (0,)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 @pytest.mark.parametrize("seed", [5, 17])
 def test_pairwise_contractions_match_the_einsum_formulas(dim, seed):
