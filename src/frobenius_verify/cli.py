@@ -1,8 +1,8 @@
-"""Spec-file ingestion, verification pipelines and report emission.
+"""Spec-file ingestion, verification pipelines and the command line.
 
 Reports are deterministic: sample points come from a seeded
-low-discrepancy sequence, aggregation is ordered, and JSON is emitted
-with sorted keys, so identical spec + seed + version gives
+low-discrepancy sequence, aggregation is ordered, and :mod:`.report`
+writes JSON with sorted keys, so identical spec + seed + version gives
 byte-identical output.
 
 Exit codes: 0 all expected, 1 verdict mismatch, 2 input error,
@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__, catalog as cat, frobenius as frob, kahler, theta as th
 from .expr import ParseError, PotentialExpr, parse, to_source
+from .report import RowTable, to_json
 
 DEFAULT_SEED = 20240613
 DEFAULT_SAMPLES = 64
@@ -145,86 +146,6 @@ class Config:
                 raise SpecError(
                     f"tolerance {name} must be positive and finite, got {value}"
                 )
-
-
-def to_json(payload) -> str:
-    """The payload as ``json.dumps(payload, sort_keys=True, indent=2)``
-    writes it, plus a newline, byte for byte.  That call runs CPython's
-    pure-Python encoder (the C one takes no indent), so reports are
-    written here instead; dict keys must be strings."""
-    out: list = []
-    _write(payload, "\n", out.append)
-    out.append("\n")
-    return "".join(out)
-
-
-_encode_str = json.encoder.encode_basestring_ascii
-# float.__repr__ of the values json writes as its own tokens
-_FLOAT_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-@functools.lru_cache(maxsize=256)
-def _dict_heads(keys: tuple, newline: str) -> tuple:
-    """(key, text before its value) for the keys of a dict in sorted order,
-    the dict starting on the line that ``newline`` ends."""
-    inner = newline + "  "
-    return tuple(
-        (key, ("," if k else "{") + inner + _encode_str(key) + ": ")
-        for k, key in enumerate(sorted(keys))
-    )
-
-
-def _write(value, newline: str, emit) -> None:
-    """Pass the chunks of ``value`` to ``emit`` in order; ``newline`` is a
-    line break followed by the indentation of the line ``value`` starts on."""
-    cls = type(value)
-    if cls is float:
-        text = float.__repr__(value)
-        emit(_FLOAT_TOKENS.get(text, text))
-    elif cls is dict:
-        if not value:
-            emit("{}")
-            return
-        inner = newline + "  "
-        for key, head in _dict_heads(tuple(value), newline):
-            emit(head)
-            _write(value[key], inner, emit)
-        emit(newline + "}")
-    elif cls is list or cls is tuple:
-        if not value:
-            emit("[]")
-            return
-        inner = newline + "  "
-        sep, rest = "[" + inner, "," + inner
-        for item in value:
-            emit(sep)
-            _write(item, inner, emit)
-            sep = rest
-        emit(newline + "]")
-    elif cls is str:
-        emit(_encode_str(value))
-    elif value is None:
-        emit("null")
-    elif value is True:
-        emit("true")
-    elif value is False:
-        emit("false")
-    elif cls is int:
-        emit(int.__repr__(value))
-    # subclasses, written as json.dumps writes them (np.float64 is a float)
-    elif isinstance(value, str):
-        emit(_encode_str(value))
-    elif isinstance(value, int):
-        emit(int.__repr__(value))
-    elif isinstance(value, float):
-        text = float.__repr__(value)
-        emit(_FLOAT_TOKENS.get(text, text))
-    elif isinstance(value, (list, tuple)):
-        _write(list(value), newline, emit)
-    elif isinstance(value, dict):
-        _write(dict(value), newline, emit)
-    else:
-        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
 
 
 # --- spec files -------------------------------------------------------
@@ -445,25 +366,37 @@ def _sample_columns(
 
 def _sample_records(
     points: np.ndarray, good: np.ndarray, columns: dict, failures: dict, lambda_grid
-) -> list:
+) -> RowTable:
     """The report rows of the sample points, in order (the arguments as
     :func:`_sample_columns` returns them): each row has its index and
     point, then its column values or the error of its failure."""
-    records = [
-        {"index": idx, "point": point}
-        for idx, point in enumerate(np.stack([points.real, points.imag], axis=-1).tolist())
-    ]
-    for idx, exc in failures.items():
-        records[idx]["error"] = str(exc)
-    values = {key: col.tolist() for key, col in columns.items()}
-    curvature, trace = values.pop("pencil.curvature_norm"), values.pop("pencil.trace_norm")
-    for k, idx in enumerate(good.tolist()):
-        records[idx].update({key: column[k] for key, column in values.items()})
-        records[idx]["pencil"] = [
-            {"lambda": lam, "curvature_norm": c, "trace_norm": t}
-            for lam, c, t in zip(lambda_grid, curvature[k], trace[k])
-        ]
-    return records
+    xy = np.stack([points.real, points.imag], axis=-1)
+    keys = [key for key in columns if not key.startswith("pencil.")]
+    lambdas = tuple(lambda_grid)
+
+    def good_row(index, point, curvature, trace, *values):
+        return dict(
+            zip(keys, values),
+            index=index,
+            point=point,
+            pencil=[
+                {"lambda": lam, "curvature_norm": c, "trace_norm": t}
+                for lam, c, t in zip(lambdas, curvature, trace)
+            ],
+        )
+
+    def error_row(index, point, error):
+        return {"index": index, "point": point, "error": error}
+
+    bad = np.array(sorted(failures), dtype=int)
+    errors = np.array([str(failures[idx]) for idx in bad.tolist()], dtype=object)
+    curvature, trace = columns["pencil.curvature_norm"], columns["pencil.trace_norm"]
+    return RowTable(len(points), [
+        # lambdas keyed by their text: 0.0 == -0.0, and both hash the same
+        (("sample", tuple(keys), tuple(map(repr, lambdas))), good_row, good.tolist(),
+         (good, xy[good], curvature, trace, *(columns[key] for key in keys))),
+        (("error",), error_row, bad.tolist(), (bad, xy[bad], errors)),
+    ])
 
 
 def _group_record(action: cat.GroupAction, tol: float) -> dict:
@@ -655,12 +588,15 @@ def run_theta(tau: np.ndarray, level: int, config: Config) -> dict:
         shifted1[:, :mult_rows] * shifted2,
     )
     worst_qp, worst_mult = float(np.max(qp)), float(np.max(mult))
-    points = np.stack([zs.real, zs.imag], axis=-1).tolist()
-    qp_rows = [
-        {"generator": k, "z": points[row], "residual": res}
-        for k, residuals in enumerate(qp.tolist())
-        for row, res in enumerate(residuals)
-    ]
+    # a row per generator and point, generator-major
+    qp_rows = RowTable(qp.size, [(
+        ("theta",),
+        lambda generator, z, residual: {"generator": generator, "z": z, "residual": residual},
+        range(qp.size),
+        (np.repeat(np.arange(2 * g), THETA_POINTS),
+         np.tile(np.stack([zs.real, zs.imag], axis=-1), (2 * g, 1, 1)),
+         qp.ravel()),
+    )])
 
     tail = max(tails)
     expected_dim = level**g

@@ -419,8 +419,9 @@ def level_space_dimension(
     k in (Z/s)^g; all f_k share one transformation type, so the space
     dimension is the rank of their evaluation matrix at generic points.
     Rank must agree on ``RESAMPLINGS`` point sets, otherwise a
-    RankUnstableError advises increasing ``samples``.  Given a ``tails``
-    list, the largest tail bound of the series is appended to it.
+    RankUnstableError says that tau leaves the count numerically
+    undetermined.  Given a ``tails`` list, the largest tail bound of the
+    series is appended to it.
     """
     if not 1 <= g <= MAX_GENUS:
         raise ValueError(f"supported genus: 1..{MAX_GENUS}")
@@ -450,6 +451,7 @@ def level_space_dimension(
     ranks = np.sum(sv > RANK_THRESHOLD * sv[:, :1], axis=1).tolist()
     if len(set(ranks)) != 1:
         raise RankUnstableError(
-            f"rank unstable across re-samplings {ranks}; increase samples"
+            f"rank unstable across re-samplings {ranks}; "
+            "the level count is not numerically determined at this tau"
         )
     return ranks[0]

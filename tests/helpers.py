@@ -7,10 +7,11 @@ a random AST generator, a scatter over every pair of the truncated jet
 product, brute-force triple loops for the algebra axioms, a
 term-by-term theta series, group checks in complex coordinates with a
 bounded search for fixed points, Lefschetz numbers by an integer
-Bareiss determinant, a per-point loop for the sample
-points, the row and per-point loops that the verdict and the theta
-residuals once ran in, and the tensor contractions as single
-multi-operand einsums (these read the jet table's gather indices).
+Bareiss determinant, a per-point loop for the sample points and a
+per-row one for their report rows, the row and per-point loops that
+the verdict and the theta residuals once ran in, and the tensor
+contractions as single multi-operand einsums (these read the jet
+table's gather indices).
 These stay independent of the code paths they check.  Two more routes
 that no command takes live here too: the Ricci tensor as the fiber
 trace of dbar Gamma, and the Hopf-surface flags; ``flat_torus_entry``
@@ -762,3 +763,27 @@ def reference_sample_points(spec_domain, dim, count, seed, label):
             z[a] = complex(lo_r + u[a] * (hi_r - lo_r), lo_i + u[dim + a] * (hi_i - lo_i))
         points.append(z)
     return np.array(points).reshape(count, dim)
+
+
+def reference_sample_records(points, good, columns, failures, lambda_grid):
+    """The report rows of ``cli._sample_records``, one row and one key at
+    a time: index and ``[re, im]`` point, then the error of a failure or
+    the column values of a good point, with one pencil entry per lambda."""
+    records = []
+    for idx, z in enumerate(np.asarray(points).tolist()):
+        records.append({"index": idx, "point": [[float(c.real), float(c.imag)] for c in z]})
+    for idx, exc in failures.items():
+        records[idx]["error"] = str(exc)
+    for k, idx in enumerate(np.asarray(good).tolist()):
+        for key, column in columns.items():
+            if not key.startswith("pencil."):
+                records[idx][key] = column[k].item()
+        records[idx]["pencil"] = [
+            {
+                "lambda": lam,
+                "curvature_norm": columns["pencil.curvature_norm"][k][m].item(),
+                "trace_norm": columns["pencil.trace_norm"][k][m].item(),
+            }
+            for m, lam in enumerate(lambda_grid)
+        ]
+    return records

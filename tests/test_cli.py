@@ -3,12 +3,13 @@ import dataclasses
 import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from helpers import failed_classes_from_rows, reference_sample_points
+from helpers import failed_classes_from_rows, reference_sample_points, reference_sample_records
 
 from frobenius_verify import cli, theta as th
 from frobenius_verify.catalog import CatalogEntry, hyperelliptic_catalog
@@ -33,6 +34,7 @@ from frobenius_verify.cli import (
     to_json,
 )
 from frobenius_verify.expr import PotentialExpr, parse
+from frobenius_verify.report import RowTable
 from frobenius_verify.theta import MAX_RADIUS
 
 CFG = Config(samples=12)
@@ -72,6 +74,14 @@ ROTATION_SPEC = {
             {"A": [[[-1, 0]]], "t": [[0, 0]]},
         ]
     },
+}
+
+# exp overflows where |z|^2 > log(max float) / 3000: errors among good rows
+EXP_OVERFLOW_SPEC = {
+    "name": "exp-overflow",
+    "dim": 1,
+    "potential": "exp(3000*z1*zbar1)",
+    "sample_domain": {"re": [[-0.6, 0.6]], "im": [[-0.6, 0.6]]},
 }
 
 
@@ -264,6 +274,116 @@ def test_to_json_matches_json_dumps_on_reports():
     assert to_json(reports) == _json_dumps(reports)
     theta = run_theta(np.diag([1j, 2j]), 2, Config())
     assert to_json(theta) == _json_dumps(theta)
+    mixed = run_verify(load_manifold_spec(EXP_OVERFLOW_SPEC), Config(samples=8))
+    assert {"error" in row for row in mixed["samples"]} == {True, False}
+    assert to_json(mixed) == _json_dumps(mixed)
+
+
+# one column per report key, with its dtype, as _sample_columns gives them
+SAMPLE_COLUMN_DTYPES = {
+    key: col.dtype
+    for key, col in cli._sample_columns(parse("z1*zbar1", 1), np.zeros((1, 1)), (1.0,))[1].items()
+}
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]
+ERROR_TEXT = st.one_of(
+    JSON_TEXT, st.sampled_from(["exp argument (1e+308) out of range", '100% "%s" %(k)d \\'])
+)
+
+
+@st.composite
+def _special_floats(draw):
+    """``floats(rng, shape)``: floats of every scale, holding drawn special
+    values (non-finite, signed zero, subnormal, huge) at random places."""
+    specials = draw(st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(), max_size=12))
+
+    def floats(rng, shape):
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+        flat = values.reshape(-1)
+        for value in specials if flat.size else ():
+            flat[rng.integers(flat.size)] = value
+        return values
+
+    return floats
+
+
+@st.composite
+def sample_tables(draw):
+    """The arguments of ``_sample_records``: 1-70 points at dims 1-4,
+    failures at random indices, and random float and bool columns."""
+    dim, count = draw(st.integers(1, 4)), draw(st.integers(1, 70))
+    grid = tuple(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                               | st.just(-0.0), min_size=1, max_size=5)))
+    failed = draw(st.sets(st.integers(0, count - 1)))
+    failures = {idx: cli.kahler.KahlerError(draw(ERROR_TEXT)) for idx in sorted(failed)}
+    good = np.array([idx for idx in range(count) if idx not in failed], dtype=int)
+    floats = draw(_special_floats())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = np.empty((count, dim), dtype=np.complex128)
+    points.real, points.imag = floats(rng, (count, dim)), floats(rng, (count, dim))
+    columns = {}
+    for key, dtype in SAMPLE_COLUMN_DTYPES.items():
+        shape = (len(good), len(grid)) if key.startswith("pencil.") else (len(good),)
+        columns[key] = rng.random(shape) < 0.5 if dtype == bool else floats(rng, shape)
+    return points, good, columns, failures, grid
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(sample_tables())
+def test_sample_tables_are_written_as_json_dumps_writes_them(args):
+    table = cli._sample_records(*args)
+    # as text, where NaN equals NaN
+    assert _json_dumps(table) == _json_dumps(reference_sample_records(*args))
+    # the rows are written from the columns, at every depth of the report
+    payload = {"samples": table, "nested": [[table]]}
+    assert to_json(payload) == _json_dumps(payload)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    genus=st.integers(1, 2),
+    level=st.integers(1, 2),
+    floats=_special_floats(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_theta_tables_are_written_as_json_dumps_writes_them(genus, level, floats, seed):
+    rng = np.random.default_rng(seed)
+    tau = np.diag(1j * rng.uniform(0.5, 2.0, genus))
+    shift_residual = th.shift_residual
+
+    def with_specials(*args):
+        residuals = shift_residual(*args)
+        return floats(rng, residuals.shape) if rng.random() < 0.5 else residuals
+
+    with mock.patch.object(th, "shift_residual", with_specials):
+        report = run_theta(tau, level, Config(seed=seed))
+    assert len(report["samples"]) == 2 * genus * cli.THETA_POINTS
+    assert to_json(report) == _json_dumps(report)
+
+
+def test_row_table_writes_literal_text_and_empty_tables():
+    """A ``%`` in a row's keys is text, not a template slot; an empty
+    table is ``[]``; a column of any dtype is written per entry."""
+    columns = (np.array([-0.0, math.nan]), np.array([[True], [False]]), np.array([3, -4]),
+               np.array(["50%", "%s"], dtype=object))
+
+    def row(x, flags, n, text):
+        return {"100%": x, "%s": flags, "%(n)d": [n, {"t": text}]}
+    for size, layouts in ((2, [(("percent",), row, [1, 0], columns)]), (0, [])):
+        table = RowTable(size, layouts)
+        payload = [table, {"deeper": table}]
+        assert to_json(payload) == _json_dumps(payload)
+
+
+def test_row_templates_tell_signed_zero_lambdas_apart(tmp_path, capsys):
+    """0.0 == -0.0 and both hash the same: a template keyed on the
+    lambda values would write the first report's zero in the second."""
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps(TORUS_SPEC))
+    for zero in ("0.0", "-0.0", "0.0"):
+        assert main(["--json", "--samples", "2", f"--lambda-grid={zero},1", "verify", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.count(f'"lambda": {zero},') == 2
+        assert out.count('"lambda": 1.0,') == 2
 
 
 def test_parser_is_reused_without_carrying_state(capsys):
@@ -431,6 +551,7 @@ def test_input_without_evidence_is_rejected(tmp_path, capsys, argv, field):
         (["--tau", "diag:1,2,3"], "--tau"),
         (["--level", "1", "--tau", "[[[0, 1e-300]]]"], "--tau"),
         (["--tau", "[[[0, 1e-300]]]"], "--tau"),
+        (["--tau", "[[[0, 1e-300]]]"], "the level count is not numerically determined at this tau"),
     ],
 )
 def test_theta_input_fault_names_the_flag(capsys, argv, field):
@@ -438,6 +559,8 @@ def test_theta_input_fault_names_the_flag(capsys, argv, field):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert field in captured.err
+    # theta takes no --samples, so no message may advise changing them
+    assert "samples" not in captured.err
 
 
 @pytest.mark.parametrize(
@@ -537,13 +660,7 @@ def test_pencil_overflow_is_an_error_record(tmp_path, capsys, spec):
 
 
 def test_exp_overflow_is_an_error_record_at_its_sample(tmp_path, capsys):
-    spec = {
-        "name": "exp-overflow",
-        "dim": 1,
-        "potential": "exp(3000*z1*zbar1)",
-        "sample_domain": {"re": [[-0.6, 0.6]], "im": [[-0.6, 0.6]]},
-    }
-    code, report = _verify_json(tmp_path, capsys, spec, 8)
+    code, report = _verify_json(tmp_path, capsys, EXP_OVERFLOW_SPEC, 8)
     assert code == 3
     assert report["verdict"] == "error"
     overflowed = []
