@@ -562,10 +562,7 @@ def run_theta(tau: np.ndarray, level: int, config: Config) -> dict:
     tails: list = []  # the largest tail bound of each series call
     # the level count first: it rejects an unsupported genus or level
     # before any series is summed
-    dim_result = th.level_space_dimension(
-        g, level, tau, samples=max(4 * level**g, 16), radius=config.radius,
-        seed=_derive_seed(config.seed, f"theta-rank-{g}-{level}"), tails=tails,
-    )
+    dim_result = th.level_space_dimension(g, level, tau, config.radius, tails)
     rng = np.random.default_rng(_derive_seed(config.seed, f"theta-{g}-{level}"))
     zs = rng.random((THETA_POINTS, g)) + 0.2j * rng.random((THETA_POINTS, g))
     t1 = th.riemann_type_of(spec)

@@ -71,13 +71,14 @@ import numpy as np
 
 from .catalog import Lattice
 
-RANK_THRESHOLD = 1e-8
-RESAMPLINGS = 3
 RESIDUAL_FLOOR = 1e-6
 MAX_RADIUS = 200
 MAX_GENUS = 2
 # levels of the level-space count: s^g candidate functions, 16 at genus 2
 MAX_LEVEL = 4
+# Points z at which each level function is summed: the second decides
+# where the first lies too near a zero of theta(s z, s tau).
+LEVEL_POINTS = np.array([[0.0, 0.0], [0.3 + 0.1j, 0.2 + 0.15j]])
 # Theta values and shift factors grow like exp(pi Im tau_jj); products of
 # two stay inside double precision while |tau| <= 100.
 MAX_TAU = 100.0
@@ -101,10 +102,6 @@ class SiegelDomainError(ThetaError):
 
 
 class LatticeMismatchError(ThetaError):
-    pass
-
-
-class RankUnstableError(ThetaError):
     pass
 
 
@@ -408,50 +405,52 @@ def level_space_dimension(
     g: int,
     s: int,
     tau: np.ndarray,
-    samples: int,
     radius: int = 30,
-    seed: int = 7,
     tails: Optional[list] = None,
 ) -> int:
-    """Numerical dimension of the space of level-s theta functions.
+    """Certified count of independent level-s theta functions.
 
-    Candidate basis: f_k(z) = theta[k/s, 0](s z, s tau) for
-    k in (Z/s)^g; all f_k share one transformation type, so the space
-    dimension is the rank of their evaluation matrix at generic points.
-    Rank must agree on ``RESAMPLINGS`` point sets, otherwise a
-    RankUnstableError says that tau leaves the count numerically
-    undetermined.  Given a ``tails`` list, the largest tail bound of the
-    series is appended to it.
+    The f_k(z) = theta[k/s, 0](s z, s tau), k in (Z/s)^g, share one type,
+    whose space has dimension s^g (Mumford, Tata Lectures on Theta I, II.1).
+    As f_k(z + b/s) = e(k.b/s) f_k(z) for b in Z^g, a relation
+    sum_k c_k f_k = 0 gives sum_k e(k.b/s) c_k f_k(z) = 0 for every b; the
+    character matrix (e(k.b/s))_{b,k} is invertible, so c_k f_k = 0.  So
+    the f_k with a certified nonzero value are independent: the count is
+    exact at s^g and a lower bound below it.
+
+    f_k is summed at z - tau a', z in ``LEVEL_POINTS`` and a' the shortest
+    k/s - c, c in {0, 1}^g, in the Im tau metric (k/s - round(k/s) for a
+    diagonal Im tau; off it, that choice can overflow at |tau| = 100).
+    There f_k is theta(s z, s tau) times a factor that its envelope
+    exp(pi y^T Y^-1 y) shares, so |f_k| / envelope is of order 1.  f_k is
+    certified where |f_k| > envelope (tail bound + rounding): the sum adds
+    at most (2 MAX_RADIUS + 1)^g terms of modulus at most the envelope, and
+    ``rounding`` allows 2^-52 of the envelope (two roundings) for each, at
+    most 3.6e-11, far below |f_k| / envelope away from a zero.  Given a
+    ``tails`` list, the largest tail bound of the series is appended to it.
     """
     if not 1 <= g <= MAX_GENUS:
         raise ValueError(f"supported genus: 1..{MAX_GENUS}")
     if not 1 <= s <= MAX_LEVEL:
         raise ValueError(f"supported level: 1..{MAX_LEVEL}")
-    if samples < 4 * s**g:
-        raise ValueError(f"need at least {4 * s ** g} samples")
     tau = np.asarray(tau, dtype=np.complex128).reshape(g, g)
-    ks = [np.array(k) for k in np.ndindex(*([s] * g))]
-    specs = [
-        RiemannThetaSpec(tau=s * tau, alpha=k / s, beta=np.zeros(g))
-        for k in ks
-    ]
-    rng = np.random.default_rng(seed)
-    zs = np.concatenate(
-        [rng.random((samples, g)) + 0.25j * rng.random((samples, g))
-         for _ in range(RESAMPLINGS)]
-    )
-    results = [eval_riemann_theta(sp, s * zs, radius) for sp in specs]
+    y_inv = np.linalg.inv(s * tau.imag)
+    rounding = (2 * MAX_RADIUS + 1) ** g * 2.0**-52
+    corners = np.array(list(np.ndindex(*([2] * g))))
+    certified, worst = 0, 0.0
+    for k in np.ndindex(*([s] * g)):
+        a = np.array(k) / s
+        reps = a - corners
+        shift = reps[np.argmin(np.einsum("ci,ij,cj->c", reps, tau.imag, reps))]
+        spec = RiemannThetaSpec(tau=s * tau, alpha=a, beta=np.zeros(g))
+        zs = s * (LEVEL_POINTS[:, :g] - tau @ shift)
+        result = eval_riemann_theta(spec, zs, radius)
+        with np.errstate(all="ignore"):
+            envelope = np.exp(np.pi * np.einsum("pi,ij,pj->p", zs.imag, y_inv, zs.imag))
+            certified += bool(
+                np.any(np.abs(result.value) > envelope * (result.tail_bound + rounding))
+            )
+        worst = max(worst, float(np.max(result.tail_bound)))
     if tails is not None:
-        tails.append(max(float(np.max(r.tail_bound)) for r in results))
-    # one matrix per resampling: rows are its points, columns the f_k
-    mats = np.stack([r.value for r in results], axis=1).reshape(RESAMPLINGS, samples, -1)
-    col_scale = np.max(np.abs(mats), axis=1, keepdims=True)
-    col_scale[col_scale == 0] = 1.0
-    sv = np.linalg.svd(mats / col_scale, compute_uv=False)
-    ranks = np.sum(sv > RANK_THRESHOLD * sv[:, :1], axis=1).tolist()
-    if len(set(ranks)) != 1:
-        raise RankUnstableError(
-            f"rank unstable across re-samplings {ranks}; "
-            "the level count is not numerically determined at this tau"
-        )
-    return ranks[0]
+        tails.append(worst)
+    return certified

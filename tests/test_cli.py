@@ -551,7 +551,7 @@ def test_input_without_evidence_is_rejected(tmp_path, capsys, argv, field):
         (["--tau", "diag:1,2,3"], "--tau"),
         (["--level", "1", "--tau", "[[[0, 1e-300]]]"], "--tau"),
         (["--tau", "[[[0, 1e-300]]]"], "--tau"),
-        (["--tau", "[[[0, 1e-300]]]"], "the level count is not numerically determined at this tau"),
+        (["--tau", "[[[0, 1e-300]]]"], "lattice generators are linearly dependent over R"),
     ],
 )
 def test_theta_input_fault_names_the_flag(capsys, argv, field):
@@ -596,6 +596,8 @@ def test_theta_truncation_bound_over_tolerance_fails(capsys):
     assert report["verdict"] == "fail"
     assert report["tail_bound"] > report["tolerances"]["theta"]
     assert "theta truncation bound exceeds tolerance at radius 2" in report["reasons"]
+    # at z = 0 the cut level series still have finite bounds below |f_k|
+    assert report["level_dimension"] == 2
 
 
 def test_theta_report_tail_bound_is_the_largest_of_its_series(monkeypatch):
@@ -612,7 +614,7 @@ def test_theta_report_tail_bound_is_the_largest_of_its_series(monkeypatch):
     for radius in (3, 30):
         bounds.clear()
         report = run_theta(tau, 2, Config(radius=radius))
-        assert len(bounds) == 3 * 16 * 4 + 20 * 5 + 8 * 5
+        assert len(bounds) == 4 * 2 + 20 * 5 + 8 * 5
         assert report["tail_bound"] == max(bounds)
 
 

@@ -209,10 +209,17 @@ def test_product_transforms_with_summed_type():
         (1, 2, [[1j]], 2),
         (1, 3, [[1j]], 3),
         (2, 2, np.diag([1j, 2j]), 4),
+        # large Im tau: each f_k is summed where its series is centred
+        (1, 4, [[100j]], 4),
+        (1, 2, [[40j]], 2),
+        (2, 2, np.diag([100j, 100j]), 4),
+        (2, 4, np.diag([70j, 70j]), 16),
+        # off the diagonal, k/s - round(k/s) would overflow at level 4
+        (2, 4, [[100j, 99j], [99j, 100j]], 16),
     ],
 )
 def test_level_space_dimension(g, s, tau, expected):
-    assert level_space_dimension(g, s, tau, samples=max(16, 4 * s**g)) == expected
+    assert level_space_dimension(g, s, tau) == expected
 
 
 @pytest.mark.parametrize("radius", [2, 30])
@@ -227,14 +234,51 @@ def test_level_space_dimension_appends_its_largest_tail_bound(monkeypatch, radiu
     original = th.eval_riemann_theta
     monkeypatch.setattr(th, "eval_riemann_theta", recording)
     tails = [1.0]
-    assert level_space_dimension(2, 2, np.diag([0.6j, 0.9j]), 16, radius, tails=tails) == 4
-    assert len(bounds) == 4 * 16 * 3
+    assert level_space_dimension(2, 2, np.diag([0.6j, 0.9j]), radius, tails=tails) == 4
+    assert len(bounds) == 4 * 2
     assert tails == [1.0, max(bounds)]
 
 
-def test_level_space_dimension_requires_enough_samples():
-    with pytest.raises(ValueError):
-        level_space_dimension(1, 2, [[1j]], samples=4)
+LEVEL_TAUS = [
+    (1, 2, [[0.3 + 1.1j]]),
+    (1, 4, [[-0.2 + 0.8j]]),
+    (2, 2, [[0.1 + 1.0j, 0.2 + 0.3j], [0.2 + 0.3j, -0.4 + 0.9j]]),
+    (2, 3, np.diag([1.2j, 0.7j])),
+]
+
+
+def _level_function(tau, s, k, z):
+    """f_k(z) = theta[k/s, 0](s z, s tau), summed by the plain loop."""
+    g = len(k)
+    big = (s * np.asarray(tau)).tolist()
+    return brute_theta(big, [kj / s for kj in k], [0.0] * g, [s * zj for zj in z], 8)
+
+
+@pytest.mark.parametrize("g,s,tau", LEVEL_TAUS)
+def test_level_functions_at_the_shifted_points_are_a_dft(g, s, tau):
+    """f_k(z0 + b/s) = e(k.b/s) f_k(z0): the s^g x s^g matrix of values is
+    the character (DFT) matrix times diag(f_k(z0))."""
+    z0 = np.array([0.31 + 0.07j, 0.13 + 0.11j][:g])
+    ks = list(np.ndindex(*([s] * g)))
+    values = np.array([[_level_function(tau, s, k, z0 + np.array(b) / s) for k in ks] for b in ks])
+    dft = np.exp(2j * np.pi * np.array(ks) @ np.array(ks).T / s)
+    at_z0 = np.array([_level_function(tau, s, k, z0) for k in ks])
+    assert np.max(np.abs(values - dft * at_z0)) <= 1e-12 * np.max(np.abs(values))
+
+
+@pytest.mark.parametrize("g,s,tau", LEVEL_TAUS)
+def test_level_function_centred_shift_is_theta_times_a_factor(g, s, tau):
+    """f_k(z - tau a') = e(a'.s z - a'.s tau a'/2) theta(s z, s tau) for
+    every a' = k/s - c, c in {0, 1}^g, among them the shift the count sums."""
+    tau = np.asarray(tau, dtype=complex)
+    z = np.array([0.21 + 0.05j, 0.4 + 0.02j][:g])
+    theta = brute_theta((s * tau).tolist(), [0.0] * g, [0.0] * g, (s * z).tolist(), 8)
+    for k in np.ndindex(*([s] * g)):
+        for c in np.ndindex(*([2] * g)):
+            a = np.array(k) / s - np.array(c)
+            factor = np.exp(2j * np.pi * (a @ (s * z) - a @ (s * tau) @ a / 2))
+            value = _level_function(tau, s, k, z - tau @ a)
+            assert abs(value - factor * theta) <= 1e-12 * abs(factor * theta)
 
 
 def test_tau_validation():
