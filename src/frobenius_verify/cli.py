@@ -41,12 +41,12 @@ MAX_DIM = 6
 MAX_GROUP_ELEMENTS = 64
 # Points of the theta quasi-periodicity table (the first 8 also test products)
 THETA_POINTS = 20
-# Sample points per tensor pass: about this many entries of an n^4 tensor,
-# twice the jet pass of kahler.JET_BATCH_ENTRIES (16 points at dim 4, 50 at
-# dim 3, all 64 at dims 1-2).  A curved dim-4 sample holds about 50 KB in
-# this pass (15 KB of MetricData, 37 KB more at the pencil's peak; tracemalloc)
-# against 125 KB in its jets, so the jets still bound the memory of a batch.
-BATCH_ENTRIES = 2 * kahler.JET_BATCH_ENTRIES
+# Sample points per pass: about this many entries of an n^4 tensor (16 points
+# at dim 4, 50 at dim 3, all 64 at dims 1-2).  One jet pass feeds one tensor
+# pass.  A curved dim-4 sample holds about 50 KB in the tensor pass (15 KB of
+# MetricData, 37 KB more at the pencil's peak; tracemalloc), its jets, stored
+# only on their supports, about 65 KB at their peak.
+BATCH_ENTRIES = 4096
 DEFAULT_TOLERANCES = {
     "structural": 1e-9,
     "theta": 1e-8,
@@ -605,9 +605,10 @@ def run_theta(tau: np.ndarray, level: int, config: Config) -> dict:
     if not (
         worst_qp < config.tolerances["theta"]
         and worst_mult < config.tolerances["theta_mult"]
-        and dim_result == expected_dim
     ):
         reasons.append("theta residuals exceed tolerance")
+    if dim_result != expected_dim:
+        reasons.append(f"theta level count {dim_result} below level^g = {expected_dim}")
     return {
         "spec": f"theta(g={g}, level={level})",
         "version": __version__,

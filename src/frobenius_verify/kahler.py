@@ -51,11 +51,6 @@ from .wirtinger import partial  # noqa: F401  (re-exported: the one-entry read)
 
 DEGENERACY_FLOOR = 1e-8  # min singular value must exceed floor * max
 REALNESS_TOL = 1e-8
-# Sample points per jet pass: about this many entries of an n^4 tensor
-# (8 points at dim 4).  A dim-4 jet product holds up to 4,845 coefficient
-# pairs per sample: the jets of a curved dim-4 chart peak at about 125 KB
-# per sample (tracemalloc), so they, not the tensors, bound a batch's memory.
-JET_BATCH_ENTRIES = 2048
 
 
 class KahlerError(Exception):
@@ -118,11 +113,12 @@ def metric_batch(
 ) -> tuple[MetricData, dict[int, KahlerError | ExprError]]:
     """All metric-level tensors at a batch of points.
 
-    The jets are evaluated in stacked passes of ``JET_BATCH_ENTRIES // n^4``
-    points; everything after them runs once on the stacked partials.  A
-    point whose jet fails (log domain, exp out of range), whose potential
-    is not real there, whose partials are not all finite or whose metric
-    is degenerate is left out of the bundle and returned as
+    The jets of all the points are evaluated in one stacked pass and read
+    into stacked partials through their dense view; everything after them
+    runs once on those, so the caller's batch bounds both layers.  A point
+    whose jet fails (log domain, exp out of range), whose potential is not
+    real there, whose partials are not all finite or whose metric is
+    degenerate is left out of the bundle and returned as
     ``{index: exception}``; the bundle holds the other points in order.
     """
     n = potential.dim
@@ -131,18 +127,12 @@ def metric_batch(
     failures: dict[int, KahlerError | ExprError] = {}
     # an overflow in the jets leaves non-finite partials, which the sample's
     # error record below reports in place of a warning
-    chunk = max(1, JET_BATCH_ENTRIES // n**4)
-    coeffs, not_real = [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, max(len(point), 1), chunk):  # one pass for no points
-            fails: dict[int, ExprError] = {}
-            jet = jet_eval(potential, point[start : start + chunk], fails)
-            failures.update({start + k: exc for k, exc in fails.items()})
-            scale = np.maximum(1.0, np.max(np.abs(jet.coeffs), axis=0))
-            not_real.append(hermiticity_defect(jet) > REALNESS_TOL * scale)
-            coeffs.append(jet.coeffs.T)
-        partials = np.concatenate(coeffs) * t.fact
-    not_real = np.concatenate(not_real)
+        jet = jet_eval(potential, point, failures)
+        coeffs = jet.dense()
+        scale = np.maximum(1.0, np.max(np.abs(coeffs), axis=0))
+        not_real = hermiticity_defect(jet) > REALNESS_TOL * scale
+        partials = coeffs.T * t.fact
     finite = np.all(np.isfinite(partials), axis=1)
     for idx in np.flatnonzero(not_real):
         failures.setdefault(

@@ -8,25 +8,27 @@ exactly the Wirtinger calculus: the coefficient at the multi-index
 pair ``(alpha, beta)`` times ``alpha! * beta!`` is the mixed partial
 ``d^alpha dbar^beta`` of the function at the point.
 
-Storage is dense over the full multi-index simplex (E entries; at chart
-dimension n <= 4 at most 495), with an optional trailing sample axis:
-``coeffs`` has shape ``(E,)`` for one base point and ``(E, N)`` for N
-points evaluated together, and every operation acts on each sample
-column alone.  Conjugating a jet swaps ``alpha <-> beta`` and conjugates
-the coefficients, which is how ``zbar`` dependence is handled without a
+A jet carries its structural support: a bit mask of the entries of the
+multi-index simplex (E entries, at most 495 at chart dimension n <= 4)
+that can be nonzero given the expression it came from, always including
+the constant term (a jet built without one is dense).  It stores those S
+entries only, in table order, with an optional trailing sample axis:
+``coeffs`` is ``(S,)`` for one base point and ``(S, N)`` for N points
+evaluated together, and every operation acts on each sample column
+alone.  Conjugating a jet swaps ``alpha <-> beta`` and conjugates the
+coefficients, which is how ``zbar`` dependence is handled without a
 second differentiation pass.
 
-A jet also carries its structural support: a bit mask of the entries
-that can be nonzero given the expression it came from, always including
-the constant term (a jet built without one is dense).  Products are
-truncated convolutions driven by a precomputed index table, restricted
-to the pairs whose operands are both in support.  The surviving pairs
-are added in at most 16 columns, column c holding each output entry's
-c-th pair in table order, so every entry sums the same terms in the same
-order as a scatter over the whole table; the skipped terms are exact
-zeros, which leave such a sum unchanged, so finite jets come out bit for
-bit the same.  The constant terms of ``exp`` and ``log`` are computed per
-sample in Python complex arithmetic for the same reason.
+A sum places each operand in zeros of the union's support and adds: the
+dense sum restricted to the union.  Products are truncated convolutions
+driven by a precomputed index table, restricted to the pairs whose
+operands are both in support.  The surviving pairs are added in at most
+16 columns, column c holding each output entry's c-th pair in table
+order, so every entry sums the same terms in the same order as a scatter
+over the whole table; the skipped terms are exact zeros, which leave
+such a sum unchanged, so finite jets come out bit for bit the same.  The
+constant terms of ``exp`` and ``log`` are computed per sample in Python
+complex arithmetic for the same reason.
 
 The same table holds gather indices for the partials the metric layer
 needs (``g_idx``, ``phi3_idx``, ``ddbar_idx``, ``d4_idx``): indexing
@@ -143,8 +145,8 @@ def _table(dim: int) -> _Table:
     )
 
 
-# Support-restricted products seen so far, per (dim, left, right) support;
-# a potential needs tens of them, each at most a few tens of KiB.
+# Row maps seen so far, per support or (left, right) support pair; a
+# potential needs tens of them, each at most a few tens of KiB.
 PRODUCT_CACHE = 256
 
 
@@ -159,16 +161,47 @@ def _bits(mask: np.ndarray) -> int:
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
+@lru_cache(maxsize=PRODUCT_CACHE)
+def _entries(dim: int, support: int) -> np.ndarray:
+    """The table entries of a support, sorted: a jet's storage row r
+    holds entry ``_entries(dim, support)[r]``."""
+    return np.flatnonzero(_mask(dim, support))
+
+
+def _rows(dim: int, support: int, entries: np.ndarray) -> np.ndarray:
+    """Storage rows of table ``entries`` in ``support``, read-only: caches share them."""
+    rows = np.searchsorted(_entries(dim, support), entries)
+    rows.flags.writeable = False
+    return rows
+
+
+def _placed(coeffs: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
+    """``coeffs`` at ``rows`` of zeros with ``size`` rows; ``coeffs``
+    itself where the rows fill them."""
+    if len(rows) == size:
+        return coeffs
+    out = np.zeros((size,) + coeffs.shape[1:], coeffs.dtype)
+    out[rows] = coeffs
+    return out
+
+
+@lru_cache(maxsize=PRODUCT_CACHE)
+def _union(dim: int, left: int, right: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """The support of a sum and the rows of each operand in it."""
+    both = left | right
+    return both, _rows(dim, both, _entries(dim, left)), _rows(dim, both, _entries(dim, right))
+
+
 class _Product(NamedTuple):
-    """The table pairs of a product whose operands are both in support,
-    laid out column by column: ``left[start:stop]`` and
-    ``right[start:stop]`` of column c hold the c-th pair of the output
-    entries ``rows[:stop - start]`` (rows are sorted by pair count, most
-    first, so each column covers a prefix of them)."""
+    """The operand rows of a product's pairs with both operands in support,
+    column by column: ``left[start:stop]`` and ``right[start:stop]`` of
+    column c hold the c-th pair of the first ``stop - start`` sums (sorted
+    by pair count, most first, so each column covers a prefix of them);
+    output row r is sum ``order[r]``."""
 
     left: np.ndarray
     right: np.ndarray
-    rows: np.ndarray
+    order: np.ndarray
     columns: tuple[tuple[int, int], ...]
     support: int
 
@@ -192,22 +225,27 @@ def _product(dim: int, left: int, right: int) -> _Product:
     left_idx[place] = t.mul_i[keep]
     right_idx[place] = t.mul_j[keep]
     columns = tuple((int(a), int(b)) for a, b in zip(starts[:-1], starts[1:]))
-    for shared in (left_idx, right_idx, rows):
-        shared.flags.writeable = False
-    return _Product(left_idx, right_idx, rows, columns, _bits(counts > 0))
+    left_idx, right_idx = _rows(dim, left, left_idx), _rows(dim, right, right_idx)
+    order = slot[counts > 0]  # output rows are the entries with a pair
+    order.flags.writeable = False
+    return _Product(left_idx, right_idx, order, columns, _bits(counts > 0))
 
 
 @lru_cache(maxsize=PRODUCT_CACHE)
-def _conj_support(dim: int, support: int) -> int:
-    return _bits(_mask(dim, support)[_table(dim).conj_perm])
+def _conjugation(dim: int, support: int) -> tuple[int, np.ndarray]:
+    """The conjugate support and, for each of its rows, the row of the
+    entry with ``alpha`` and ``beta`` swapped in ``support``."""
+    swap = _table(dim).conj_perm
+    conj = _bits(_mask(dim, support)[swap])
+    return conj, _rows(dim, support, swap[_entries(dim, conj)])
 
 
 class Jet:
     """Immutable truncated series; all arithmetic returns new jets.
 
-    ``coeffs`` is ``(E,)`` for one point or ``(E, N)`` for N samples;
-    ``support`` has bit k set when entry k can be nonzero (all bits when
-    not given)."""
+    ``support`` has bit k set when table entry k can be nonzero (all bits
+    when not given; bit 0 always), and ``coeffs`` holds those S entries in
+    table order: ``(S,)`` for one point or ``(S, N)`` for N samples."""
 
     __slots__ = ("dim", "coeffs", "support")
 
@@ -216,31 +254,36 @@ class Jet:
         self.coeffs = coeffs
         self.support = (1 << len(_table(dim).entries)) - 1 if support is None else support
 
+    def dense(self) -> np.ndarray:
+        """The coefficients of every table entry in table order, ``(E,)`` or
+        ``(E, N)``, zero outside the support (``coeffs`` of a dense jet)."""
+        rows = _entries(self.dim, self.support)
+        return _placed(self.coeffs, rows, len(_table(self.dim).entries))
+
     def _constant(self, value) -> "Jet":
         """The constant jet ``value`` (one per sample, or shared) with this
         jet's dimension and sample axis."""
-        c = np.zeros_like(self.coeffs)
+        c = np.empty((1,) + self.coeffs.shape[1:], self.coeffs.dtype)
         c[0] = value
         return Jet(self.dim, c, 1)
 
-    def _binary(self, other: "Jet | complex", op) -> "Jet":
-        if isinstance(other, Jet):
-            if other.dim != self.dim:
-                raise ValueError("jet dimension mismatch")
-            return op(other)
-        return op(self._constant(other))
+    def _sum(self, other: "Jet | complex", op) -> "Jet":
+        if not isinstance(other, Jet):
+            other = self._constant(other)
+        elif other.dim != self.dim:
+            raise ValueError("jet dimension mismatch")
+        support, mine, theirs = _union(self.dim, self.support, other.support)
+        size = len(_entries(self.dim, support))
+        coeffs = op(_placed(self.coeffs, mine, size), _placed(other.coeffs, theirs, size))
+        return Jet(self.dim, coeffs, support)
 
     def __add__(self, other):
-        return self._binary(
-            other, lambda o: Jet(self.dim, self.coeffs + o.coeffs, self.support | o.support)
-        )
+        return self._sum(other, np.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(
-            other, lambda o: Jet(self.dim, self.coeffs - o.coeffs, self.support | o.support)
-        )
+        return self._sum(other, np.subtract)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -259,24 +302,18 @@ class Jet:
         terms *= other.coeffs[plan.right]
         # column 0 accumulates in place; adding +0 first, as a scatter into
         # zeros does, turns an exact -0 sum into +0
-        acc = terms[: len(plan.rows)]
+        acc = terms[: len(plan.order)]
         acc += 0.0
         for start, stop in plan.columns[1:]:
             acc[: stop - start] += terms[start:stop]
-        out = np.zeros_like(self.coeffs)
-        out[plan.rows] = acc
-        return Jet(self.dim, out, plan.support)
+        return Jet(self.dim, acc[plan.order], plan.support)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "Jet":
         # swap alpha <-> beta and conjugate; the swap is an involution
-        t = _table(self.dim)
-        return Jet(
-            self.dim,
-            np.conj(self.coeffs[t.conj_perm]),
-            _conj_support(self.dim, self.support),
-        )
+        support, rows = _conjugation(self.dim, self.support)
+        return Jet(self.dim, np.conj(self.coeffs[rows]), support)
 
     def real(self) -> "Jet":
         return (self + self.conjugate()) * 0.5
@@ -372,10 +409,10 @@ def seed(point: Sequence[complex]) -> list[Jet]:
     t = _table(dim)
     out = []
     for slot in range(2 * dim):
-        c = np.zeros((len(t.entries),) + pt.shape[:-1], dtype=np.complex128)
+        c = np.empty((2,) + pt.shape[:-1], dtype=np.complex128)
         c[0] = pt[..., slot] if slot < dim else np.conj(pt[..., slot - dim])
+        c[1] = 1.0
         unit = t.index[tuple(1 if k == slot else 0 for k in range(2 * dim))]
-        c[unit] = 1.0
         out.append(Jet(dim, c, 1 | 1 << unit))
     return out
 
@@ -439,12 +476,12 @@ def partial(jet: Jet, alpha: Sequence[int], beta: Sequence[int]) -> complex:
     if key not in t.index:
         raise ValueError(f"multi-index {key} outside truncation order {JET_ORDER}")
     i = t.index[key]
-    return complex(jet.coeffs[i] * t.fact[i])
+    return complex(jet.dense()[i] * t.fact[i])
 
 
 def hermiticity_defect(jet: Jet):
     """Max |c(alpha,beta) - conj(c(beta,alpha))|; zero for real potentials.
     A float for one point, one value per sample for a stack."""
-    t = _table(jet.dim)
-    d = np.max(np.abs(jet.coeffs - np.conj(jet.coeffs[t.conj_perm])), axis=0)
+    c = jet.dense()
+    d = np.max(np.abs(c - np.conj(c[_table(jet.dim).conj_perm])), axis=0)
     return float(d) if d.ndim == 0 else d

@@ -4,7 +4,7 @@ Everything here is deliberately written against the public surface
 only: a dispatch-table interpreter for potential ASTs, nested
 central-difference Wirtinger derivatives with Richardson extrapolation,
 a random AST generator, a scatter over every pair of the truncated jet
-product, brute-force triple loops for the algebra axioms, a
+product and a whole-table jet interpreter built on it, brute-force triple loops for the algebra axioms, a
 term-by-term theta series, group checks in complex coordinates with a
 bounded search for fixed points, Lefschetz numbers by an integer
 Bareiss determinant, a per-point loop for the sample points and a
@@ -31,6 +31,7 @@ import numpy as np
 
 from frobenius_verify.catalog import EXACT_TOL, CatalogEntry, flat_potential, square_lattice
 from frobenius_verify.expr import (
+    LOG_MODULUS_FLOOR,
     Const,
     ConjVar,
     Exp,
@@ -154,15 +155,21 @@ def random_potential_expr(rng, dim, depth):
 
 
 @functools.lru_cache(maxsize=None)
-def _jet_pairs(dim):
-    """Index pairs of the order-4 truncated product over the multi-index
-    simplex in jet storage order (total order, then lexicographic): the
-    entries of every (i, j) with |g_i| + |g_j| <= 4, i outer, j inner,
-    and the entry of g_i + g_j."""
-    entries = sorted(
+def _jet_entries(dim):
+    """The order-4 multi-index simplex in jet table order (total order,
+    then lexicographic)."""
+    return sorted(
         (g for g in itertools.product(range(5), repeat=2 * dim) if sum(g) <= 4),
         key=lambda g: (sum(g), g),
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _jet_pairs(dim):
+    """Index pairs of the order-4 truncated product over the multi-index
+    simplex in jet table order: the entries of every (i, j) with
+    |g_i| + |g_j| <= 4, i outer, j inner, and the entry of g_i + g_j."""
+    entries = _jet_entries(dim)
     index = {g: k for k, g in enumerate(entries)}
     pairs = [
         (i, j, index[tuple(a + b for a, b in zip(gi, gj))])
@@ -181,6 +188,106 @@ def brute_jet_mul(dim, left, right):
     out = np.zeros_like(left)
     np.add.at(out, k, left[i] * right[j])
     return out
+
+
+def dense_jet_eval(expr, point):
+    """Whole-table jet of ``expr`` at ``point`` (``(n,)``, or a stack
+    ``(N, n)`` on a trailing sample axis), and the set of samples outside
+    the domain of a ``log`` or ``exp``; such a sample takes the constant
+    term 1 there, so its coefficients mean nothing.
+
+    Every intermediate jet holds the whole table and every product is
+    :func:`brute_jet_mul`.  The steps are those of the jet calculus in
+    its order: ``exp`` and ``log`` as Horner series in the nilpotent part
+    with the constant term's factors in Python complex arithmetic,
+    powers by squaring, scalars as complex factors."""
+    dim = expr.dim
+    entries = _jet_entries(dim)
+    index = {g: k for k, g in enumerate(entries)}
+    swap = np.array([index[g[dim:] + g[:dim]] for g in entries])
+    pts = np.asarray(point, dtype=np.complex128)
+    shape = (len(entries),) + pts.shape[:-1]
+    failed = set()
+
+    def const(value):
+        c = np.zeros(shape, dtype=np.complex128)
+        c[0] = value
+        return c
+
+    def seed(axis, conj):
+        c = const(np.conj(pts[..., axis]) if conj else pts[..., axis])
+        c[index[tuple(int(k == axis + conj * dim) for k in range(2 * dim))]] = 1.0
+        return c
+
+    def times(c, factor):
+        return c * np.asarray(factor, dtype=np.complex128)
+
+    def nilpotent(c):
+        c = c.copy()
+        c[0] = 0.0
+        return c
+
+    def per_sample(c0, terms):
+        rows = []
+        for s, value in enumerate(np.ravel(c0).tolist()):
+            try:
+                rows.append(terms(value))
+            except (OverflowError, ValueError):
+                failed.add(s)
+                rows.append(terms(1.0))
+        return [np.array(col).reshape(np.shape(c0)) for col in zip(*rows)]
+
+    def log_terms(c0):
+        if abs(c0) < LOG_MODULUS_FLOOR:
+            raise ValueError("log argument below floor")
+        return 1.0 / c0, cmath.log(c0)
+
+    def ev(node):
+        if isinstance(node, Const):
+            return const(node.value)
+        if isinstance(node, (Var, ConjVar)):
+            return seed(node.axis, isinstance(node, ConjVar))
+        if isinstance(node, Sum):
+            acc = ev(node.terms[0])
+            for sign, term in zip(node.signs[1:], node.terms[1:]):
+                acc = acc + ev(term) if sign == 1 else acc - ev(term)
+            return acc
+        if isinstance(node, Product):
+            acc = ev(node.factors[0])
+            for factor in node.factors[1:]:
+                acc = brute_jet_mul(dim, acc, ev(factor))
+            return acc
+        if isinstance(node, Power):
+            result, base, k = const(1.0), ev(node.base), node.exponent
+            while k:
+                if k & 1:
+                    result = brute_jet_mul(dim, result, base)
+                k >>= 1
+                if k:
+                    base = brute_jet_mul(dim, base, base)
+            return result
+        arg = ev(node.arg)
+        if isinstance(node, Exp):
+            (scale,) = per_sample(arg[0], lambda c0: (cmath.exp(c0),))
+            acc = const(1.0)
+            for k in (4, 3, 2, 1):
+                acc = times(brute_jet_mul(dim, acc, nilpotent(arg)), 1.0 / k) + const(1.0)
+            return times(acc, scale)
+        if isinstance(node, Log):
+            inverse, log_c0 = per_sample(arg[0], log_terms)
+            m = times(nilpotent(arg), inverse)
+            acc = const(0.0)
+            for k in (4, 3, 2, 1):
+                acc = brute_jet_mul(dim, acc + const((-1.0) ** (k + 1) / k), m)
+            return acc + const(log_c0)
+        conj = np.conj(arg[swap])
+        if isinstance(node, Re):
+            return times(arg + conj, 0.5)
+        out = times(arg - conj, complex(0, -0.5))
+        out[0] = out[0].real
+        return out
+
+    return ev(expr.root), failed
 
 
 # --- brute-force algebra oracles ----------------------------------------

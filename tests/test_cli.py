@@ -600,6 +600,14 @@ def test_theta_truncation_bound_over_tolerance_fails(capsys):
     assert report["level_dimension"] == 2
 
 
+def test_theta_level_count_short_of_level_power_has_its_own_reason(monkeypatch):
+    monkeypatch.setattr(th, "level_space_dimension", lambda *args, **kwargs: 3)
+    report = run_theta(np.diag([1j, 2j]), 2, Config())
+    assert report["verdict"] == "fail"
+    assert report["reasons"] == ["theta level count 3 below level^g = 4"]
+    assert (report["level_dimension"], report["expected_dimension"]) == (3, 4)
+
+
 def test_theta_report_tail_bound_is_the_largest_of_its_series(monkeypatch):
     bounds = []
 
@@ -1135,9 +1143,8 @@ def test_reports_do_not_depend_on_the_batch_sizes(monkeypatch, which):
     else:
         entry = load_manifold_spec(BALL4_SPEC if which == "ball-4" else CURVED3_SPEC)
     report = to_json(run_verify(entry, Config()))
-    # one point per jet pass and per tensor pass, then the whole chart in one of each
+    # one point per pass, then the whole chart in one
     for entries in (entry.dim**4, 2**20):
-        monkeypatch.setattr(cli.kahler, "JET_BATCH_ENTRIES", entries)
         monkeypatch.setattr(cli, "BATCH_ENTRIES", entries)
         assert to_json(run_verify(entry, Config())) == report
 
@@ -1153,6 +1160,6 @@ def test_verify_memory_is_bounded_by_the_batches():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # about 1.3 MB with 8-point jet passes and 16-point tensor passes; a
-    # single 64-point tensor pass takes about 2.8 MB
-    assert peak <= 2 * 2**20
+    # about 1.07 MiB in 16-point passes, jets stored only on their supports;
+    # a single 64-point pass takes about 4.2 MiB
+    assert peak <= 1.5 * 2**20

@@ -2,7 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
-from helpers import brute_jet_mul, fd_partial, random_potential_expr, reference_eval
+from helpers import (
+    brute_jet_mul,
+    dense_jet_eval,
+    fd_partial,
+    random_potential_expr,
+    reference_eval,
+)
 
 from frobenius_verify.expr import ExprError, LogDomainError, parse
 from frobenius_verify.wirtinger import (
@@ -21,7 +27,7 @@ def test_seed_variable_at_origin():
     assert complex(z1.coeffs[0]) == 0
     assert partial(z1, (1,), (0,)) == 1.0
     # all other coefficients vanish
-    coeffs = z1.coeffs.copy()
+    coeffs = z1.dense()
     assert np.count_nonzero(coeffs) == 1
 
 
@@ -143,9 +149,10 @@ def test_product_of_jets_is_jet_of_product():
             j1, j2 = jet_eval(e1, pt), jet_eval(e2, pt)
         except Exception:
             continue
-        if not (np.all(np.isfinite(j1.coeffs)) and np.all(np.isfinite(j2.coeffs))):
+        c1, c2 = j1.dense(), j2.dense()
+        if not (np.all(np.isfinite(c1)) and np.all(np.isfinite(c2))):
             continue
-        scale = max(1.0, np.max(np.abs(j1.coeffs)) * np.max(np.abs(j2.coeffs)))
+        scale = max(1.0, np.max(np.abs(c1)) * np.max(np.abs(c2)))
         if scale > 1e8:
             continue
         from frobenius_verify.expr import PotentialExpr, Product
@@ -153,7 +160,7 @@ def test_product_of_jets_is_jet_of_product():
         prod = PotentialExpr(Product((e1.root, e2.root)), dim)
         direct = jet_eval(prod, pt)
         composed = j1 * j2
-        assert np.max(np.abs(direct.coeffs - composed.coeffs)) <= 1e-14 * scale
+        assert np.max(np.abs(direct.dense() - composed.dense())) <= 1e-14 * scale
         checked += 1
 
 
@@ -166,7 +173,7 @@ def test_conjugate_involution():
 def test_exp_log_roundtrip_on_jets():
     jet = jet_eval(parse("1 + z1*zbar1", 1), [0.3 - 0.2j])
     back = jet.log().exp()
-    assert np.max(np.abs(back.coeffs - jet.coeffs)) < 1e-13
+    assert np.max(np.abs(back.dense() - jet.dense())) < 1e-13
 
 
 def _support_of(mask) -> int:
@@ -198,10 +205,10 @@ def test_product_table_is_the_pair_scan(dim):
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_restricted_product_matches_dense_scatter(dim):
     rng = np.random.default_rng(40 + dim)
-    size = len(seed([0.0] * dim)[0].coeffs)
+    size = len(_table(dim).entries)
     for samples in ((), (5,)):
         for trial in range(8):
-            jets = []
+            jets, tables = [], []
             for _ in range(2):
                 mask = rng.random(size) < rng.choice([0.03, 0.2, 0.6])
                 mask[0] = True
@@ -209,21 +216,66 @@ def test_restricted_product_matches_dense_scatter(dim):
                 c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
                 # entries outside the support are exact zeros of either sign
                 c[~mask] = -0.0 if trial % 2 else 0.0
-                jets.append(Jet(dim, c, _support_of(mask)))
-            jets.append(Jet(dim, jets[0].coeffs.copy()))  # no support: dense
-            for left, right in ((jets[0], jets[1]), (jets[1], jets[0]), (jets[2], jets[1])):
-                prod = left * right
-                dense = brute_jet_mul(dim, left.coeffs, right.coeffs)
-                assert prod.coeffs.tobytes() == dense.tobytes()
+                jets.append(Jet(dim, c[mask], _support_of(mask)))
+                tables.append(c)
+            jets.append(Jet(dim, tables[0].copy()))  # no support: dense
+            tables.append(tables[0])
+            for a, b in ((0, 1), (1, 0), (2, 1)):
+                prod = jets[a] * jets[b]
+                dense = brute_jet_mul(dim, tables[a], tables[b])
+                assert prod.dense().tobytes() == dense.tobytes()
                 # the product's support covers every nonzero entry
                 nonzero = np.flatnonzero(np.any(dense != 0, axis=tuple(range(1, dense.ndim))))
                 assert all(prod.support >> int(k) & 1 for k in nonzero)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_jet_eval_is_the_dense_oracle_on_its_support(dim, monkeypatch):
+    """Every jet stores exactly its support's entries; the root jet's
+    table is the whole-table oracle's, bit for bit, on the support and
+    zero elsewhere, at one point and on a stack of 11.  The potentials
+    are (r1 - r2) * r3 of random ones, so supports mix and grow."""
+    from frobenius_verify.expr import PotentialExpr, Product, Sum
+
+    made = []
+    init = Jet.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(Jet, "__init__", recording)
+    rng = np.random.default_rng(90 + dim)
+    compared = largest = 0
+    for _ in range(8):
+        r1, r2, r3 = (random_potential_expr(rng, dim, int(rng.integers(1, 4))).root for _ in "123")
+        expr = PotentialExpr(Product((Sum((r1, r2), (1, -1)), r3)), dim)
+        for shape in ((dim,), (11, dim)):
+            pts = rng.uniform(-0.8, 0.8, shape) + 1j * rng.uniform(-0.8, 0.8, shape)
+            made.clear()
+            failures: dict = {}
+            with np.errstate(all="ignore"):
+                jet = jet_eval(expr, pts, failures)
+                want, failed = dense_jet_eval(expr, pts)
+            assert set(failures) == failed
+            assert made and all(len(j.coeffs) == bin(j.support).count("1") for j in made)
+            got, want = jet.dense().reshape(len(want), -1), want.reshape(len(want), -1)
+            keep = [
+                s for s in range(got.shape[1])
+                if s not in failed and np.all(np.isfinite(want[:, s]))
+            ]
+            on = np.array([bool(jet.support >> k & 1) for k in range(len(want))])
+            assert got[on][:, keep].tobytes() == want[on][:, keep].tobytes()
+            assert not np.any(got[~on]) and not np.any(want[~on][:, keep])
+            compared += len(keep)
+            largest = max(largest, len(jet.coeffs))
+    assert compared >= 8 * 12 // 2 and largest > 10 * dim
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_stack_equals_one_point_jets_bit_for_bit(dim):
     rng = np.random.default_rng(70 + dim)
-    count = 11  # not a multiple of the 8-point dim-4 batch
+    count = 11  # not a multiple of the 16-point dim-4 batch
     failed = 0
     for _ in range(6):
         expr = random_potential_expr(rng, dim, int(rng.integers(1, 4)))
