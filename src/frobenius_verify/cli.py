@@ -326,24 +326,17 @@ def _sample_columns(
     ``{index: exception}`` for the others.  One tensor pass for all."""
     md, failures = kahler.metric_batch(potential, points)
     good = np.array([idx for idx in range(len(points)) if idx not in failures], dtype=int)
-
-    def keep(ok: np.ndarray, why: str) -> np.ndarray:
-        """``ok``, one entry per point in ``good``; each False becomes a failure."""
-        nonlocal good
-        for idx in good[~ok].tolist():
-            failures[idx] = kahler.KahlerError(why)
-        good = good[ok]
-        return ok
-
-    md = md[keep(np.all(np.isfinite(md.christoffel), axis=(-3, -2, -1)),
-                 "non-finite structure constants")]
-    # a large lambda can overflow the pencil: an error record, not a warning
+    # a large lambda overflows the pencil and a non-finite Gamma spreads
+    # into it: error records, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
         pencil = frob.pencil_curvature(md, lambda_grid)
+    gamma_ok = np.all(np.isfinite(md.christoffel), axis=(-3, -2, -1))
     # both norms are >= 0, so their sum is finite iff both are
-    finite = np.isfinite(pencil.curvature_norm + pencil.trace_norm)
-    ok = keep(np.all(finite, axis=-1), "non-finite pencil curvature")
-    md = md[ok]
+    ok = gamma_ok & np.all(np.isfinite(pencil.curvature_norm + pencil.trace_norm), axis=-1)
+    for idx, finite in zip(good[~ok].tolist(), gamma_ok[~ok].tolist()):
+        why = "non-finite pencil curvature" if finite else "non-finite structure constants"
+        failures[idx] = kahler.KahlerError(why)
+    good, md = good[ok], md[ok]
 
     ricci_herm, ricci_max = kahler.ricci_c1_check(md)
     hol = frob.fiber_algebra_from_metric(md)

@@ -7,8 +7,9 @@ functions below broadcast over those axes and reduce each check to one
 value per sample, a float for a single point.  Contractions are
 pairwise: matrix products (``@``, batched BLAS) on views that merge the
 trailing index axes, so a product of three tensors costs two n^5 matrix
-products per sample, not one n^6 loop.  Inverse and spectra are batched
-LAPACK.  Index conventions below name the trailing axes only.
+products per sample, not one n^6 loop.  Each batch makes one LAPACK
+``eigvalsh`` of g (its spectrum) and one ``inv`` (H).  Index conventions
+below name the trailing axes only.
 
 Tensors are read from the stacked jet partials ``partials`` (shape
 ``(..., E)``: jet coefficients times ``alpha! beta!`` in the order of
@@ -49,7 +50,8 @@ from .expr import ExprError, PotentialExpr
 from .wirtinger import _table, hermiticity_defect, jet_eval
 from .wirtinger import partial  # noqa: F401  (re-exported: the one-entry read)
 
-DEGENERACY_FLOOR = 1e-8  # min singular value must exceed floor * max
+# min |eigenvalue| of g (its smallest singular value) must exceed floor * max
+DEGENERACY_FLOOR = 1e-8
 REALNESS_TOL = 1e-8
 
 
@@ -71,14 +73,16 @@ class MetricData:
     point, or at a batch of points stacked along leading axes."""
 
     g: np.ndarray
-    g_inv: np.ndarray
+    g_inv: np.ndarray  # the batch's one inv(g)
     phi3: np.ndarray
     christoffel: np.ndarray
     curvature: np.ndarray
     ricci: np.ndarray
+    # from the batch's one eigvalsh(g): min |eigenvalue|, max / min |eigenvalue|
+    # and, reported, not certified, whether the least eigenvalue is > 0
     min_singular: np.ndarray
     cond: np.ndarray
-    positive_definite: np.ndarray  # reported, not certified: spectrum at the point
+    positive_definite: np.ndarray
     partials: np.ndarray  # jet coefficients times alpha! beta!
 
     @property
@@ -144,18 +148,19 @@ def metric_batch(
     partials = partials[good]
 
     g = np.take(partials, t.g_idx, axis=-1)
-    sv = np.linalg.svd(g, compute_uv=False)
-    smax, smin = sv[:, 0], sv[:, -1]
+    # g is Hermitian, so its singular values are its |eigenvalues|: one
+    # spectrum decides degeneracy, conditioning and positivity
+    eig = np.linalg.eigvalsh(g)
+    smax, smin = np.max(np.abs(eig), axis=-1), np.min(np.abs(eig), axis=-1)
     degenerate = smin <= DEGENERACY_FLOOR * smax
     for k in np.flatnonzero(degenerate):
         failures[good[k]] = DegenerateMetricError(
             f"metric degenerate at point (min singular {smin[k]:.3e}, max {smax[k]:.3e})"
         )
     keep = ~degenerate
-    partials, g = partials[keep], g[keep]
+    partials, g, eig = partials[keep], g[keep], eig[keep]
     smax, smin = smax[keep], smin[keep]
 
-    positive = np.linalg.eigvalsh(g)[:, 0] > 0
     h = np.linalg.inv(g)  # LAPACK LU with partial pivoting
     phi3 = np.take(partials, t.phi3_idx, axis=-1)
     # gam[(i, j), k] = sum_e phi3[i][j][e] H[e][k], so Gamma^k_{ij} = gam[i, j, k]
@@ -178,7 +183,7 @@ def metric_batch(
         ricci=ricci,
         min_singular=smin,
         cond=smax / smin,
-        positive_definite=positive,
+        positive_definite=eig[:, 0] > 0,
         partials=partials,
     )
     return md, failures

@@ -168,13 +168,15 @@ def _ellipsoid_tail(g: int, rho: float, r: float) -> float:
 
 
 class _Template(NamedTuple):
-    """The offsets m every point of a call sums, and what bounds the rest."""
+    """The offsets m every point of a call sums, what bounds the rest, and
+    the (Im tau)^-1 that centres each point."""
 
     offsets: np.ndarray  # (terms, g), read-only
     half: np.ndarray  # per-axis half-widths of the offsets, at most the radius; read-only
     r: float  # ellipsoid radius that meets TAIL_TARGET
     outer: float  # radius of the offsets' own ellipsoid, r plus the cube pad
     rho: float  # at most the shortest nonzero vector of sqrt(pi) Y^(1/2) Z^g
+    y_inv: np.ndarray  # (Im tau)^-1, read-only
 
 
 @functools.lru_cache(maxsize=TEMPLATE_CACHE)
@@ -198,9 +200,9 @@ def _template(y_bytes: bytes, g: int, radius: int) -> _Template:
     grid = np.meshgrid(*[np.arange(-h, h + 1) for h in half], indexing="ij")
     box = np.stack([a.reshape(-1) for a in grid], axis=1)
     offsets = box[math.pi * np.einsum("ki,ij,kj->k", box, y, box) <= outer * outer]
-    offsets.flags.writeable = False
-    half.flags.writeable = False
-    return _Template(offsets, half, hi, outer, rho)
+    for a in (offsets, half, y_inv):
+        a.flags.writeable = False
+    return _Template(offsets, half, hi, outer, rho, y_inv)
 
 
 def _rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -209,9 +211,7 @@ def _rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return sum(rows[:, j, None] * mat[:, j] for j in range(mat.shape[1]))
 
 
-def _point_bounds(
-    tpl: _Template, y: np.ndarray, y_inv: np.ndarray, e: np.ndarray
-) -> np.ndarray:
+def _point_bounds(tpl: _Template, y: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Tail bound per point whose window origin k + alpha lies at e from
     its centre.  A term the window omits lies outside the offsets'
     ellipsoid, at distance >= outer - |e| (in the Y metric), or beyond a
@@ -220,7 +220,7 @@ def _point_bounds(
     ye = _rows_times(e, y)
     r_outer = tpl.outer - np.sqrt(math.pi * sum(e[:, j] * ye[:, j] for j in range(len(y))))
     r_axis = np.min(
-        np.sqrt(math.pi / np.diag(y_inv)) * (tpl.half + 1 - np.abs(e)), axis=1
+        np.sqrt(math.pi / np.diag(tpl.y_inv)) * (tpl.half + 1 - np.abs(e)), axis=1
     )
     radii = np.minimum(tpl.r, np.minimum(r_outer, r_axis)).tolist()
     bounds = {r: _ellipsoid_tail(len(y), tpl.rho, r) for r in set(radii)}
@@ -251,16 +251,15 @@ def eval_riemann_theta(
     # a tiny Im tau or a huge Im z overflows somewhere below; a value that
     # is not finite raises, and a bound that is not finite reads inf
     with np.errstate(all="ignore"):
-        y_inv = np.linalg.inv(y)
         tpl = _template(y.tobytes(), g, radius)
         shifted = zs + spec.beta
-        centre = -_rows_times(shifted.imag, y_inv)
+        centre = -_rows_times(shifted.imag, tpl.y_inv)
         # w = n + alpha = k + m: k + alpha is the lattice point nearest the
         # centre (ties round up, so a shift by tau e_j moves k by exactly
         # -e_j), clipped so that the window k + offsets stays in the box
         k = np.floor(centre - spec.alpha + 0.5)
         k = np.clip(k, tpl.half - radius, radius - tpl.half)
-        bounds = _point_bounds(tpl, y, y_inv, k + spec.alpha - centre)
+        bounds = _point_bounds(tpl, y, k + spec.alpha - centre)
         k += spec.alpha
         tk = _rows_times(k, tau)
         # exponent = a (per point) + b (per offset) + m . lin (per pair)

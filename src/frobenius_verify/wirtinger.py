@@ -11,13 +11,12 @@ pair ``(alpha, beta)`` times ``alpha! * beta!`` is the mixed partial
 A jet carries its structural support: a bit mask of the entries of the
 multi-index simplex (E entries, at most 495 at chart dimension n <= 4)
 that can be nonzero given the expression it came from, always including
-the constant term (a jet built without one is dense).  It stores those S
-entries only, in table order, with an optional trailing sample axis:
-``coeffs`` is ``(S,)`` for one base point and ``(S, N)`` for N points
-evaluated together, and every operation acts on each sample column
-alone.  Conjugating a jet swaps ``alpha <-> beta`` and conjugates the
-coefficients, which is how ``zbar`` dependence is handled without a
-second differentiation pass.
+the constant term.  It stores those S entries only, in table order, with
+an optional trailing sample axis: ``coeffs`` is ``(S,)`` for one base
+point and ``(S, N)`` for N points evaluated together, and every
+operation acts on each sample column alone.  Conjugating a jet swaps
+``alpha <-> beta`` and conjugates the coefficients, which is how
+``zbar`` dependence is handled without a second differentiation pass.
 
 A sum places each operand in zeros of the union's support and adds: the
 dense sum restricted to the union.  Products are truncated convolutions
@@ -243,20 +242,20 @@ def _conjugation(dim: int, support: int) -> tuple[int, np.ndarray]:
 class Jet:
     """Immutable truncated series; all arithmetic returns new jets.
 
-    ``support`` has bit k set when table entry k can be nonzero (all bits
-    when not given; bit 0 always), and ``coeffs`` holds those S entries in
-    table order: ``(S,)`` for one point or ``(S, N)`` for N samples."""
+    ``support`` has bit k set when table entry k can be nonzero (bit 0
+    always), and ``coeffs`` holds those S entries in table order: ``(S,)``
+    for one point or ``(S, N)`` for N samples."""
 
     __slots__ = ("dim", "coeffs", "support")
 
-    def __init__(self, dim: int, coeffs: np.ndarray, support: int | None = None):
+    def __init__(self, dim: int, coeffs: np.ndarray, support: int):
         self.dim = dim
         self.coeffs = coeffs
-        self.support = (1 << len(_table(dim).entries)) - 1 if support is None else support
+        self.support = support
 
     def dense(self) -> np.ndarray:
         """The coefficients of every table entry in table order, ``(E,)`` or
-        ``(E, N)``, zero outside the support (``coeffs`` of a dense jet)."""
+        ``(E, N)``, zero outside the support."""
         rows = _entries(self.dim, self.support)
         return _placed(self.coeffs, rows, len(_table(self.dim).entries))
 
@@ -480,8 +479,8 @@ def partial(jet: Jet, alpha: Sequence[int], beta: Sequence[int]) -> complex:
 
 
 def hermiticity_defect(jet: Jet):
-    """Max |c(alpha,beta) - conj(c(beta,alpha))|; zero for real potentials.
-    A float for one point, one value per sample for a stack."""
-    c = jet.dense()
-    d = np.max(np.abs(c - np.conj(c[_table(jet.dim).conj_perm])), axis=0)
+    """Max |c(alpha,beta) - conj(c(beta,alpha))| over the support of the
+    difference (zero elsewhere); zero for real potentials.  A float for
+    one point, one value per sample for a stack."""
+    d = np.max(np.abs((jet - jet.conjugate()).coeffs), axis=0)
     return float(d) if d.ndim == 0 else d

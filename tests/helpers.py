@@ -4,15 +4,15 @@ Everything here is deliberately written against the public surface
 only: a dispatch-table interpreter for potential ASTs, nested
 central-difference Wirtinger derivatives with Richardson extrapolation,
 a random AST generator, a scatter over every pair of the truncated jet
-product and a whole-table jet interpreter built on it, brute-force triple loops for the algebra axioms, a
-term-by-term theta series, group checks in complex coordinates with a
-bounded search for fixed points, Lefschetz numbers by an integer
-Bareiss determinant, a per-point loop for the sample points and a
+product and a whole-table jet interpreter built on it, brute-force
+triple loops for the algebra axioms, a term-by-term theta series, group
+checks in complex coordinates with a bounded search for fixed points,
+Lefschetz numbers by an integer Bareiss determinant, metric spectra by
+``svd`` and Cholesky, a per-point loop for the sample points and a
 per-row one for their report rows, the row and per-point loops that
 the verdict and the theta residuals once ran in, and the tensor
 contractions as single multi-operand einsums (these read the jet
-table's gather indices).
-These stay independent of the code paths they check.  Two more routes
+table's gather indices).  These stay independent of the code paths they check.  Two more routes
 that no command takes live here too: the Ricci tensor as the fiber
 trace of dbar Gamma, and the Hopf-surface flags; ``flat_torus_entry``
 and ``curved_bundles`` are fixtures.
@@ -404,6 +404,21 @@ def curved_bundles(dim, seed):
         }
     )
     return md, metric_at(potential, points[0]), pairs
+
+
+def svd_spectrum(g):
+    """``(smallest, largest, positive)`` of each metric of a stack
+    ``(..., n, n)``: its extreme singular values by ``svd``, and whether a
+    Cholesky factor of it exists."""
+    sv = np.linalg.svd(g, compute_uv=False)
+    positive = []
+    for m in np.reshape(g, (-1,) + np.shape(g)[-2:]):
+        try:
+            np.linalg.cholesky(m)
+            positive.append(True)
+        except np.linalg.LinAlgError:
+            positive.append(False)
+    return sv[..., -1], sv[..., 0], np.reshape(positive, np.shape(g)[:-2])
 
 
 def assert_close(got, expected, rel=1e-13):

@@ -709,7 +709,12 @@ def test_metric_not_positive_definite_is_not_frobenius(potential):
     assert all(s["max_curvature"] == 0.0 for s in report["samples"])
 
 
-def test_non_finite_structure_constants_give_an_error_record(monkeypatch):
+# at lambda = 1e160 the pencil of every curved sample overflows; the
+# sample whose Gamma is not finite is named for its Gamma all the same
+@pytest.mark.parametrize("grid, others", [
+    (None, None), ((1.0, 1e160), "non-finite pencil curvature"),
+], ids=["default", "overflowing"])
+def test_non_finite_structure_constants_give_an_error_record(monkeypatch, grid, others):
     from frobenius_verify import cli
 
     metric_batch = cli.kahler.metric_batch
@@ -721,10 +726,11 @@ def test_non_finite_structure_constants_give_an_error_record(monkeypatch):
         return dataclasses.replace(md, christoffel=christoffel), failures
 
     monkeypatch.setattr(cli.kahler, "metric_batch", poisoned)
-    report = run_verify(load_manifold_spec(FS_SPEC), Config(samples=4))
+    config = Config(samples=4) if grid is None else Config(samples=4, lambda_grid=grid)
+    report = run_verify(load_manifold_spec(FS_SPEC), config)
     assert report["verdict"] == "error"
     assert [s.get("error") for s in report["samples"]] == [
-        None, "non-finite structure constants", None, None
+        others, "non-finite structure constants", others, others
     ]
 
 

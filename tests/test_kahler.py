@@ -11,6 +11,7 @@ from helpers import (
     einsum_wdvv_sides,
     fd_curvature,
     fd_wdvv_residual,
+    svd_spectrum,
 )
 
 from frobenius_verify.expr import (
@@ -25,6 +26,7 @@ from frobenius_verify.expr import (
 from frobenius_verify.cli import _sample_columns, _sample_records
 from frobenius_verify.expr import LogDomainError
 from frobenius_verify.kahler import (
+    DEGENERACY_FLOOR,
     DegenerateMetricError,
     MetricData,
     christoffel_derivatives,
@@ -35,7 +37,7 @@ from frobenius_verify.kahler import (
     wdvv_residual_at,
     worst,
 )
-from frobenius_verify.wirtinger import _table
+from frobenius_verify.wirtinger import Jet, _table
 
 FLAT2 = parse("z1*zbar1 + z2*zbar2", 2)
 FS1 = parse("log(1 + z1*zbar1)", 1)
@@ -215,6 +217,62 @@ def test_degenerate_metric_rejected():
     quartic = parse("(z1*zbar1)^2", 1)
     with pytest.raises(DegenerateMetricError):
         metric_at(quartic, [0.0])
+
+
+def _assert_spectrum_columns(md, g):
+    smin, smax, positive = svd_spectrum(g)
+    np.testing.assert_allclose(md.min_singular, smin, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(md.cond, smax / smin, rtol=1e-14, atol=0)
+    assert np.array_equal(md.positive_definite, positive)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_spectrum_columns_match_the_svd_oracle(dim):
+    for md in curved_bundles(dim, 23):
+        _assert_spectrum_columns(md, md.g)
+
+
+# constant metrics: indefinite, singular, and one on each side of the floor
+@pytest.mark.parametrize("text, g", [
+    ("z1*zbar1 - z2*zbar2 + 0.1*(z1*zbar2 + z2*zbar1)", [[1, 0.1], [0.1, -1]]),
+    ("z1*zbar1", [[1, 0], [0, 0]]),
+    ("z1*zbar1 + 5e-9*z2*zbar2", [[1, 0], [0, 5e-9]]),
+    ("z1*zbar1 + 2e-8*z2*zbar2", [[1, 0], [0, 2e-8]]),
+])
+def test_degenerate_set_matches_the_svd_oracle(text, g):
+    rng = np.random.default_rng(31)
+    points = rng.uniform(-0.4, 0.4, (5, 2)) + 1j * rng.uniform(-0.4, 0.4, (5, 2))
+    md, failures = metric_batch(parse(text, 2), points)
+    g = np.array(g, dtype=complex)
+    smin, smax, _ = svd_spectrum(g)
+    if smin <= DEGENERACY_FLOOR * smax:
+        message = f"metric degenerate at point (min singular {smin:.3e}, max {smax:.3e})"
+        assert {i: (type(e), str(e)) for i, e in failures.items()} == {
+            i: (DegenerateMetricError, message) for i in range(len(points))
+        }
+        assert md.g.shape == (0, 2, 2)
+    else:
+        assert failures == {}
+        assert np.array_equal(md.g, np.broadcast_to(g, md.g.shape))
+        _assert_spectrum_columns(md, md.g)
+
+
+def test_one_pass_builds_one_dense_table(monkeypatch):
+    """The realness test reads the root jet's support rows, so a pass
+    builds the whole jet table once, for the partials."""
+    calls = []
+    dense = Jet.dense
+
+    def counting(self):
+        calls.append(self.coeffs.shape)
+        return dense(self)
+
+    monkeypatch.setattr(Jet, "dense", counting)
+    rng = np.random.default_rng(37)
+    points = rng.uniform(-0.4, 0.4, (6, 2)) + 1j * rng.uniform(-0.4, 0.4, (6, 2))
+    md, failures = metric_batch(FS2, points)
+    assert not failures and len(md.g) == 6
+    assert len(calls) == 1
 
 
 def test_fd_oracle_on_curvature_entries():

@@ -218,7 +218,7 @@ def test_restricted_product_matches_dense_scatter(dim):
                 c[~mask] = -0.0 if trial % 2 else 0.0
                 jets.append(Jet(dim, c[mask], _support_of(mask)))
                 tables.append(c)
-            jets.append(Jet(dim, tables[0].copy()))  # no support: dense
+            jets.append(Jet(dim, tables[0].copy(), (1 << size) - 1))  # dense
             tables.append(tables[0])
             for a, b in ((0, 1), (1, 0), (2, 1)):
                 prod = jets[a] * jets[b]
@@ -233,7 +233,8 @@ def test_restricted_product_matches_dense_scatter(dim):
 def test_jet_eval_is_the_dense_oracle_on_its_support(dim, monkeypatch):
     """Every jet stores exactly its support's entries; the root jet's
     table is the whole-table oracle's, bit for bit, on the support and
-    zero elsewhere, at one point and on a stack of 11.  The potentials
+    zero elsewhere, at one point and on a stack of 11, and so is its
+    hermiticity defect.  The potentials
     are (r1 - r2) * r3 of random ones, so supports mix and grow."""
     from frobenius_verify.expr import PotentialExpr, Product, Sum
 
@@ -267,6 +268,11 @@ def test_jet_eval_is_the_dense_oracle_on_its_support(dim, monkeypatch):
             on = np.array([bool(jet.support >> k & 1) for k in range(len(want))])
             assert got[on][:, keep].tobytes() == want[on][:, keep].tobytes()
             assert not np.any(got[~on]) and not np.any(want[~on][:, keep])
+            # the realness defect, read off the support rows, is the whole table's
+            with np.errstate(all="ignore"):
+                defect = np.reshape(hermiticity_defect(jet), -1)
+                table = np.max(np.abs(want - np.conj(want[_table(dim).conj_perm])), axis=0)
+            assert defect[keep].tobytes() == table[keep].tobytes()
             compared += len(keep)
             largest = max(largest, len(jet.coeffs))
     assert compared >= 8 * 12 // 2 and largest > 10 * dim
