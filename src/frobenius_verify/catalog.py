@@ -11,6 +11,12 @@ a free translation-free action on a complex torus embeds into the
 diagonal stabilizer of a fixed eigenvector, hence is cyclic).  The
 original family group is kept as metadata under ``holonomy``.
 
+The families are data: ``FAMILIES`` has one row per family, from which
+:func:`hyperelliptic_catalog` builds every chart.  The surfaces that are
+not Frobenius (:func:`negative_controls`) and the higher-dimensional
+rows (:func:`metadata_rows`) have no chart and are plain report rows:
+``{"spec", "flags", "metadata"}`` and ``{"spec", "metadata"}``.
+
 Every group check reads one form of the action: each element
 ``z -> A z + t`` in lattice coordinates is ``x -> M x + s`` (mod Z^2n).
 The lattice is stable iff every M is integral; two elements are one map
@@ -170,33 +176,46 @@ class GroupAction:
     elements: tuple[AffineMap, ...]
     name: str = ""
 
+    def __post_init__(self) -> None:
+        self._lattice_form  # built now: an action whose form overflows is never made
+
     @functools.cached_property
     def _lattice_form(self) -> tuple[np.ndarray, np.ndarray]:
         """Every element as ``x -> M x + s`` in lattice coordinates: ``M``
         (G, 2n, 2n) is ``B^-1 R(A) B`` for the real lattice basis ``B``, and
         ``s`` (G, 2n) is ``B^-1 [Re t; Im t]``, one matrix-vector product per
         element so that fixed-point witnesses keep their last bits.  Built
-        once per action; both arrays are read-only."""
+        once per action, when it is made; both arrays are read-only.  An
+        entry of A or t far above the lattice's scale overflows the form:
+        ValueError names A or t."""
         basis = self.lattice.real_basis()
         inv = np.linalg.inv(basis)
         a = np.stack([el.A for el in self.elements])
-        m = inv @ np.block([[a.real, -a.imag], [a.imag, a.real]]) @ basis
-        s = np.stack([inv @ np.concatenate([el.t.real, el.t.imag]) for el in self.elements])
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = inv @ np.block([[a.real, -a.imag], [a.imag, a.real]]) @ basis
+            s = np.stack([inv @ np.concatenate([el.t.real, el.t.imag]) for el in self.elements])
+        for key, part in (("A", m), ("t", s)):
+            if not np.all(np.isfinite(part)):
+                raise ValueError(
+                    f"group element {key} has lattice coordinates that are not finite"
+                )
         m.flags.writeable = s.flags.writeable = False
         return m, s
 
 
 @dataclass(frozen=True, eq=False)
 class CatalogEntry:
-    """A chart to verify (a catalog row, or a spec file once loaded)."""
+    """A chart to verify: a surface of the catalog, or a spec file once
+    loaded.  Rows with no chart (negative controls, metadata) are plain
+    dicts, not entries."""
 
     name: str
     dim: int
-    potential: Optional[PotentialExpr]
+    potential: PotentialExpr
     lattice: Optional[Lattice]
     action: Optional[GroupAction]
-    # torus | hyperelliptic | negative-control | metadata, or any verdict
-    # name; None on a spec file that expects nothing
+    # torus | hyperelliptic | negative-control, or any verdict name; None
+    # on a spec file that expects nothing
     expected_class: Optional[str]
     metadata: dict = field(default_factory=dict)
     # {"re": [[lo, hi], ...], "im": [[lo, hi], ...]}; None gives the
@@ -204,7 +223,7 @@ class CatalogEntry:
     sample_domain: Optional[dict] = None
 
     def __post_init__(self) -> None:
-        if self.potential is not None and self.potential.dim != self.dim:
+        if self.potential.dim != self.dim:
             raise ValueError("potential dimension mismatch")
         if self.sample_domain is None:
             box = {part: [[-SAMPLE_BOX, SAMPLE_BOX]] * self.dim for part in ("re", "im")}
@@ -347,199 +366,94 @@ def square_lattice(n: int) -> Lattice:
 
 _RHO = complex(-0.5, np.sqrt(3.0) / 2.0)  # primitive cube root of unity
 
-
-def _cyclic_action(
-    lattice: Lattice, rotation: complex, translation: np.ndarray, order: int, name: str
-) -> GroupAction:
-    gen = AffineMap(np.diag([1.0 + 0j, rotation]), translation)
-    els = [AffineMap(np.eye(2), np.zeros(2))]
-    g = gen
-    for _ in range(order - 1):
-        els.append(g)
-        g = g.compose(gen)
-    return GroupAction(lattice, tuple(els), name)
-
-
-def _extended_lattice(moduli: Sequence[complex], extra: np.ndarray) -> Lattice:
-    """Product lattice enlarged by an extra generator replacing tau_1 e_1.
-
-    The replaced generator stays in the integer span of the new basis;
-    used for the families whose product presentation carries a pure
-    translation (absorbed here into the lattice).
-    """
-    e1 = np.array([1.0 + 0j, 0.0])
-    e2 = np.array([0.0, 1.0 + 0j])
-    gens = np.stack([e1, np.asarray(extra, dtype=np.complex128), e2, e2 * moduli[1]])
-    lat = Lattice(gens)
-    if not lat.contains(e1 * moduli[0]):
-        raise ValueError("extended lattice does not contain the product lattice")
-    return lat
+# The seven quotient families of E x F, one row each, in catalog order:
+# (group, tau, rotation, order, absorbed translation or None).  Both
+# factors are C/(Z + Z tau); the generator z -> (z1 + 1/order, rotation
+# z2) shifts E by 1/order and rotates F.  A product group's
+# pure-translation generator is absorbed into the lattice.
+FAMILIES = (
+    ("Z2", 1j, -1.0, 2, None),  # F-symmetry x -> -x
+    ("Z2xZ2", 1j, -1.0, 2, (0.5j, 0.5)),  # half-period on both factors
+    ("Z4", 1j, 1j, 4, None),  # x -> i x on F = C/(Z + Zi)
+    ("Z4xZ2", 1j, 1j, 4, (0.5j, 0.5 + 0.5j)),
+    ("Z3", _RHO, _RHO, 3, None),  # x -> rho x on F = C/(Z + Z rho)
+    ("Z3xZ3", _RHO, _RHO, 3, (_RHO / 3.0, (1.0 - _RHO) / 3.0)),
+    ("Z6", _RHO, -_RHO, 6, None),  # x -> -rho x
+)
 
 
 def hyperelliptic_catalog() -> list[CatalogEntry]:
-    """The eight flat Kahler surface entries: the torus and the seven
-    quotient families of E x F.
+    """The eight flat Kahler surface entries: the torus, then one entry
+    ``hyperelliptic-<group>`` per row of ``FAMILIES``, in its order.
 
-    Per-family data (E-translation epsilon = 1 / (order of the rotation
-    generator); F-actions are the classical ones).  Families whose
-    product presentation includes a pure-translation generator are
-    stored in the reduced form: the translation is absorbed into the
-    lattice and the remaining cyclic rotation generator acts on the
-    enlarged torus.  ``metadata['holonomy']`` keeps the family group
-    label, ``metadata['reduced_order']`` the stored cyclic order.
+    ``metadata['holonomy']`` is the family group label (``x`` read as
+    ``+``) and ``metadata['reduced_order']`` the order of the stored
+    cyclic action.  A family with an absorbed translation acts on the
+    enlarged lattice; ``metadata['absorbed_translation']`` keeps the
+    vector as ``[re, im]`` pairs.
     """
     phi2 = flat_potential(2)
-    tau_i, tau_rho = 1j, _RHO
-    entries = [
-        CatalogEntry(
-            name="torus",
-            dim=2,
-            potential=phi2,
-            lattice=square_lattice(2),
-            action=None,
-            expected_class="torus",
-            metadata={"holonomy": "1", "b1": 4, "b2": 6, "pg": 1},
-        )
-    ]
-
-    def family(name, lattice, rotation, order, holonomy, reduced_note=None):
-        translation = np.array([1.0 / order, 0.0], dtype=np.complex128)
-        action = _cyclic_action(lattice, rotation, translation, order, name)
-        meta = {"holonomy": holonomy, "b1": 2, "b2": 2, "pg": 0,
+    torus_meta = {"holonomy": "1", "b1": 4, "b2": 6, "pg": 1}
+    entries = [CatalogEntry("torus", 2, phi2, square_lattice(2), None, "torus", torus_meta)]
+    for group, tau, rotation, order, absorbed in FAMILIES:
+        name = f"hyperelliptic-{group}"
+        meta = {"holonomy": group.replace("x", "+"), "b1": 2, "b2": 2, "pg": 0,
                 "reduced_order": order}
-        if reduced_note is not None:
-            meta["absorbed_translation"] = reduced_note
-        entries.append(
-            CatalogEntry(
-                name=name,
-                dim=2,
-                potential=phi2,
-                lattice=lattice,
-                action=action,
-                expected_class="hyperelliptic",
-                metadata=meta,
-            )
-        )
-
-    # (1) Z2: F-symmetry x -> -x
-    family("hyperelliptic-Z2", product_lattice([tau_i, tau_i]), -1.0, 2, "Z2")
-    # (2) Z2+Z2: second generator (x -> x + half-period on both factors)
-    # is a pure translation; absorbed into the lattice.
-    v2 = np.array([0.5j, 0.5])
-    family(
-        "hyperelliptic-Z2xZ2",
-        _extended_lattice([tau_i, tau_i], v2),
-        -1.0,
-        2,
-        "Z2+Z2",
-        reduced_note=[[v2[0].real, v2[0].imag], [v2[1].real, v2[1].imag]],
-    )
-    # (3) Z4 on F = C/(Z + Zi) by x -> i x
-    family("hyperelliptic-Z4", product_lattice([tau_i, tau_i]), 1j, 4, "Z4")
-    # (4) Z4+Z2: translation (i/2, (1+i)/2) absorbed.
-    v4 = np.array([0.5j, 0.5 + 0.5j])
-    family(
-        "hyperelliptic-Z4xZ2",
-        _extended_lattice([tau_i, tau_i], v4),
-        1j,
-        4,
-        "Z4+Z2",
-        reduced_note=[[v4[0].real, v4[0].imag], [v4[1].real, v4[1].imag]],
-    )
-    # (5) Z3 on F = C/(Z + Z rho) by x -> rho x
-    family("hyperelliptic-Z3", product_lattice([tau_rho, tau_rho]), _RHO, 3, "Z3")
-    # (6) Z3+Z3: translation (rho/3, (1-rho)/3) absorbed.
-    v3 = np.array([_RHO / 3.0, (1.0 - _RHO) / 3.0])
-    family(
-        "hyperelliptic-Z3xZ3",
-        _extended_lattice([tau_rho, tau_rho], v3),
-        _RHO,
-        3,
-        "Z3+Z3",
-        reduced_note=[[v3[0].real, v3[0].imag], [v3[1].real, v3[1].imag]],
-    )
-    # (7) Z6 by x -> -rho x
-    family("hyperelliptic-Z6", product_lattice([tau_rho, tau_rho]), -_RHO, 6, "Z6")
-
+        lattice = product_lattice([tau, tau])
+        if absorbed is not None:
+            # the translation replaces the generator tau e_1, which stays in
+            # the integer span of the enlarged lattice
+            e1, tau_e1, e2, tau_e2 = lattice.generators
+            extra = np.array(absorbed)
+            lattice = Lattice(np.stack([e1, extra, e2, tau_e2]))
+            if not lattice.contains(tau_e1):
+                raise ValueError("enlarged lattice does not contain the product lattice")
+            meta["absorbed_translation"] = [[x.real, x.imag] for x in extra]
+        shift = np.array([1.0 / order, 0.0], dtype=np.complex128)
+        gen = AffineMap(np.diag([1.0 + 0j, rotation]), shift)
+        elements = [AffineMap(np.eye(2), np.zeros(2)), gen]
+        while len(elements) < order:
+            elements.append(elements[-1].compose(gen))
+        action = GroupAction(lattice, tuple(elements), name)
+        entries.append(CatalogEntry(name, 2, phi2, lattice, action, "hyperelliptic", meta))
     return entries
 
 
 # --- negative controls and metadata rows ------------------------------
 
 
-def negative_controls() -> list[CatalogEntry]:
-    """Surface-classification rows that are not Frobenius; metadata only."""
-
-    def row(name, flags, extra=None):
-        meta = {"flags": flags}
-        if extra:
-            meta.update(extra)
-        return CatalogEntry(
-            name=name,
-            dim=2,
-            potential=None,
-            lattice=None,
-            action=None,
-            expected_class="negative-control",
-            metadata=meta,
-        )
-
+def negative_controls() -> list[dict]:
+    """Surface-classification rows that are not Frobenius and carry no
+    chart: ``{"spec", "flags", "metadata"}`` each, new on every call."""
+    rows = (
+        # (name, affine, kahler, metadata)
+        ("minimal-elliptic-VIII0", True, False, {"b1": "odd", "pg": ">0"}),
+        ("inoue-VII0", True, False, {"b1": 1, "b2": 0, "pg": 0}),
+        ("hopf-VII0", True, False,
+         {"b1": 1, "b2": 0, "pg": 0, "affine_condition": "c*(m-1) == 0"}),
+        ("ruled", False, True, {"b2": 2}),
+        ("k3", False, True, {"b1": 0, "b2": 22, "pg": 1}),
+    )
     return [
-        row(
-            "minimal-elliptic-VIII0",
-            {"frobenius": False, "affine": True, "kahler": False},
-            {"b1": "odd", "pg": ">0"},
-        ),
-        row(
-            "inoue-VII0",
-            {"frobenius": False, "affine": True, "kahler": False},
-            {"b1": 1, "b2": 0, "pg": 0},
-        ),
-        row(
-            "hopf-VII0",
-            {"frobenius": False, "affine": True, "kahler": False},
-            {"b1": 1, "b2": 0, "pg": 0, "affine_condition": "c*(m-1) == 0"},
-        ),
-        row(
-            "ruled",
-            {"frobenius": False, "affine": False, "kahler": True},
-            {"b2": 2},
-        ),
-        row(
-            "k3",
-            {"frobenius": False, "affine": False, "kahler": True},
-            {"b1": 0, "b2": 22, "pg": 1},
-        ),
+        {"spec": name, "flags": {"frobenius": False, "affine": affine, "kahler": kahler},
+         "metadata": meta}
+        for name, affine, kahler, meta in rows
     ]
 
 
-def metadata_rows() -> list[CatalogEntry]:
-    """Higher-dimensional classification rows carried as metadata only
-    (no constructive chart data)."""
-
-    def row(name, meta):
-        return CatalogEntry(
-            name=name,
-            dim=3,
-            potential=None,
-            lattice=None,
-            action=None,
-            expected_class="metadata",
-            metadata=meta,
-        )
-
+def metadata_rows() -> list[dict]:
+    """Higher-dimensional classification rows with no chart:
+    ``{"spec", "metadata"}`` each, new on every call."""
     return [
-        row("hantzsche-wendt", {"holonomy": "(Z2)^(n-1)", "b1": 0, "spin": True}),
-        row("calabi-yau-3d-flat", {"holonomy": "nontrivial"}),
-        row("calabi-yau-odd-dim", {"betti": "b1..b_{2n-1} = 0, b_n = 2^n"}),
+        {"spec": "hantzsche-wendt",
+         "metadata": {"holonomy": "(Z2)^(n-1)", "b1": 0, "spin": True}},
+        {"spec": "calabi-yau-3d-flat", "metadata": {"holonomy": "nontrivial"}},
+        {"spec": "calabi-yau-odd-dim", "metadata": {"betti": "b1..b_{2n-1} = 0, b_n = 2^n"}},
     ]
 
 
 def classification_counts() -> tuple[int, int]:
-    """(surfaces, threefolds) = (8, 174).
-
-    The surface count is re-derived as the catalog length; the
-    threefold count is recorded as asserted metadata (enumerating the
-    three-dimensional families is out of scope).
-    """
-    return len(hyperelliptic_catalog()), 174
+    """(surfaces, threefolds) = (8, 174): the torus and the rows of
+    ``FAMILIES``; the threefold count is recorded as asserted metadata
+    (enumerating the three-dimensional families is out of scope)."""
+    return 1 + len(FAMILIES), 174

@@ -277,14 +277,10 @@ def _group_from_spec(elements, lattice: cat.Lattice, name: str) -> cat.GroupActi
             maps.append(cat.AffineMap(np.array(a), np.array(t)))
         except ValueError as exc:
             raise SpecError(f"group element: {exc}") from exc
-    action = cat.GroupAction(lattice, tuple(maps), name)
-    # an entry of A or t far above the lattice's scale overflows x -> M x + s
-    with np.errstate(over="ignore", invalid="ignore"):
-        m, s = action._lattice_form
-    for key, part in (("A", m), ("t", s)):
-        if not np.all(np.isfinite(part)):
-            raise SpecError(f"group element {key} has lattice coordinates that are not finite")
-    return action
+    try:
+        return cat.GroupAction(lattice, tuple(maps), name)
+    except ValueError as exc:
+        raise SpecError(str(exc)) from exc
 
 
 # --- sampling ---------------------------------------------------------
@@ -505,8 +501,9 @@ def entry_to_spec(entry: cat.CatalogEntry) -> ManifoldSpec:
 
 
 def run_catalog(name_filter: Optional[str], config: Config) -> list:
-    """Verify all (or filtered) catalog entries; negative-control and
-    metadata rows are reported flag-only."""
+    """Verify all catalog entries, or those whose name contains
+    ``name_filter``; negative-control and metadata rows are reported
+    flag-only.  A filter that matches no row is a SpecError."""
     reports: list = []
     for entry in cat.hyperelliptic_catalog():
         if name_filter and name_filter not in entry.name:
@@ -518,25 +515,16 @@ def run_catalog(name_filter: Optional[str], config: Config) -> list:
         report["matches_expected"] = report["verdict"] == expected
         report["metadata"] = entry.metadata
         reports.append(report)
-    for entry in cat.negative_controls() + cat.metadata_rows():
-        if name_filter and name_filter not in entry.name:
-            continue
-        reports.append(
-            {
-                "spec": entry.name,
-                "version": __version__,
-                "seed": config.seed,
-                "kind": entry.expected_class,
-                "flags": entry.metadata.get("flags"),
-                "metadata": {
-                    k: v for k, v in entry.metadata.items() if k != "flags"
-                },
-                "verdict": "negative-control"
-                if entry.expected_class == "negative-control"
-                else "metadata",
-                "matches_expected": True,
-            }
-        )
+    for kind, rows in (("negative-control", cat.negative_controls()),
+                       ("metadata", cat.metadata_rows())):
+        reports += [
+            {**row, "version": __version__, "seed": config.seed, "kind": kind,
+             "flags": row.get("flags"), "verdict": kind, "matches_expected": True}
+            for row in rows
+            if not name_filter or name_filter in row["spec"]
+        ]
+    if not reports:
+        raise SpecError(f"--catalog {name_filter!r} matches no catalog row")
     return reports
 
 
@@ -773,7 +761,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_OK if report["verdict"] == expected else EXIT_MISMATCH
 
         if args.command == "catalog":
-            reports = run_catalog(args.name_filter, config)
+            try:
+                reports = run_catalog(args.name_filter, config)
+            except SpecError as exc:
+                sys.stderr.write(f"error: {exc}\n")
+                return EXIT_INPUT
             _print_report(reports, args.as_json)
             return catalog_exit_code(reports)
 

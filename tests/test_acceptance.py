@@ -137,8 +137,8 @@ def test_criterion_04_negative_controls():
     ok = ok and not hopf_affine_condition(0.5, 0.7, 1.0, 1).valid
     ok = ok and not hopf_affine_condition(0.5, 0.5, 0.5, 2).affine
     # the catalog's Hopf row carries the same flags
-    hopf_row = {e.name: e for e in negative_controls()}["hopf-VII0"]
-    ok = ok and hopf_row.metadata["flags"] == {
+    hopf_row = {r["spec"]: r for r in negative_controls()}["hopf-VII0"]
+    ok = ok and hopf_row["flags"] == {
         "frobenius": False,
         "kahler": False,
         "affine": True,

@@ -134,6 +134,26 @@ def test_catalog_filter_hopf():
     }
 
 
+def test_catalog_flag_rows_are_report_rows():
+    reports = run_catalog("", Config(samples=2))
+    rows = [r for r in reports if "kind" in r]
+    assert len(reports) == 16 and len(rows) == 8
+    keys = {"spec", "version", "seed", "kind", "flags", "metadata", "verdict", "matches_expected"}
+    assert all(set(r) == keys for r in rows)
+    wendt = {r["spec"]: r for r in rows}["hantzsche-wendt"]
+    assert wendt["kind"] == wendt["verdict"] == "metadata"
+    assert wendt["flags"] is None
+
+
+def test_catalog_filter_matching_nothing_is_an_input_error(capsys):
+    with pytest.raises(SpecError, match="--catalog"):
+        run_catalog("none-such", Config(samples=2))
+    assert main(["catalog", "--catalog", "Z5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --catalog 'Z5' matches no catalog row\n"
+
+
 def test_catalog_determinism_bytes():
     r1 = run_catalog(None, Config(samples=6, seed=777))
     r2 = run_catalog(None, Config(samples=6, seed=777))
