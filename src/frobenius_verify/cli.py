@@ -41,12 +41,12 @@ MAX_DIM = 6
 MAX_GROUP_ELEMENTS = 64
 # Points of the theta quasi-periodicity table (the first 8 also test products)
 THETA_POINTS = 20
-# Sample points per pass: about this many entries of an n^4 tensor (16 points
-# at dim 4, 50 at dim 3, all 64 at dims 1-2).  One jet pass feeds one tensor
-# pass.  A curved dim-4 sample holds about 50 KB in the tensor pass (15 KB of
-# MetricData, 37 KB more at the pencil's peak; tracemalloc), its jets, stored
-# only on their supports, about 65 KB at their peak.
-BATCH_ENTRIES = 4096
+# Sample points per pass: about this many entries of an n^4 tensor (32 points
+# at dim 4, 13 at 5, 6 at 6, all 64 default samples at dims 1-3).  One jet pass
+# feeds one tensor pass.  A whole dim-4 verify in 32-point passes peaks at about
+# 1.35 MiB in the pencil's blocks, and 1.40 MiB in the product runs of the log
+# ball's jets (tracemalloc); one 64-point pass would take about 2.4 MiB.
+BATCH_ENTRIES = 8192
 DEFAULT_TOLERANCES = {
     "structural": 1e-9,
     "theta": 1e-8,
@@ -332,7 +332,8 @@ def _sample_columns(
     for idx, finite in zip(good[~ok].tolist(), gamma_ok[~ok].tolist()):
         why = "non-finite pencil curvature" if finite else "non-finite structure constants"
         failures[idx] = kahler.KahlerError(why)
-    good, md = good[ok], md[ok]
+    if not ok.all():
+        good, md = good[ok], md[ok]
 
     ricci_herm, ricci_max = kahler.ricci_c1_check(md)
     hol = frob.fiber_algebra_from_metric(md)

@@ -117,11 +117,15 @@ def _curvature_blocks(md: MetricData, dgam: np.ndarray, dgam_bar: np.ndarray):
     """``(antisym, comm, mix)``, each indexed [c][d][k][j]: the pencil's
     blocks are ``lam * antisym + lam^2 * comm`` and ``-lam * mix``."""
     n, gamma = md.dim, md.christoffel
-    antisym = np.einsum("...ckdj->...cdkj", dgam) - np.einsum("...dkcj->...cdkj", dgam)
+    # antisym and comm in C order, so the pencil adds them unbuffered
+    antisym = np.subtract(
+        np.einsum("...ckdj->...cdkj", dgam), np.einsum("...dkcj->...cdkj", dgam), order="C"
+    )
     # prod[(k, c), (d, j)] = sum_m Gamma^k_{cm} Gamma^m_{dj}; comm is prod minus its (c, d) swap
     prod = split(gamma, 3, n * n, n) @ split(gamma, 3, n, n * n)
     prod = np.einsum("...kcdj->...cdkj", split(prod, 2, n, n, n, n))
-    return antisym, prod - np.swapaxes(prod, -4, -3), np.einsum("...dkcj->...cdkj", dgam_bar)
+    comm = np.subtract(prod, np.swapaxes(prod, -4, -3), order="C")
+    return antisym, comm, np.einsum("...dkcj->...cdkj", dgam_bar)
 
 
 def _trace_endomorphism(md: MetricData, dgam_bar: np.ndarray, lam) -> np.ndarray:
@@ -172,10 +176,12 @@ def pencil_curvature(md: MetricData, lam) -> PencilSample:
     (sample, lambda, n^4) grid is built."""
     dgam, dgam_bar = christoffel_derivatives(md)
     antisym, comm, mix = _curvature_blocks(md, dgam, dgam_bar)
+    del dgam
     mix_norm = worst(mix, 4)
-    norm = [
-        np.maximum(worst(x * antisym + x * x * comm, 4), abs(x) * mix_norm)
-        for x in np.asarray(lam, dtype=float).ravel()
-    ]
+    norm = []
+    for x in np.asarray(lam, dtype=float).ravel():
+        f = (x * x) * comm  # + x * antisym, in place: the same sum
+        f += x * antisym
+        norm.append(np.maximum(worst(f, 4), abs(x) * mix_norm))
     norm = np.stack(norm, axis=-1) if np.ndim(lam) else norm[0]
     return PencilSample(norm, _einstein_defect(_trace_endomorphism(md, dgam_bar, lam)))

@@ -70,7 +70,9 @@ class RealnessError(KahlerError):
 @dataclass(frozen=True, eq=False)
 class MetricData:
     """Bundle of all tensors derived from the potential's jets at one
-    point, or at a batch of points stacked along leading axes."""
+    point, or at a batch of points stacked along leading axes.  Indexing
+    copies every field, so the verify pass indexes a batch's bundle only
+    when a sample is dropped from it."""
 
     g: np.ndarray
     g_inv: np.ndarray  # the batch's one inv(g)
@@ -118,12 +120,13 @@ def metric_batch(
     """All metric-level tensors at a batch of points.
 
     The jets of all the points are evaluated in one stacked pass and read
-    into stacked partials through their dense view; everything after them
-    runs once on those, so the caller's batch bounds both layers.  A point
-    whose jet fails (log domain, exp out of range), whose potential is not
-    real there, whose partials are not all finite or whose metric is
+    into stacked partials through their dense view, and dropped; everything
+    after them runs once on those, so the caller's batch bounds both layers.
+    A point whose jet fails (log domain, exp out of range), whose potential
+    is not real there, whose partials are not all finite or whose metric is
     degenerate is left out of the bundle and returned as
-    ``{index: exception}``; the bundle holds the other points in order.
+    ``{index: exception}``; the bundle holds the other points in order, and
+    is copied only when a point is left out.
     """
     n = potential.dim
     t = _table(n)
@@ -133,10 +136,11 @@ def metric_batch(
     # error record below reports in place of a warning
     with np.errstate(over="ignore", invalid="ignore"):
         jet = jet_eval(potential, point, failures)
-        coeffs = jet.dense()
-        scale = np.maximum(1.0, np.max(np.abs(coeffs), axis=0))
+        # the zeros off the support cannot raise a max floored at 1
+        scale = np.maximum(1.0, np.max(np.abs(jet.coeffs), axis=0))
         not_real = hermiticity_defect(jet) > REALNESS_TOL * scale
-        partials = coeffs.T * t.fact
+        partials = np.multiply(jet.dense().T, t.fact, order="C")
+        del jet
     finite = np.all(np.isfinite(partials), axis=1)
     for idx in np.flatnonzero(not_real):
         failures.setdefault(
@@ -145,7 +149,8 @@ def metric_batch(
     for idx in np.flatnonzero(~finite):
         failures.setdefault(int(idx), KahlerError("non-finite partials of the potential"))
     good = [idx for idx in range(len(point)) if idx not in failures]
-    partials = partials[good]
+    if len(good) < len(point):
+        partials = partials[good]
 
     g = np.take(partials, t.g_idx, axis=-1)
     # g is Hermitian, so its singular values are its |eigenvalues|: one
@@ -157,9 +162,10 @@ def metric_batch(
         failures[good[k]] = DegenerateMetricError(
             f"metric degenerate at point (min singular {smin[k]:.3e}, max {smax[k]:.3e})"
         )
-    keep = ~degenerate
-    partials, g, eig = partials[keep], g[keep], eig[keep]
-    smax, smin = smax[keep], smin[keep]
+    if degenerate.any():
+        keep = ~degenerate
+        partials, g, eig = partials[keep], g[keep], eig[keep]
+        smax, smin = smax[keep], smin[keep]
 
     h = np.linalg.inv(g)  # LAPACK LU with partial pivoting
     phi3 = np.take(partials, t.phi3_idx, axis=-1)
@@ -265,18 +271,18 @@ def christoffel_derivatives(md: MetricData) -> tuple[np.ndarray, np.ndarray]:
     """
     n, t = md.dim, _table(md.dim)
     h, phi3 = md.g_inv, md.phi3
-    p4a = np.take(md.partials, t.d4_idx, axis=-1)  # [i, j, c, e] = d_c Phi_{ij ebar}
-    # [i, j, d, e] = dbar_d Phi_{ij ebar}
-    p4b = np.take(md.partials, t.ddbar_idx.transpose(0, 2, 3, 1), axis=-1)
 
-    def derivative(p4: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    def derivative(p4_idx: np.ndarray, dg: np.ndarray) -> np.ndarray:
         """[c][k][i][j] = sum_e p4[i][j][c][e] H[e][k] + phi3[i][j][e] (d_c H)[e][k]
-        for ``dg[p][c][q] = (d_c G)[p][q]``, with d_c H = -H (d_c G) H."""
+        for the partials ``p4`` at ``p4_idx`` and ``dg[p][c][q] = (d_c G)[p][q]``,
+        with d_c H = -H (d_c G) H."""
         dh = -(split(h @ split(dg, 3, n, n * n), 2, n * n, n) @ h)  # [(e, c), k]
-        first = split(p4, 4, n**3, n) @ h  # [(i, j, c), k]
-        second = split(phi3, 3, n * n, n) @ split(dh, 2, n, n * n)  # [(i, j), (c, k)]
-        both = split(first, 2, n, n, n, n) + split(second, 2, n, n, n, n)
-        return np.einsum("...ijck->...ckij", both)
+        # [(i, j, c), k] as [(i, j), (c, k)], plus [(i, j), (c, k)] in place
+        both = split(split(np.take(md.partials, p4_idx, axis=-1), 4, n**3, n) @ h, 2, n * n, n * n)
+        both += split(phi3, 3, n * n, n) @ split(dh, 2, n, n * n)
+        return np.einsum("...ijck->...ckij", split(both, 2, n, n, n, n))
 
+    # p4 is [i, j, c, e] = d_c Phi_{ij ebar}, then [i, j, d, e] = dbar_d Phi_{ij ebar};
     # (d_c G)[p][q] = phi3[p][c][q]; (dbar_d G)[p][q] = conj(phi3)[q][d][p]
-    return derivative(p4a, phi3), derivative(p4b, np.einsum("...qdp->...pdq", np.conj(phi3)))
+    dbar_g = np.einsum("...qdp->...pdq", np.conj(phi3))
+    return derivative(t.d4_idx, phi3), derivative(t.ddbar_idx.transpose(0, 2, 3, 1), dbar_g)

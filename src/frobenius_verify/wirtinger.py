@@ -27,7 +27,9 @@ order, so every entry sums the same terms in the same order as a scatter
 over the whole table; the skipped terms are exact zeros, which leave
 such a sum unchanged, so finite jets come out bit for bit the same.  The
 constant terms of ``exp`` and ``log`` are computed per sample in Python
-complex arithmetic for the same reason.
+complex arithmetic for the same reason.  A product gathers and multiplies
+its columns in runs of at most one pair per output entry, not all its
+pairs at once.
 
 The same table holds gather indices for the partials the metric layer
 needs (``g_idx``, ``phi3_idx``, ``ddbar_idx``, ``d4_idx``): indexing
@@ -193,15 +195,14 @@ def _union(dim: int, left: int, right: int) -> tuple[int, np.ndarray, np.ndarray
 
 class _Product(NamedTuple):
     """The operand rows of a product's pairs with both operands in support,
-    column by column: ``left[start:stop]`` and ``right[start:stop]`` of
-    column c hold the c-th pair of the first ``stop - start`` sums (sorted
-    by pair count, most first, so each column covers a prefix of them);
-    output row r is sum ``order[r]``."""
+    in runs of whole columns: column c holds the c-th pair of the first
+    ``stop - start`` sums (sorted by pair count, most first, so each column
+    covers a prefix of them); a run ``(left, right, columns)`` holds its
+    pairs' rows and each ``(start, stop)`` in them of its columns but
+    column 0; output row r is sum ``order[r]``."""
 
-    left: np.ndarray
-    right: np.ndarray
+    runs: tuple[tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]], ...]
     order: np.ndarray
-    columns: tuple[tuple[int, int], ...]
     support: int
 
 
@@ -225,9 +226,17 @@ def _product(dim: int, left: int, right: int) -> _Product:
     right_idx[place] = t.mul_j[keep]
     columns = tuple((int(a), int(b)) for a, b in zip(starts[:-1], starts[1:]))
     left_idx, right_idx = _rows(dim, left, left_idx), _rows(dim, right, right_idx)
+    bases = [0]  # a run ends before a column that would take it past len(order) pairs
+    for a, b in columns:
+        if b - bases[-1] > starts[1]:
+            bases.append(a)
+    runs = []
+    for a, b in zip(bases, bases[1:] + [len(keep)]):
+        spans = tuple((s - a, e - a) for s, e in columns[1:] if a <= s < b)
+        runs.append((left_idx[a:b], right_idx[a:b], spans))
     order = slot[counts > 0]  # output rows are the entries with a pair
     order.flags.writeable = False
-    return _Product(left_idx, right_idx, order, columns, _bits(counts > 0))
+    return _Product(tuple(runs), order, _bits(counts > 0))
 
 
 @lru_cache(maxsize=PRODUCT_CACHE)
@@ -297,14 +306,18 @@ class Jet:
         if other.dim != self.dim:
             raise ValueError("jet dimension mismatch")
         plan = _product(self.dim, self.support, other.support)
-        terms = self.coeffs[plan.left]
-        terms *= other.coeffs[plan.right]
-        # column 0 accumulates in place; adding +0 first, as a scatter into
-        # zeros does, turns an exact -0 sum into +0
-        acc = terms[: len(plan.order)]
-        acc += 0.0
-        for start, stop in plan.columns[1:]:
-            acc[: stop - start] += terms[start:stop]
+        acc = None
+        for left, right, columns in plan.runs:
+            # out of place: numpy rounds a one-element product in place as
+            # Python complex arithmetic does, not as in a longer array
+            terms = self.coeffs[left] * other.coeffs[right]
+            if acc is None:
+                # column 0 accumulates in place; adding +0 first, as a scatter
+                # into zeros does, turns an exact -0 sum into +0
+                acc = terms[: len(plan.order)]
+                acc += 0.0
+            for start, stop in columns:
+                acc[: stop - start] += terms[start:stop]
         return Jet(self.dim, acc[plan.order], plan.support)
 
     __rmul__ = __mul__

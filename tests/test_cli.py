@@ -1162,23 +1162,57 @@ CURVED3_SPEC = {
 }
 
 
-@pytest.mark.parametrize("which", ["ball-4", "curved-3", "catalog"])
+# a flat dim-4 chart whose peak is in the tensor pass, not the jets
+FLAT4_SPEC = {
+    "name": "flat-4",
+    "dim": 4,
+    "potential": "1.3*z1*zbar1 + 1.1*z2*zbar2 + 1.7*z3*zbar3 + 1.2*z4*zbar4"
+    " + 0.05*(z1*zbar3 + z3*zbar1) + re(exp(0.7*z2 - 1.1*z3))",
+    "sample_domain": {"re": [[-0.4, 0.4]] * 4, "im": [[-0.4, 0.4]] * 4},
+}
+BATCH_SPECS = {"ball-4": BALL4_SPEC, "flat-4": FLAT4_SPEC, "curved-3": CURVED3_SPEC}
+
+
+@pytest.mark.parametrize("which", ["ball-4", "flat-4", "curved-3", "catalog"])
 def test_reports_do_not_depend_on_the_batch_sizes(monkeypatch, which):
     if which == "catalog":
         entry = hyperelliptic_catalog()[-1]
     else:
-        entry = load_manifold_spec(BALL4_SPEC if which == "ball-4" else CURVED3_SPEC)
+        entry = load_manifold_spec(BATCH_SPECS[which])
     report = to_json(run_verify(entry, Config()))
+    odd = to_json(run_verify(entry, Config(samples=33)))
     # one point per pass, then the whole chart in one
     for entries in (entry.dim**4, 2**20):
         monkeypatch.setattr(cli, "BATCH_ENTRIES", entries)
         assert to_json(run_verify(entry, Config())) == report
+    # 33 samples: a full pass and a one-point pass at dim 4, one pass below
+    monkeypatch.setattr(cli, "BATCH_ENTRIES", entry.dim**4)
+    assert to_json(run_verify(entry, Config(samples=33))) == odd
 
 
-def test_verify_memory_is_bounded_by_the_batches():
+@pytest.mark.parametrize("dim, passes", [(1, 1), (2, 1), (3, 1), (4, 2)])
+def test_default_samples_take_one_pass_below_dim_4_and_two_at_4(monkeypatch, dim, passes):
+    calls = []
+    metric_batch = cli.kahler.metric_batch
+
+    def counting(potential, points):
+        calls.append(len(points))
+        return metric_batch(potential, points)
+
+    monkeypatch.setattr(cli.kahler, "metric_batch", counting)
+    potential = " + ".join(f"z{a}*zbar{a}" for a in range(1, dim + 1))
+    spec = {"name": f"flat-{dim}", "dim": dim, "potential": potential,
+            "sample_domain": {"re": [[-0.4, 0.4]] * dim, "im": [[-0.4, 0.4]] * dim}}
+    run_verify(load_manifold_spec(spec), Config())
+    assert len(calls) == passes
+    assert sum(calls) == Config().samples
+
+
+@pytest.mark.parametrize("which", ["ball-4", "flat-4"])
+def test_verify_memory_is_bounded_by_the_batches(which):
     import tracemalloc
 
-    entry = load_manifold_spec(BALL4_SPEC)
+    entry = load_manifold_spec(BATCH_SPECS[which])
     run_verify(entry, Config(samples=2))  # builds the dim-4 jet table outside the count
     tracemalloc.start()
     try:
@@ -1186,6 +1220,7 @@ def test_verify_memory_is_bounded_by_the_batches():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # about 1.07 MiB in 16-point passes, jets stored only on their supports;
-    # a single 64-point pass takes about 4.2 MiB
+    # in 32-point passes: about 1.40 MiB for ball-4, in the product runs of
+    # its jets, and 1.35 MiB for flat-4, in the pencil's blocks; a single
+    # 64-point pass takes about 2.4 MiB
     assert peak <= 1.5 * 2**20

@@ -13,6 +13,7 @@ from helpers import (
 from frobenius_verify.expr import ExprError, LogDomainError, parse
 from frobenius_verify.wirtinger import (
     Jet,
+    _product,
     _table,
     hermiticity_defect,
     jet_eval,
@@ -227,6 +228,42 @@ def test_restricted_product_matches_dense_scatter(dim):
                 # the product's support covers every nonzero entry
                 nonzero = np.flatnonzero(np.any(dense != 0, axis=tuple(range(1, dense.ndim))))
                 assert all(prod.support >> int(k) & 1 for k in nonzero)
+
+
+def test_products_in_several_runs_match_dense_scatter(monkeypatch):
+    """The last Horner step of ``log`` for the dim-4 ball, 1,803 pairs into
+    495 rows, runs in several runs and is the scatter over the whole table,
+    bit for bit, at one point and on a stack of 5; so is a product of one
+    pair at one point, which takes one run, as a product of one column does."""
+    products = []
+    mul = Jet.__mul__
+
+    def recording(self, other):
+        if isinstance(other, Jet):
+            products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", recording)
+    expr = parse("log(1 + z1*zbar1 + z2*zbar2 + z3*zbar3 + z4*zbar4)", 4)
+    rng = np.random.default_rng(17)
+    for shape in ((4,), (5, 4)):
+        products.clear()
+        jet_eval(expr, rng.uniform(-0.4, 0.4, shape) + 1j * rng.uniform(-0.4, 0.4, shape))
+        left, right = products[-1]
+        plan = _product(4, left.support, right.support)
+        assert sum(len(run[0]) for run in plan.runs) == 1803 and len(plan.order) == 495
+        assert len(plan.runs) > 1
+        dense = brute_jet_mul(4, left.dense(), right.dense())
+        assert mul(left, right).dense().tobytes() == dense.tobytes()
+    z1, zbar1 = seed([0.3 - 0.1j])
+    assert len(_product(1, z1.support, zbar1.support).runs) == 1
+    assert len(_product(1, 1, 1).runs) == 1
+    size = len(_table(1).entries)
+    for a, b in rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2)):
+        one, other = np.zeros(size, complex), np.zeros(size, complex)
+        one[0], other[0] = a, b
+        prod = mul(Jet(1, one[:1], 1), Jet(1, other[:1], 1))
+        assert prod.dense().tobytes() == brute_jet_mul(1, one, other).tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
