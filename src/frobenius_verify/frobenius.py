@@ -4,7 +4,9 @@ Structure constants are stored upper-index first: ``C[k][i][j]`` is the
 coefficient of ``e_k`` in ``e_i * e_j``, matching the Christoffel layout
 ``christoffel[k][i][j]`` of the metric module.  The pencil of
 connections deforms the flat background by ``lambda * C``; its curvature
-2-form is exactly quadratic in lambda (linear on the mixed block).
+2-form is exactly quadratic in lambda (linear on the mixed block), and
+both of its blocks are read off the Christoffel symbols, the curvature
+and the inverse metric of the metric bundle.
 
 Like the metric module, everything here broadcasts over leading sample
 axes and reduces each check to one value per sample (a float for a
@@ -20,7 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .kahler import MetricData, christoffel_derivatives, split, worst
+from .kahler import MetricData, split, worst
+from .kahler import christoffel_derivatives  # noqa: F401  (re-exported: perfbench traces this name)
 from .wirtinger import partial  # noqa: F401  (re-exported: the one-entry read)
 
 UNIT_RESIDUAL_TOL = 1e-8
@@ -113,30 +116,22 @@ def _on_grid(lam, blocks: Sequence[np.ndarray], axes: int):
     return grid, [np.expand_dims(x, -axes - 1) for x in blocks]
 
 
-def _curvature_blocks(md: MetricData, dgam: np.ndarray, dgam_bar: np.ndarray):
-    """``(antisym, comm, mix)``, each indexed [c][d][k][j]: the pencil's
-    blocks are ``lam * antisym + lam^2 * comm`` and ``-lam * mix``."""
+def _curvature_blocks(md: MetricData):
+    """``(comm, mix)``, each indexed [c][d][k][j]: the pencil's blocks are
+    ``(lam^2 - lam) * comm`` and ``-lam * mix``.
+
+    Two exact Kahler identities give them from the bundle.  The Chern
+    connection has no (2,0) curvature, so
+    ``d_c Gamma^k_{dj} - d_d Gamma^k_{cj} = -[A_c, A_d]^k_j``; and
+    ``dbar_d Gamma^k_{cj} = sum_b R[j][b][c][d] H[b][k]``.
+    """
     n, gamma = md.dim, md.christoffel
-    # antisym and comm in C order, so the pencil adds them unbuffered
-    antisym = np.subtract(
-        np.einsum("...ckdj->...cdkj", dgam), np.einsum("...dkcj->...cdkj", dgam), order="C"
-    )
     # prod[(k, c), (d, j)] = sum_m Gamma^k_{cm} Gamma^m_{dj}; comm is prod minus its (c, d) swap
     prod = split(gamma, 3, n * n, n) @ split(gamma, 3, n, n * n)
     prod = np.einsum("...kcdj->...cdkj", split(prod, 2, n, n, n, n))
-    comm = np.subtract(prod, np.swapaxes(prod, -4, -3), order="C")
-    return antisym, comm, np.einsum("...dkcj->...cdkj", dgam_bar)
-
-
-def _trace_endomorphism(md: MetricData, dgam_bar: np.ndarray, lam) -> np.ndarray:
-    trace = np.einsum("...jk,...kbja->...ba", md.g_inv, dgam_bar)
-    lam, (trace,) = _on_grid(lam, (trace,), 2)
-    return -lam * trace
-
-
-def _einstein_defect(tr: np.ndarray):
-    kappa = np.trace(tr, axis1=-2, axis2=-1) / tr.shape[-1]
-    return worst(tr - kappa[..., None, None] * np.eye(tr.shape[-1]), 2)
+    # mix[(c, d, j), k] = sum_b R[j][b][c][d] H[b][k]
+    mix = split(np.einsum("...jbcd->...cdjb", md.curvature), 4, n**3, n) @ md.g_inv
+    return prod - np.swapaxes(prod, -4, -3), np.swapaxes(split(mix, 2, n, n, n, n), -1, -2)
 
 
 def pencil_curvature_form(
@@ -147,41 +142,39 @@ def pencil_curvature_form(
 
     Returns ``(f_hol, f_mix)`` with
     ``f_hol[c][d][k][j] = lam*(d_c Gamma^k_{dj} - d_d Gamma^k_{cj})
-                          + lam^2 * [A_c, A_d]^k_j``
+                          + lam^2 * [A_c, A_d]^k_j = (lam^2 - lam) * [A_c, A_d]^k_j``
     and ``f_mix[c][d][k][j] = -lam * dbar_d Gamma^k_{cj}``.
     Both blocks are polynomial in lambda (degree 2 and 1) with
     coefficients fixed by the point data.
     """
-    blocks = _curvature_blocks(md, *christoffel_derivatives(md))
-    lam, (antisym, comm, mix) = _on_grid(lam, blocks, 4)
-    return lam * antisym + lam * lam * comm, -lam * mix
+    lam, (comm, mix) = _on_grid(lam, _curvature_blocks(md), 4)
+    return (lam * lam - lam) * comm, -lam * mix
 
 
 def trace_endomorphism(md: MetricData, lam) -> np.ndarray:
-    """Metric trace of the mixed curvature block over the form indices:
-    tr(F_lam)^b_a = -lam * sum_{j,k} H[j][k] dbar_k Gamma^b_{ja}."""
-    return _trace_endomorphism(md, christoffel_derivatives(md)[1], lam)
+    """Metric trace of the mixed curvature block over the form indices,
+    paired as the metric pairs them:
+    ``tr(F_lam)^b_a = -lam * sum_{j,k} H[k][j] dbar_k Gamma^b_{ja}``, the
+    mean curvature ``g^{j kbar} F_{j kbar}`` (Kobayashi, *Differential
+    Geometry of Complex Vector Bundles*, 1987, IV.1).  By the symmetries
+    of the Kahler curvature it is ``-lam * (Ric @ H)^T``."""
+    lam, (ric_h,) = _on_grid(lam, (md.ricci @ md.g_inv,), 2)
+    return -lam * np.swapaxes(ric_h, -1, -2)
 
 
 def hermitian_einstein_trace(md: MetricData, lam):
     """Max entry of |tr(F_lam) - kappa Id| with kappa the mean diagonal."""
-    return _einstein_defect(trace_endomorphism(md, lam))
+    tr = trace_endomorphism(md, lam)
+    kappa = np.trace(tr, axis1=-2, axis2=-1) / tr.shape[-1]
+    return worst(tr - kappa[..., None, None] * np.eye(tr.shape[-1]), 2)
 
 
 def pencil_curvature(md: MetricData, lam) -> PencilSample:
     """Curvature and trace norms of the pencil at ``lam``; with a grid of
     parameters each norm has one entry per (sample, lambda).  The curvature
-    norm is ``max(max|lam A + lam^2 C|, |lam| max|mix|)`` in the blocks of
-    :func:`pencil_curvature_form`, taken one lambda at a time, so no
-    (sample, lambda, n^4) grid is built."""
-    dgam, dgam_bar = christoffel_derivatives(md)
-    antisym, comm, mix = _curvature_blocks(md, dgam, dgam_bar)
-    del dgam
-    mix_norm = worst(mix, 4)
-    norm = []
-    for x in np.asarray(lam, dtype=float).ravel():
-        f = (x * x) * comm  # + x * antisym, in place: the same sum
-        f += x * antisym
-        norm.append(np.maximum(worst(f, 4), abs(x) * mix_norm))
-    norm = np.stack(norm, axis=-1) if np.ndim(lam) else norm[0]
-    return PencilSample(norm, _einstein_defect(_trace_endomorphism(md, dgam_bar, lam)))
+    norm is ``max(|lam^2 - lam| max|comm|, |lam| max|mix|)`` in the blocks
+    of :func:`pencil_curvature_form`: each block's max is taken once per
+    sample, so no (sample, lambda, n^4) grid is built."""
+    grid, (comm, mix) = _on_grid(lam, [worst(x, 4) for x in _curvature_blocks(md)], 0)
+    norm = np.maximum(np.abs(grid * grid - grid) * comm, np.abs(grid) * mix)
+    return PencilSample(norm, hermitian_einstein_trace(md, lam))

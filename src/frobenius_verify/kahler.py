@@ -11,11 +11,11 @@ products per sample, not one n^6 loop.  Each batch makes one LAPACK
 ``eigvalsh`` of g (its spectrum) and one ``inv`` (H).  Index conventions
 below name the trailing axes only.
 
-Tensors are read from the stacked jet partials ``partials`` (shape
-``(..., E)``: jet coefficients times ``alpha! beta!`` in the order of
+Tensors are read from the stacked jet partials (shape ``(..., E)``: jet
+coefficients times ``alpha! beta!`` in the order of
 ``wirtinger._table(n).entries``) by fancy indexing with the table's
-gather indices, once per batch; ``wirtinger.partial`` is the scalar
-form of the same read.
+gather indices, once per batch, and the partials are then dropped;
+``wirtinger.partial`` is the scalar form of the same read.
 
 Index conventions (G is the matrix ``G[a][b] = g_{a bbar}`` of second
 mixed partials of the potential, H = G^{-1}):
@@ -33,10 +33,13 @@ mixed partials of the potential, H = G^{-1}):
 
 With these pairings the identity
 ``R[a][b][c][d] = sum_k g_{k bbar} dbar_d Gamma^k_{ca}`` holds exactly,
-so the Ricci tensor equals the fiber trace of ``dbar Gamma`` and the two
-independent contraction routes agree to round-off.  The sandwich
-position of H (rather than its transpose) is what makes this exact; it
-is validated against a finite-difference pipeline in the tests.
+so ``dbar_d Gamma^k_{ca} = sum_b R[a][b][c][d] H[b][k]`` and the Ricci
+tensor is the fiber trace of ``dbar Gamma``.  The pencil reads
+``dbar Gamma`` this way; the tests keep the second, independent route
+(``dbar Gamma`` by the chain rule on the order-4 partials) and check
+that the two agree to round-off.  The sandwich position of H (rather
+than its transpose) is what makes this exact; it is validated against a
+finite-difference pipeline in the tests.
 """
 
 from __future__ import annotations
@@ -85,7 +88,6 @@ class MetricData:
     min_singular: np.ndarray
     cond: np.ndarray
     positive_definite: np.ndarray
-    partials: np.ndarray  # jet coefficients times alpha! beta!
 
     @property
     def dim(self) -> int:
@@ -122,6 +124,7 @@ def metric_batch(
     The jets of all the points are evaluated in one stacked pass and read
     into stacked partials through their dense view, and dropped; everything
     after them runs once on those, so the caller's batch bounds both layers.
+    The bundle keeps the tensors gathered from the partials, not the partials.
     A point whose jet fails (log domain, exp out of range), whose potential
     is not real there, whose partials are not all finite or whose metric is
     degenerate is left out of the bundle and returned as
@@ -190,7 +193,6 @@ def metric_batch(
         min_singular=smin,
         cond=smax / smin,
         positive_definite=eig[:, 0] > 0,
-        partials=partials,
     )
     return md, failures
 
@@ -261,28 +263,21 @@ def ricci_c1_check(md: MetricData):
     return hermiticity(md.ricci), worst(md.ricci, 2)
 
 
-def christoffel_derivatives(md: MetricData) -> tuple[np.ndarray, np.ndarray]:
-    """First derivatives of the Christoffel symbols at the points.
+def christoffel_derivatives(md: MetricData, partials: np.ndarray) -> np.ndarray:
+    """Holomorphic first derivatives of the Christoffel symbols at the
+    points of ``md``: ``dgam[c][k][i][j] = d_c Gamma^k_{ij}``, from their
+    jet partials ``partials`` (order-4 data), with d_c H = -H (d_c G) H.
 
-    Returns ``(dgam, dgam_bar)`` with
-    ``dgam[c][k][i][j] = d_c Gamma^k_{ij}`` and
-    ``dgam_bar[d][k][i][j] = dbar_d Gamma^k_{ij}``.
-    Uses order-4 jet data: d(H) = -H dG H for both derivative types.
+    The verify path does not need them: the Chern connection has no (2,0)
+    curvature, so their antisymmetric part is ``-[A_c, A_d]``, which the
+    pencil reads off the Christoffel symbols.
     """
     n, t = md.dim, _table(md.dim)
     h, phi3 = md.g_inv, md.phi3
-
-    def derivative(p4_idx: np.ndarray, dg: np.ndarray) -> np.ndarray:
-        """[c][k][i][j] = sum_e p4[i][j][c][e] H[e][k] + phi3[i][j][e] (d_c H)[e][k]
-        for the partials ``p4`` at ``p4_idx`` and ``dg[p][c][q] = (d_c G)[p][q]``,
-        with d_c H = -H (d_c G) H."""
-        dh = -(split(h @ split(dg, 3, n, n * n), 2, n * n, n) @ h)  # [(e, c), k]
-        # [(i, j, c), k] as [(i, j), (c, k)], plus [(i, j), (c, k)] in place
-        both = split(split(np.take(md.partials, p4_idx, axis=-1), 4, n**3, n) @ h, 2, n * n, n * n)
-        both += split(phi3, 3, n * n, n) @ split(dh, 2, n, n * n)
-        return np.einsum("...ijck->...ckij", split(both, 2, n, n, n, n))
-
-    # p4 is [i, j, c, e] = d_c Phi_{ij ebar}, then [i, j, d, e] = dbar_d Phi_{ij ebar};
-    # (d_c G)[p][q] = phi3[p][c][q]; (dbar_d G)[p][q] = conj(phi3)[q][d][p]
-    dbar_g = np.einsum("...qdp->...pdq", np.conj(phi3))
-    return derivative(t.d4_idx, phi3), derivative(t.ddbar_idx.transpose(0, 2, 3, 1), dbar_g)
+    # (d_c G)[p][q] = phi3[p][c][q], so d_c H is [(e, c), k]
+    dh = -(split(h @ split(phi3, 3, n, n * n), 2, n * n, n) @ h)
+    # p4[i, j, c, e] = d_c Phi_{ij ebar}: [(i, j, c), k] as [(i, j), (c, k)],
+    # plus [(i, j), (c, k)] in place
+    both = split(split(np.take(partials, t.d4_idx, axis=-1), 4, n**3, n) @ h, 2, n * n, n * n)
+    both += split(phi3, 3, n * n, n) @ split(dh, 2, n, n * n)
+    return np.einsum("...ijck->...ckij", split(both, 2, n, n, n, n))

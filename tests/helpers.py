@@ -13,9 +13,10 @@ per-row one for their report rows, the row and per-point loops that
 the verdict and the theta residuals once ran in, and the tensor
 contractions as single multi-operand einsums (these read the jet
 table's gather indices).  These stay independent of the code paths they check.  Two more routes
-that no command takes live here too: the Ricci tensor as the fiber
-trace of dbar Gamma, and the Hopf-surface flags; ``flat_torus_entry``
-and ``curved_bundles`` are fixtures.
+that no command takes live here too: dbar Gamma by the chain rule on the
+order-4 jet partials, with the Ricci tensor as its fiber trace, and the
+Hopf-surface flags; ``flat_torus_entry``, ``curved_bundles`` and
+``jet_partials`` are fixtures.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from frobenius_verify.expr import (
     Sum,
     Var,
 )
-from frobenius_verify.kahler import christoffel_derivatives
 
 # --- reference interpreter (dispatch table) ---------------------------
 
@@ -351,14 +351,15 @@ def einsum_wdvv_sides(phi3, h):
     return lhs, rhs
 
 
-def einsum_christoffel_derivatives(md):
-    """``(dgam, dgam_bar)``: d_c and dbar_d of Gamma^k_{ij}, [c|d][k][i][j]."""
+def einsum_christoffel_derivatives(md, partials):
+    """``(dgam, dgam_bar)``: d_c and dbar_d of Gamma^k_{ij}, [c|d][k][i][j],
+    from the bundle ``md`` and the jet ``partials`` of its points."""
     from frobenius_verify.wirtinger import _table
 
     t = _table(md.dim)
     h, phi3, phi3_bar = md.g_inv, md.phi3, np.conj(md.phi3)
-    p4a = np.take(md.partials, t.d4_idx, axis=-1)
-    p4b = np.take(md.partials, t.ddbar_idx.transpose(0, 2, 1, 3), axis=-1)
+    p4a = np.take(partials, t.d4_idx, axis=-1)
+    p4b = np.take(partials, t.ddbar_idx.transpose(0, 2, 1, 3), axis=-1)
     dg_hol = np.einsum("...pcq->...cpq", phi3)
     dh_hol = -np.einsum("...pe,...cef,...fk->...cpk", h, dg_hol, h)
     dg_anti = np.einsum("...qdp->...dpq", phi3_bar)
@@ -386,10 +387,22 @@ def einsum_associator_sides(C):
     return left, right
 
 
+def jet_partials(potential, points):
+    """Jet partials (coefficients times ``alpha! beta!``, in table order)
+    at one point ``(n,)`` or a stack ``(N, n)``: ``(E,)`` or ``(N, E)``,
+    the array ``metric_batch`` gathers its tensors from."""
+    from frobenius_verify.wirtinger import _table, jet_eval
+
+    pts = np.asarray(points, dtype=np.complex128)
+    jet = jet_eval(potential, pts.reshape(-1, potential.dim))
+    dense = jet.dense().T * _table(potential.dim).fact
+    return dense[0] if pts.ndim == 1 else dense
+
+
 def curved_bundles(dim, seed):
-    """Metric bundles of a curved random chart at four points: batched
-    ``(4, ...)``, one point with no sample axis, and two sample axes
-    ``(2, 2, ...)`` (the batch reshaped)."""
+    """``(bundle, partials)`` of a curved random chart at four points:
+    batched ``(4, ...)``, one point with no sample axis, and two sample
+    axes ``(2, 2, ...)`` (the batch reshaped)."""
     from frobenius_verify.kahler import MetricData, metric_at, metric_batch
 
     rng = np.random.default_rng(seed)
@@ -403,7 +416,12 @@ def curved_bundles(dim, seed):
             for f in dataclasses.fields(md)
         }
     )
-    return md, metric_at(potential, points[0]), pairs
+    partials = jet_partials(potential, points)
+    return (
+        (md, partials),
+        (metric_at(potential, points[0]), partials[0]),
+        (pairs, partials.reshape((2, 2, -1))),
+    )
 
 
 def svd_spectrum(g):
@@ -551,7 +569,8 @@ def brute_pencil(gamma, dgam, dgam_bar, g_inv, lam):
     """Curvature norm and Hermitian-Einstein trace norm of the pencil at one
     point and one parameter, by explicit loops over the defining formulas:
     F_hol = lam (d_c Gamma^k_dj - d_d Gamma^k_cj) + lam^2 [A_c, A_d]^k_j,
-    F_mix = -lam dbar_d Gamma^k_cj, tr^b_a = -lam H[j][k] dbar_k Gamma^b_ja."""
+    F_mix = -lam dbar_d Gamma^k_cj, tr^b_a = -lam H[k][j] dbar_k Gamma^b_ja:
+    the trace pairs the form indices (j, kbar) with g^{j kbar} = H[k][j]."""
     n = len(gamma)
     curvature = 0.0
     for c in range(n):
@@ -570,7 +589,7 @@ def brute_pencil(gamma, dgam, dgam_bar, g_inv, lam):
         for a in range(n):
             for j in range(n):
                 for k in range(n):
-                    tr[b][a] += -lam * g_inv[j][k] * dgam_bar[k][b][j][a]
+                    tr[b][a] += -lam * g_inv[k][j] * dgam_bar[k][b][j][a]
     kappa = sum(tr[i][i] for i in range(n)) / n
     trace = max(
         abs(tr[b][a] - (kappa if a == b else 0)) for a in range(n) for b in range(n)
@@ -578,10 +597,10 @@ def brute_pencil(gamma, dgam, dgam_bar, g_inv, lam):
     return curvature, trace
 
 
-def ricci_via_connection(md):
-    """Ricci tensor recomputed as the fiber trace of dbar Gamma; must
-    agree with the metric-route Ricci to round-off."""
-    _, dgam_bar = christoffel_derivatives(md)
+def ricci_via_connection(md, partials):
+    """Ricci tensor recomputed as the fiber trace of the chain-rule dbar
+    Gamma; must agree with the metric-route Ricci to round-off."""
+    _, dgam_bar = einsum_christoffel_derivatives(md, partials)
     return np.einsum("...daca->...cd", dgam_bar)
 
 

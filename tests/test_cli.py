@@ -1221,6 +1221,22 @@ def test_verify_memory_is_bounded_by_the_batches(which):
     finally:
         tracemalloc.stop()
     # in 32-point passes: about 1.40 MiB for ball-4, in the product runs of
-    # its jets, and 1.35 MiB for flat-4, in the pencil's blocks; a single
-    # 64-point pass takes about 2.4 MiB
+    # its jets, and 0.87 MiB for flat-4; a single 64-point pass takes about
+    # 2.4 MiB for ball-4
     assert peak <= 1.5 * 2**20
+
+
+def test_verify_reads_the_pencil_without_christoffel_derivatives(monkeypatch):
+    """The pencil's blocks come from Gamma, R and H; verify never asks for
+    the derivatives of Gamma, under either name they are imported by."""
+    from frobenius_verify import frobenius, kahler
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("christoffel_derivatives called by verify")
+
+    monkeypatch.setattr(kahler, "christoffel_derivatives", forbidden)
+    monkeypatch.setattr(frobenius, "christoffel_derivatives", forbidden)
+    report = run_verify(load_manifold_spec(CURVED3_SPEC), Config(samples=8))
+    assert report["verdict"] == "not-frobenius"
+    assert all("error" not in s for s in report["samples"])
+    assert all(p["curvature_norm"] > 0 for s in report["samples"] for p in s["pencil"])

@@ -9,6 +9,7 @@ from helpers import (
     brute_associator,
     brute_compat,
     brute_pencil,
+    jet_partials,
     random_polynomial_potential,
     ricci_via_connection,
 )
@@ -28,7 +29,7 @@ from frobenius_verify.frobenius import (
     trace_endomorphism,
 )
 from frobenius_verify.frobenius import _curvature_blocks
-from frobenius_verify.kahler import christoffel_derivatives, metric_at, metric_batch, worst
+from frobenius_verify.kahler import metric_at, metric_batch, worst
 
 FLAT2 = parse("z1*zbar1 + z2*zbar2", 2)
 FS1 = parse("log(1 + z1*zbar1)", 1)
@@ -205,20 +206,33 @@ def test_pencil_quadratic_in_lambda():
         assert np.max(np.abs(predicted - forms[4.0][block])) < 1e-8
 
 
+FS3 = parse("log(1 + z1*zbar1 + z2*zbar2 + z3*zbar3)", 3)
+
+
 def test_hermitian_einstein_flat():
-    md = metric_at(FLAT2, [0.1, 0.4])
-    for lam in (-1.0, 0.5, 1.0, 2.0):
-        assert hermitian_einstein_trace(md, lam) < 1e-12
+    # Fubini-Study is Kahler-Einstein; at points off the real axes H is
+    # not symmetric, so a trace that pairs H[j][k] instead of H[k][j]
+    # reads up to 0.25 (dim 2) and 0.13 (dim 3) on this grid
+    for potential, point in (
+        (FLAT2, [0.1, 0.4]),
+        (FS2, [0.3 + 0.2j, 0.1 - 0.15j]),
+        (FS3, [0.2 - 0.1j, -0.15 + 0.25j, 0.1 + 0.05j]),
+    ):
+        md = metric_at(potential, point)
+        for lam in (-1.0, 0.5, 1.0, 2.0):
+            assert hermitian_einstein_trace(md, lam) < 1e-12
 
 
 def test_trace_vs_ricci_cross_check():
     # the endomorphism trace of the background-curvature block must equal
-    # minus the metric trace of the Ricci tensor
-    for text, n, pt in (
-        ("log(1 + z1*zbar1)", 1, [0.0]),
-        ("log(1 + z1*zbar1 + z2*zbar2)", 2, [0.3, 0.1]),
+    # minus the metric trace of the Ricci tensor; at the non-real point H
+    # is not symmetric, so the pairing of the form indices shows
+    for potential, pt in (
+        (FS1, [0.0]),
+        (FS2, [0.3, 0.1]),
+        (POLY2, [0.2 - 0.15j, 0.25 + 0.1j]),
     ):
-        md = metric_at(parse(text, n), pt)
+        md = metric_at(potential, pt)
         tr = trace_endomorphism(md, 1.0)
         g_trace_ricci = complex(np.einsum("dc,cd->", md.g_inv, md.ricci))
         assert np.trace(tr) == pytest.approx(-g_trace_ricci, abs=1e-9)
@@ -231,8 +245,9 @@ def test_trace_value_log_potential():
 
 
 def test_ricci_via_connection_agrees():
-    md = metric_at(POLY2, [0.2 - 0.15j, 0.25 + 0.1j])
-    assert np.max(np.abs(ricci_via_connection(md) - md.ricci)) < 1e-11
+    point = [0.2 - 0.15j, 0.25 + 0.1j]
+    md = metric_at(POLY2, point)
+    assert np.max(np.abs(ricci_via_connection(md, jet_partials(POLY2, point)) - md.ricci)) < 1e-11
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -277,7 +292,7 @@ def test_pencil_grid_matches_loop_oracle():
     assert table.curvature_norm.shape == table.trace_norm.shape == (3, 3)
     for k, point in enumerate(CURVED3_POINTS):
         single = metric_at(CURVED3, point)
-        dgam, dgam_bar = christoffel_derivatives(single)
+        dgam, dgam_bar = einsum_christoffel_derivatives(single, jet_partials(CURVED3, point))
         for j, lam in enumerate(grid):
             curvature, trace = brute_pencil(
                 single.christoffel, dgam, dgam_bar, single.g_inv, lam
@@ -324,13 +339,16 @@ def test_batched_algebra_checks_equal_one_point():
 @pytest.mark.parametrize("seed", [5, 17])
 def test_pencil_and_associator_match_the_einsum_formulas(dim, seed):
     grid = (-1.7, 0.5, 2.0)
-    for md in curved_bundles(dim, seed):
-        dgam, dgam_bar = einsum_christoffel_derivatives(md)
+    for md, partials in curved_bundles(dim, seed):
+        dgam, dgam_bar = einsum_christoffel_derivatives(md, partials)
         antisym = np.einsum("...ckdj->...cdkj", dgam) - np.einsum("...dkcj->...cdkj", dgam)
         mix = np.einsum("...dkcj->...cdkj", dgam_bar)
         comm = einsum_pencil_comm(md.christoffel)
-        blocks = _curvature_blocks(md, *christoffel_derivatives(md))
-        for got, expected in zip(blocks, (antisym, comm, mix)):
+        # the two identities the pencil's blocks rest on: no (2,0) curvature,
+        # and dbar_d Gamma^k_{cj} = sum_b R[j][b][c][d] H[b][k]
+        assert_close(antisym, -comm)
+        assert_close(mix, np.einsum("...jbcd,...bk->...cdkj", md.curvature, md.g_inv))
+        for got, expected in zip(_curvature_blocks(md), (comm, mix)):
             assert_close(got, expected)
         norms = pencil_curvature(md, grid).curvature_norm
         assert np.shape(norms) == md.g.shape[:-2] + (len(grid),)

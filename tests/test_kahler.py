@@ -11,6 +11,7 @@ from helpers import (
     einsum_wdvv_sides,
     fd_curvature,
     fd_wdvv_residual,
+    jet_partials,
     svd_spectrum,
 )
 
@@ -71,15 +72,16 @@ def test_quartic_curvature_value():
 
 
 def test_kahler_residuals_zero_for_derived_bundle():
-    md = metric_at(FS2, [0.2 + 0.1j, -0.3])
-    r1, r2 = kahler_residuals(md, md.partials)
+    point = [0.2 + 0.1j, -0.3]
+    md = metric_at(FS2, point)
+    r1, r2 = kahler_residuals(md, jet_partials(FS2, point))
     assert r1 < 1e-12
     assert r2 < 1e-12
 
 
 def test_kahler_residuals_flat_exactly_zero():
     md = metric_at(FLAT2, [0.1, 0.2])
-    assert kahler_residuals(md, md.partials) == (0.0, 0.0)
+    assert kahler_residuals(md, jet_partials(FLAT2, [0.1, 0.2])) == (0.0, 0.0)
 
 
 def test_kahler_residuals_detect_corruption():
@@ -87,7 +89,7 @@ def test_kahler_residuals_detect_corruption():
     g_bad = md.g.copy()
     g_bad[0, 1] += 1e-3
     corrupted = dataclasses.replace(md, g=g_bad)
-    r1, _ = kahler_residuals(corrupted, md.partials)
+    r1, _ = kahler_residuals(corrupted, jet_partials(FS2, [0.2, 0.1]))
     assert r1 >= 1e-3
 
 
@@ -228,7 +230,7 @@ def _assert_spectrum_columns(md, g):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_spectrum_columns_match_the_svd_oracle(dim):
-    for md in curved_bundles(dim, 23):
+    for md, _ in curved_bundles(dim, 23):
         _assert_spectrum_columns(md, md.g)
 
 
@@ -290,8 +292,9 @@ def test_ricci_equals_fiber_trace_of_dbar_gamma():
         ("log(1 + z1*zbar1 + z2*zbar2)", 2, [0.3, 0.1 - 0.2j]),
         ("z1*zbar1 + 0.25*(z1*zbar1)^2", 1, [0.45]),
     ):
-        md = metric_at(parse(text, n), pt)
-        _, dgam_bar = christoffel_derivatives(md)
+        potential = parse(text, n)
+        md = metric_at(potential, pt)
+        _, dgam_bar = einsum_christoffel_derivatives(md, jet_partials(potential, pt))
         fiber_trace = np.einsum("daca->cd", dgam_bar)
         assert np.max(np.abs(fiber_trace - md.ricci)) < 1e-11
 
@@ -322,16 +325,17 @@ def test_mixed_batch_matches_one_point_results():
     assert {i: (type(e), str(e)) for i, e in failures.items()} == MIXED_ERRORS
     good = [i for i in range(len(MIXED_POINTS)) if i not in failures]
     assert md.g.shape == (len(good), 2, 2)
+    partials = jet_partials(MIXED2, [MIXED_POINTS[i] for i in good])
     for k, idx in enumerate(good):
         single = metric_at(MIXED2, MIXED_POINTS[idx])
         for f in dataclasses.fields(MetricData):
             assert np.array_equal(getattr(md[k], f.name), getattr(single, f.name)), f.name
-        for batched, one in zip(
-            christoffel_derivatives(md), christoffel_derivatives(single)
-        ):
-            assert np.array_equal(batched[k], one)
-        residuals = kahler_residuals(single, single.partials)
-        assert kahler_residuals(md, md.partials)[0][k] == residuals[0]
+        one = jet_partials(MIXED2, MIXED_POINTS[idx])
+        assert np.array_equal(
+            christoffel_derivatives(md, partials)[k], christoffel_derivatives(single, one)
+        )
+        residuals = kahler_residuals(single, one)
+        assert kahler_residuals(md, partials)[0][k] == residuals[0]
         assert wdvv_residual_at(md)[k] == wdvv_residual_at(single)
         assert ricci_c1_check(md)[1][k] == ricci_c1_check(single)[1]
     for idx, (kind, message) in MIXED_ERRORS.items():
@@ -380,8 +384,8 @@ def test_batch_of_zero_samples_is_an_empty_bundle(potential):
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 @pytest.mark.parametrize("seed", [5, 17])
 def test_pairwise_contractions_match_the_einsum_formulas(dim, seed):
-    for md in curved_bundles(dim, seed):
-        ddbar = np.take(md.partials, _table(dim).ddbar_idx, axis=-1)
+    for md, partials in curved_bundles(dim, seed):
+        ddbar = np.take(partials, _table(dim).ddbar_idx, axis=-1)
         christoffel, curvature = einsum_metric_tensors(md.phi3, md.g_inv, ddbar)
         assert_close(md.christoffel, christoffel)
         assert_close(md.curvature, curvature)
@@ -389,5 +393,5 @@ def test_pairwise_contractions_match_the_einsum_formulas(dim, seed):
         scale = np.max(np.abs(lhs)) + np.max(np.abs(rhs))
         assert np.shape(wdvv_residual_at(md)) == md.g.shape[:-2]
         assert np.all(np.abs(wdvv_residual_at(md) - worst(lhs - rhs, 4)) <= 1e-13 * scale)
-        for got, expected in zip(christoffel_derivatives(md), einsum_christoffel_derivatives(md)):
-            assert_close(got, expected)
+        dgam, _ = einsum_christoffel_derivatives(md, partials)
+        assert_close(christoffel_derivatives(md, partials), dgam)
