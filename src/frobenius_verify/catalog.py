@@ -241,6 +241,8 @@ def _same(m1, s1, m2, s2) -> np.ndarray:
     return linear & np.all(np.abs(ds - np.round(ds)) < MATCH_TOL, axis=-1)
 
 
+# a huge element overflows composites, det or powers; an overflowed value matches nothing
+@np.errstate(over="ignore", invalid="ignore")
 def validate_group(action: GroupAction) -> dict[str, bool]:
     """``{"closure", "lattice_stable", "finite", "faithful"}``: closure mod
     lattice, lattice stability, finiteness, faithfulness."""
@@ -265,16 +267,14 @@ def validate_group(action: GroupAction) -> dict[str, bool]:
     if finite:
         power_m, power_s = m, s
         reached = np.zeros(len(m), dtype=bool)
-        # powers of a hyperbolic part may overflow; no power then matches
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(ORDER_BOUND):
-                reached |= _same(power_m, power_s, eye, 0.0)
-                if reached.all():
-                    break
-                power_s = np.einsum("gij,gj->gi", power_m, s) + power_s
-                power_m = power_m @ m
-            else:
-                finite = False
+        for _ in range(ORDER_BOUND):
+            reached |= _same(power_m, power_s, eye, 0.0)
+            if reached.all():
+                break
+            power_s = np.einsum("gij,gj->gi", power_m, s) + power_s
+            power_m = power_m @ m
+        else:
+            finite = False
 
     return {"closure": closure, "lattice_stable": stable, "finite": finite, "faithful": faithful}
 

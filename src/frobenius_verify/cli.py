@@ -530,6 +530,8 @@ def run_catalog(name_filter: Optional[str], config: Config) -> list:
 
 
 def catalog_exit_code(reports: list) -> int:
+    if any(r.get("verdict") == "error" for r in reports):
+        return EXIT_NUMERIC
     return EXIT_OK if all(r.get("matches_expected", False) for r in reports) else EXIT_MISMATCH
 
 

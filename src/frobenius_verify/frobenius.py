@@ -1,12 +1,14 @@
 """Frobenius-algebra structure on tangent fibers and the connection pencil.
 
-Structure constants are stored upper-index first: ``C[k][i][j]`` is the
-coefficient of ``e_k`` in ``e_i * e_j``, matching the Christoffel layout
-``christoffel[k][i][j]`` of the metric module.  The pencil of
-connections deforms the flat background by ``lambda * C``; its curvature
-2-form is exactly quadratic in lambda (linear on the mixed block), and
-both of its blocks are read off the Christoffel symbols, the curvature
-and the inverse metric of the metric bundle.
+An algebra is its array of structure constants, upper-index first:
+``C[k][i][j]`` is the coefficient of ``e_k`` in ``e_i * e_j``, the
+Christoffel layout ``christoffel[k][i][j]`` of the metric module.  The
+pencil of connections deforms the flat background by ``lambda * C``; its
+curvature 2-form is exactly quadratic in lambda (linear on the mixed
+block), and both of its blocks are read off the Christoffel symbols, the
+curvature and the inverse metric of the metric bundle.  Its lambda^2
+block ``[A_c, A_d]`` is also the associator of the commutative fiber
+algebra.
 
 Like the metric module, everything here broadcasts over leading sample
 axes and reduces each check to one value per sample (a float for a
@@ -29,81 +31,69 @@ from .wirtinger import partial  # noqa: F401  (re-exported: the one-entry read)
 UNIT_RESIDUAL_TOL = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
-class FiberAlgebra:
-    """Finite-dimensional complex algebra (or a batch of them along
-    leading axes)."""
-
-    dim: int
-    C: np.ndarray  # C[k][i][j]
-
-    def __post_init__(self) -> None:
-        C = np.asarray(self.C, dtype=np.complex128)
-        if C.shape[-3:] != (self.dim,) * 3:
-            raise ValueError("structure constant shape mismatch")
-        if not np.all(np.isfinite(C)):
-            raise ValueError("non-finite structure constants")
-        object.__setattr__(self, "C", C)
-
-
 @dataclass(frozen=True)
 class PencilSample:
     curvature_norm: float
     trace_norm: float
 
 
-def commutator(alg: FiberAlgebra):
+def commutator(C: np.ndarray):
     """Max |C^k_{ij} - C^k_{ji}|; zero iff the algebra is commutative, and
     exactly zero on :func:`fiber_algebra_from_metric` algebras."""
-    return worst(alg.C - np.swapaxes(alg.C, -1, -2), 3)
+    return worst(C - np.swapaxes(C, -1, -2), 3)
 
 
-def associator(alg: FiberAlgebra):
-    """Max componentwise |(e_i e_j) e_k - e_i (e_j e_k)| over basis triples."""
-    n, C = alg.dim, alg.C
-    # left[(i, j), (l, k)] = sum_m C[m][i][j] C[l][m][k]
-    left = split(C, 3, n, n * n).swapaxes(-1, -2) @ split(np.swapaxes(C, -3, -2), 3, n, n * n)
-    # right[(l, i), (j, k)] = sum_m C[l][i][m] C[m][j][k]
-    right = split(C, 3, n * n, n) @ split(C, 3, n, n * n)
-    right = np.einsum("...lijk->...ijlk", split(right, 2, n, n, n, n))
-    return worst(split(left, 2, n, n, n, n) - right, 4)
+def multiplication_commutator(C: np.ndarray) -> np.ndarray:
+    """``[A_c, A_d]^k_j`` indexed [c][d][k][j], with ``(A_c)^k_j = C^k_{cj}``
+    multiplication by ``e_c``.  For commutative ``C``, ``(e_a e_b) e_c -
+    e_a (e_b e_c) = [A_c, A_a] e_b``; without commutativity this fails (M_2
+    is associative, and its commutator is not zero)."""
+    n = C.shape[-1]
+    # prod[(k, c), (d, j)] = sum_m C^k_{cm} C^m_{dj}; the bracket is prod minus its (c, d) swap
+    prod = split(C, 3, n * n, n) @ split(C, 3, n, n * n)
+    prod = np.einsum("...kcdj->...cdkj", split(prod, 2, n, n, n, n))
+    return prod - np.swapaxes(prod, -4, -3)
 
 
-def frobenius_compat(alg: FiberAlgebra, form: np.ndarray):
+def associator(C: np.ndarray):
+    """Max componentwise |(e_i e_j) e_k - e_i (e_j e_k)| over basis triples
+    of a commutative algebra, read as ``max |[A_c, A_d]|``."""
+    return worst(multiplication_commutator(C), 4)
+
+
+def frobenius_compat(C: np.ndarray, form: np.ndarray):
     """Max |<e_i e_j, e_k> - <e_i, e_j e_k>| over basis triples for the
     bilinear ``form``; the fiber form of :func:`fiber_algebra_from_metric`
     algebras is zero, so there it is exactly zero."""
-    left = np.einsum("...mij,...mk->...ijk", alg.C, form)
-    right = np.einsum("...im,...mjk->...ijk", form, alg.C)
+    left = np.einsum("...mij,...mk->...ijk", C, form)
+    right = np.einsum("...im,...mjk->...ijk", form, C)
     return worst(left - right, 3)
 
 
-def find_unit(alg: FiberAlgebra):
+def find_unit(C: np.ndarray):
     """Least-squares unit: solve u * e_i = e_i for all i.
 
     Returns the coefficient vector when the residual is below
     ``UNIT_RESIDUAL_TOL``, otherwise None (e.g. for the zero algebra,
     which has no unit); for a batch, a list with one entry per sample.
     """
-    n = alg.dim
+    n = C.shape[-1]
     # row (k,i): sum_j C[k][j][i] u_j = delta_{ki}
-    rows = np.swapaxes(alg.C, -1, -2).reshape(-1, n * n, n)
+    rows = np.swapaxes(C, -1, -2).reshape(-1, n * n, n)
     b = np.eye(n, dtype=np.complex128).reshape(n * n)
     u = np.linalg.pinv(rows) @ b  # one minimum-norm solution per sample
     residual = np.max(np.abs(rows @ u[..., None] - b[:, None]), axis=(1, 2))
     units = [x if r < UNIT_RESIDUAL_TOL else None for x, r in zip(u, residual)]
-    return units if alg.C.ndim > 3 else units[0]
+    return units if C.ndim > 3 else units[0]
 
 
-def fiber_algebra_from_metric(md: MetricData) -> FiberAlgebra:
-    """Holomorphic tangent-fiber algebra at the point.
-
-    Structure constants are the Christoffel symbols; the antiholomorphic
-    fiber carries their conjugates.  The bilinear form is the metric
-    restricted to the fiber, which vanishes identically because the
-    pure-index metric blocks are zero.
-    """
-    return FiberAlgebra(md.dim, md.christoffel)
+def fiber_algebra_from_metric(md: MetricData) -> np.ndarray:
+    """Structure constants of the holomorphic tangent-fiber algebra at the
+    point: the Christoffel symbols; the antiholomorphic fiber carries their
+    conjugates.  The bilinear form is the metric restricted to the fiber,
+    which vanishes identically because the pure-index metric blocks are
+    zero."""
+    return md.christoffel
 
 
 def _on_grid(lam, blocks: Sequence[np.ndarray], axes: int):
@@ -125,13 +115,11 @@ def _curvature_blocks(md: MetricData):
     ``d_c Gamma^k_{dj} - d_d Gamma^k_{cj} = -[A_c, A_d]^k_j``; and
     ``dbar_d Gamma^k_{cj} = sum_b R[j][b][c][d] H[b][k]``.
     """
-    n, gamma = md.dim, md.christoffel
-    # prod[(k, c), (d, j)] = sum_m Gamma^k_{cm} Gamma^m_{dj}; comm is prod minus its (c, d) swap
-    prod = split(gamma, 3, n * n, n) @ split(gamma, 3, n, n * n)
-    prod = np.einsum("...kcdj->...cdkj", split(prod, 2, n, n, n, n))
+    n = md.dim
     # mix[(c, d, j), k] = sum_b R[j][b][c][d] H[b][k]
     mix = split(np.einsum("...jbcd->...cdjb", md.curvature), 4, n**3, n) @ md.g_inv
-    return prod - np.swapaxes(prod, -4, -3), np.swapaxes(split(mix, 2, n, n, n, n), -1, -2)
+    mix = np.swapaxes(split(mix, 2, n, n, n, n), -1, -2)
+    return multiplication_commutator(md.christoffel), mix
 
 
 def pencil_curvature_form(

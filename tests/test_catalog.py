@@ -330,6 +330,32 @@ def test_verify_finds_the_fixed_point_of_a_large_integer_part(tmp_path, capsys, 
     assert all(lefschetz_numbers(action))
 
 
+@pytest.mark.parametrize(
+    "a, t, failed",
+    [
+        # the composite shifts overflow: no composite is a group element
+        ([1, 0], [1e308, 1e308], ["closure"]),
+        # the composites and det M overflow
+        ([1e160, 0], [0, 0], ["closure", "finite", "isometry", "lattice_stable"]),
+    ],
+    ids=["huge-shift", "huge-scale"],
+)
+def test_group_checks_that_overflow_fail_without_a_warning(tmp_path, capsys, a, t, failed):
+    spec = {
+        "name": "overflow",
+        "dim": 1,
+        "potential": "z1*zbar1",
+        "sample_domain": {"re": [[-0.4, 0.4]], "im": [[-0.4, 0.4]]},
+        "lattice": [[[1, 0]], [[0, 1]]],
+        "group": [{"A": [[a]], "t": [t]}],
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["--json", "--samples", "2", "verify", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["reasons"] == [f"group check failed: {check}" for check in failed]
+
+
 # --- the eight-surface catalog ------------------------------------------
 
 

@@ -689,6 +689,15 @@ def test_pencil_overflow_is_an_error_record(tmp_path, capsys, spec):
     assert [s["error"] for s in report["samples"]] == ["non-finite pencil curvature"] * 3
 
 
+def test_catalog_numeric_error_exit_code(capsys):
+    """An error verdict exits 3 from catalog as from verify, before the
+    mismatch with the row's expected verdict is counted."""
+    argv = ["--json", "--lambda-grid=1e200", "--samples", "2", "catalog", "--catalog", "torus"]
+    assert main(argv) == 3
+    (report,) = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "error" and not report["matches_expected"]
+
+
 def test_exp_overflow_is_an_error_record_at_its_sample(tmp_path, capsys):
     code, report = _verify_json(tmp_path, capsys, EXP_OVERFLOW_SPEC, 8)
     assert code == 3

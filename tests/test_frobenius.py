@@ -17,7 +17,6 @@ from helpers import (
 from frobenius_verify.expr import parse
 from frobenius_verify.frobenius import (
     UNIT_RESIDUAL_TOL,
-    FiberAlgebra,
     associator,
     commutator,
     fiber_algebra_from_metric,
@@ -44,7 +43,7 @@ def _alg(dim, entries):
     C = np.zeros((dim, dim, dim), dtype=np.complex128)
     for (k, i, j), v in entries.items():
         C[k, i, j] = v
-    return FiberAlgebra(dim, C)
+    return C
 
 
 def test_commutator_dim1():
@@ -78,27 +77,42 @@ def test_associator_dim2_fixture_matches_brute_force():
     # this fixture is the regular representation of the two-element group,
     # so the brute-force golden value over all 8 basis triples is 0
     alg = _alg(2, DIM2_FIXTURE)
-    golden = brute_associator(alg.C)
+    golden = brute_associator(alg)
     assert golden == 0.0
     assert associator(alg) == pytest.approx(golden, abs=1e-14)
 
 
 def test_associator_random_matches_brute_force():
     rng = np.random.default_rng(31)
-    for _ in range(5):
-        raw = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
-        C = raw + np.transpose(raw, (0, 2, 1))  # commutative, generic
-        alg = FiberAlgebra(2, C)
-        golden = brute_associator(C)
-        assert golden > 1e-3
-        assert associator(alg) == pytest.approx(golden, rel=1e-12)
+    for dim in (2, 3, 4):
+        for _ in range(5):
+            raw = rng.normal(size=(dim,) * 3) + 1j * rng.normal(size=(dim,) * 3)
+            C = raw + np.transpose(raw, (0, 2, 1))  # commutative, generic
+            golden = brute_associator(C)
+            assert golden > 1e-3
+            assert associator(C) == pytest.approx(golden, rel=1e-12)
+            # the identity associator reads: for commutative C the associator's
+            # entries are those of [A_c, A_d], by two independent oracles
+            assert worst(einsum_pencil_comm(C), 4) == pytest.approx(golden, rel=1e-12)
+
+
+def test_associator_needs_a_commutative_algebra():
+    # M_2 in the matrix-unit basis, e_(a,b) at index 2a + b:
+    # E_ab E_cd = delta_bc E_ad is associative but not commutative
+    M2 = np.zeros((4, 4, 4))
+    for a, b, d in np.ndindex(2, 2, 2):
+        M2[2 * a + d, 2 * a + b, 2 * b + d] = 1.0
+    assert brute_associator(M2) == 0.0
+    assert commutator(M2) == 1.0
+    assert worst(einsum_pencil_comm(M2), 4) == 1.0
+    assert associator(M2) == 1.0  # the commutator, not the associator
 
 
 def test_frobenius_compat_zero_algebra():
     rng = np.random.default_rng(4)
     form = rng.normal(size=(3, 3))
     form = form + form.T
-    alg = FiberAlgebra(3, np.zeros((3, 3, 3), dtype=complex))
+    alg = np.zeros((3, 3, 3), dtype=complex)
     assert frobenius_compat(alg, form) == 0.0
 
 
@@ -107,7 +121,7 @@ def test_frobenius_compat_group_algebra_z2():
     entries = {(0, 0, 0): 1.0, (1, 0, 1): 1.0, (1, 1, 0): 1.0, (0, 1, 1): 1.0}
     form = np.eye(2)
     alg = _alg(2, entries)
-    assert frobenius_compat(alg, form) == pytest.approx(brute_compat(alg.C, form), abs=1e-14)
+    assert frobenius_compat(alg, form) == pytest.approx(brute_compat(alg, form), abs=1e-14)
     assert frobenius_compat(alg, form) < 1e-14
 
 
@@ -147,7 +161,7 @@ def _unit_by_least_squares(C):
 
 def test_batched_find_unit_agrees_with_per_sample_least_squares():
     rng = np.random.default_rng(3)
-    diag = _alg(3, {(k, k, k): 1.0 for k in range(3)}).C
+    diag = _alg(3, {(k, k, k): 1.0 for k in range(3)})
     # the same unital algebra in a random basis: C'^k_ij = Q^k_a C^a_bc P^b_i P^c_j
     p = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     skew = np.einsum("ka,abc,bi,cj->kij", np.linalg.inv(p), diag, p, p)
@@ -159,7 +173,7 @@ def test_batched_find_unit_agrees_with_per_sample_least_squares():
         rng.normal(size=(3, 3, 3)),
         np.zeros((3, 3, 3)),
     ]
-    units = find_unit(FiberAlgebra(3, np.stack(stack)))
+    units = find_unit(np.stack(stack))
     expected = [_unit_by_least_squares(C) for C in stack]
     assert [u is not None for u in expected] == [True, True, True, False, False, False]
     assert [u is not None for u in units] == [u is not None for u in expected]
@@ -171,7 +185,7 @@ def test_batched_find_unit_agrees_with_per_sample_least_squares():
 def test_fiber_algebra_flat_is_zero():
     md = metric_at(FLAT2, [0.3, -0.2 + 0.1j])
     hol = fiber_algebra_from_metric(md)
-    assert np.max(np.abs(hol.C)) == 0.0
+    assert np.max(np.abs(hol)) == 0.0
     assert find_unit(hol) is None
 
 
@@ -179,7 +193,7 @@ def test_fiber_algebra_scalar_structure_constant():
     # g = 1 + z zbar, Gamma = (dg/dz) / g = zbar / (1 + z zbar)
     md = metric_at(QUARTIC1, [0.5])
     hol = fiber_algebra_from_metric(md)
-    assert hol.C[0, 0, 0] == pytest.approx(0.5 / 1.25)
+    assert hol[0, 0, 0] == pytest.approx(0.5 / 1.25)
 
 
 def test_pencil_flat_torus():
@@ -267,7 +281,7 @@ def test_metric_algebra_is_commutative_and_compatible_by_construction(dim):
         # the fiber form: the metric's pure-index block, which is zero
         assert np.all(frobenius_compat(hol, np.zeros_like(md.g)) == 0.0)
         # a nonzero algebra: the zeros are not those of a vanishing C
-        assert np.max(np.abs(hol.C)) > 0
+        assert np.max(np.abs(hol)) > 0
 
 
 CURVED3 = parse(
@@ -359,6 +373,8 @@ def test_pencil_and_associator_match_the_einsum_formulas(dim, seed):
             assert_close(norms[..., j], np.maximum(worst(f_hol, 4), worst(f_mix, 4)))
         left, right = einsum_associator_sides(md.christoffel)
         residual = associator(fiber_algebra_from_metric(md))
+        # the verdict's associator and the pencil's lambda^2 block are one number
+        assert np.array_equal(residual, worst(_curvature_blocks(md)[0], 4))
         assert np.shape(residual) == md.g.shape[:-2]
         scale = np.max(np.abs(left)) + np.max(np.abs(right))
         assert np.all(np.abs(residual - worst(left - right, 4)) <= 1e-13 * scale)
