@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__, catalog as cat, frobenius as frob, kahler, theta as th
-from .expr import ParseError, PotentialExpr, parse, to_source
+from .expr import ExprError, ParseError, PotentialExpr, parse, to_source
 from .report import RowTable, to_json
 
 DEFAULT_SEED = 20240613
@@ -85,6 +85,14 @@ GROUP_CHECKS = (
     ("free", True, "action not free"),
     ("contains_translations", False, "action contains translations"),
     ("isometry_ok", True, "group check failed: isometry"),
+)
+# (exception class, reason of an "error" verdict): a failed sample gives
+# the first reason whose class it is (ExprError: log floor, exp overflow)
+FAILURE_REASONS = (
+    (kahler.DegenerateMetricError, "degenerate metric at sampled points"),
+    (kahler.RealnessError, "potential not real at sampled points"),
+    (ExprError, "domain error at sampled points"),
+    (kahler.KahlerError, "non-finite values at sampled points"),
 )
 # expected_class of a spec -> the verdict it expects; any other class
 # names the verdict itself
@@ -345,7 +353,7 @@ def _sample_columns(
         "wdvv": kahler.wdvv_residual_at(md),
         "ricci_hermiticity": ricci_herm,
         "max_ricci": ricci_max,
-        "associator": frob.associator(hol),
+        "associator": pencil.associator[ok],
         "positive_definite": md.positive_definite,
         "unit_exists": np.array([u is not None for u in frob.find_unit(hol)], dtype=bool),
         "pencil.curvature_norm": pencil.curvature_norm[ok],
@@ -408,8 +416,8 @@ def run_verify(entry: cat.CatalogEntry, config: Config) -> dict:
     :func:`load_manifold_spec` loads it.
 
     Verdict semantics, decided by ``CHECKS`` and ``GROUP_CHECKS``:
-    "error" when a sample hit a numeric failure (degenerate metric,
-    domain error); "not-frobenius" when the metric is not positive
+    "error" when a sample hit a numeric failure (one reason per kind, from
+    ``FAILURE_REASONS``); "not-frobenius" when the metric is not positive
     definite or a core check fails; otherwise "frobenius" iff every
     check and every group check passes, and "pre-frobenius" iff only
     the associativity checks fail; "not-frobenius" in all other cases.
@@ -441,7 +449,8 @@ def run_verify(entry: cat.CatalogEntry, config: Config) -> dict:
     group_ok = not reasons
 
     if failures:
-        reasons.append("degenerate metric or domain error at sampled points")
+        reasons += [next(why for cls, why in FAILURE_REASONS if isinstance(exc, cls))
+                    for exc in failures.values()]
         verdict = "error"
     else:
         structural = tol["structural"]
@@ -711,7 +720,7 @@ def _parse_tau(raw: str, genus: Optional[int]) -> np.ndarray:
     else:
         try:
             data = json.loads(raw)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise SpecError(f"--tau is not i, diag:... or a JSON matrix: {exc}") from None
         if not isinstance(data, list) or not data:
             raise SpecError("--tau must be a non-empty JSON list of rows")

@@ -201,6 +201,13 @@ def _const(tok: _Token, sign: float) -> Const:
     return Const(value)
 
 
+def _int(tok: _Token, text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"{what} out of range", tok.span) from None
+
+
 class _Parser:
     def __init__(self, text: str, dim: int):
         self.text = text
@@ -255,7 +262,7 @@ class _Parser:
         if tok.kind != "NUMBER" or not _INT_RE.match(tok.text):
             raise ParseError("exponent must be a nonnegative integer", tok.span)
         self.take()
-        return Power(base, int(tok.text))
+        return Power(base, _int(tok, tok.text, "exponent"))
 
     def atom(self) -> Node:
         tok = self.peek()
@@ -295,7 +302,7 @@ class _Parser:
         m = _re.fullmatch(r"(zbar|z)(\d+)", name)
         if not m:
             raise ParseError(f"unknown name {name!r}", tok.span)
-        index = int(m.group(2))
+        index = _int(tok, m.group(2), "variable index")
         if index < 1:
             raise ParseError("variable indices start at 1", tok.span)
         if index > self.dim:

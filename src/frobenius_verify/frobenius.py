@@ -4,23 +4,22 @@ An algebra is its array of structure constants, upper-index first:
 ``C[k][i][j]`` is the coefficient of ``e_k`` in ``e_i * e_j``, the
 Christoffel layout ``christoffel[k][i][j]`` of the metric module.  The
 pencil of connections deforms the flat background by ``lambda * C``; its
-curvature 2-form is exactly quadratic in lambda (linear on the mixed
-block), and both of its blocks are read off the Christoffel symbols, the
-curvature and the inverse metric of the metric bundle.  Its lambda^2
-block ``[A_c, A_d]`` is also the associator of the commutative fiber
-algebra.
+curvature 2-form is ``(lambda^2 - lambda) [A_c, A_d]`` on the holomorphic
+block and ``-lambda dbar Gamma`` on the mixed one, both read off the
+Christoffel symbols, the curvature and the inverse metric of the metric
+bundle.  Its lambda^2 block ``[A_c, A_d]`` is also the associator of the
+commutative fiber algebra.
 
 Like the metric module, everything here broadcasts over leading sample
 axes and reduces each check to one value per sample (a float for a
-single point).  A pencil parameter may be a scalar or a 1-d grid; a grid
-adds its axis after the sample axes, and the point data are computed
-once for the whole grid.
+single point).  Lambda enters every pencil norm only as a scalar factor
+of a per-sample number: a grid of parameters adds its axis after the
+sample axes of the norms, and no tensor is built per lambda.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -33,8 +32,9 @@ UNIT_RESIDUAL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class PencilSample:
-    curvature_norm: float
-    trace_norm: float
+    curvature_norm: np.ndarray
+    trace_norm: np.ndarray
+    associator: np.ndarray
 
 
 def commutator(C: np.ndarray):
@@ -96,73 +96,51 @@ def fiber_algebra_from_metric(md: MetricData) -> np.ndarray:
     return md.christoffel
 
 
-def _on_grid(lam, blocks: Sequence[np.ndarray], axes: int):
-    """``lam`` and ``blocks`` shaped to broadcast against each other: a
-    scalar leaves them as they are, a 1-d grid gets an axis in front of
-    the blocks' last ``axes`` axes."""
-    if np.ndim(lam) == 0:
-        return lam, blocks
-    grid = np.asarray(lam, dtype=float).reshape((-1,) + (1,) * axes)
-    return grid, [np.expand_dims(x, -axes - 1) for x in blocks]
-
-
-def _curvature_blocks(md: MetricData):
-    """``(comm, mix)``, each indexed [c][d][k][j]: the pencil's blocks are
-    ``(lam^2 - lam) * comm`` and ``-lam * mix``.
-
-    Two exact Kahler identities give them from the bundle.  The Chern
-    connection has no (2,0) curvature, so
-    ``d_c Gamma^k_{dj} - d_d Gamma^k_{cj} = -[A_c, A_d]^k_j``; and
-    ``dbar_d Gamma^k_{cj} = sum_b R[j][b][c][d] H[b][k]``.
-    """
+def _mixed_block(md: MetricData) -> np.ndarray:
+    """``dbar_d Gamma^k_{cj} = sum_b R[j][b][c][d] H[b][k]`` (a Kahler
+    identity) indexed [(c, d, j)][k]: the pencil's mixed block over -lam."""
     n = md.dim
-    # mix[(c, d, j), k] = sum_b R[j][b][c][d] H[b][k]
-    mix = split(np.einsum("...jbcd->...cdjb", md.curvature), 4, n**3, n) @ md.g_inv
-    mix = np.swapaxes(split(mix, 2, n, n, n, n), -1, -2)
-    return multiplication_commutator(md.christoffel), mix
+    return split(np.einsum("...jbcd->...cdjb", md.curvature), 4, n**3, n) @ md.g_inv
 
 
-def pencil_curvature_form(
-    md: MetricData, lam
-) -> tuple[np.ndarray, np.ndarray]:
-    """Curvature 2-form blocks of the connection with coefficients
-    lambda * Gamma in the flat background gauge.
-
-    Returns ``(f_hol, f_mix)`` with
-    ``f_hol[c][d][k][j] = lam*(d_c Gamma^k_{dj} - d_d Gamma^k_{cj})
-                          + lam^2 * [A_c, A_d]^k_j = (lam^2 - lam) * [A_c, A_d]^k_j``
-    and ``f_mix[c][d][k][j] = -lam * dbar_d Gamma^k_{cj}``.
-    Both blocks are polynomial in lambda (degree 2 and 1) with
-    coefficients fixed by the point data.
-    """
-    lam, (comm, mix) = _on_grid(lam, _curvature_blocks(md), 4)
-    return (lam * lam - lam) * comm, -lam * mix
+def pencil_curvature_form(md: MetricData, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Curvature 2-form blocks ``(f_hol, f_mix)``, indexed [c][d][k][j], of
+    the connection with coefficients lambda * Gamma in the flat background
+    gauge: ``f_hol = lam*(d_c Gamma^k_{dj} - d_d Gamma^k_{cj}) + lam^2 *
+    [A_c, A_d]^k_j = (lam^2 - lam) * [A_c, A_d]^k_j`` (the Chern connection
+    has no (2,0) curvature) and ``f_mix = -lam * dbar_d Gamma^k_{cj}``."""
+    n = md.dim
+    mix = np.swapaxes(split(_mixed_block(md), 2, n, n, n, n), -1, -2)
+    return (lam * lam - lam) * multiplication_commutator(md.christoffel), -lam * mix
 
 
-def trace_endomorphism(md: MetricData, lam) -> np.ndarray:
+def trace_endomorphism(md: MetricData, lam: float) -> np.ndarray:
     """Metric trace of the mixed curvature block over the form indices,
     paired as the metric pairs them:
     ``tr(F_lam)^b_a = -lam * sum_{j,k} H[k][j] dbar_k Gamma^b_{ja}``, the
     mean curvature ``g^{j kbar} F_{j kbar}`` (Kobayashi, *Differential
     Geometry of Complex Vector Bundles*, 1987, IV.1).  By the symmetries
     of the Kahler curvature it is ``-lam * (Ric @ H)^T``."""
-    lam, (ric_h,) = _on_grid(lam, (md.ricci @ md.g_inv,), 2)
-    return -lam * np.swapaxes(ric_h, -1, -2)
+    return -lam * np.swapaxes(md.ricci @ md.g_inv, -1, -2)
 
 
 def hermitian_einstein_trace(md: MetricData, lam):
-    """Max entry of |tr(F_lam) - kappa Id| with kappa the mean diagonal."""
-    tr = trace_endomorphism(md, lam)
+    """Max entry of |tr(F_lam) - kappa Id| with kappa the mean diagonal:
+    ``|lam|`` times its value at lam = 1, one entry per lambda of a grid."""
+    tr = trace_endomorphism(md, 1.0)
     kappa = np.trace(tr, axis1=-2, axis2=-1) / tr.shape[-1]
-    return worst(tr - kappa[..., None, None] * np.eye(tr.shape[-1]), 2)
+    defect = worst(tr - kappa[..., None, None] * np.eye(tr.shape[-1]), 2)
+    return np.multiply.outer(defect, np.abs(lam))
 
 
 def pencil_curvature(md: MetricData, lam) -> PencilSample:
-    """Curvature and trace norms of the pencil at ``lam``; with a grid of
-    parameters each norm has one entry per (sample, lambda).  The curvature
-    norm is ``max(|lam^2 - lam| max|comm|, |lam| max|mix|)`` in the blocks
-    of :func:`pencil_curvature_form`: each block's max is taken once per
-    sample, so no (sample, lambda, n^4) grid is built."""
-    grid, (comm, mix) = _on_grid(lam, [worst(x, 4) for x in _curvature_blocks(md)], 0)
-    norm = np.maximum(np.abs(grid * grid - grid) * comm, np.abs(grid) * mix)
-    return PencilSample(norm, hermitian_einstein_trace(md, lam))
+    """Curvature and trace norms of the pencil at ``lam`` (a scalar, or a
+    grid that adds an axis after the sample axes), with the associator.
+    Lambda only scales per-sample numbers: the curvature norm is
+    ``max(|lam^2 - lam| * associator, |lam| * max|dbar Gamma|)`` over the
+    blocks of :func:`pencil_curvature_form`."""
+    assoc = associator(md.christoffel)
+    lam = np.asarray(lam, dtype=float)
+    curvature = np.maximum(np.multiply.outer(assoc, np.abs(lam * lam - lam)),
+                           np.multiply.outer(worst(_mixed_block(md), 2), np.abs(lam)))
+    return PencilSample(curvature, hermitian_einstein_trace(md, lam), assoc)

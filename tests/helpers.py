@@ -597,6 +597,20 @@ def brute_pencil(gamma, dgam, dgam_bar, g_inv, lam):
     return curvature, trace
 
 
+def per_lambda_einstein_trace(md, grid):
+    """The pencil's Einstein defect formed separately at each lambda:
+    ``tr = -lam (Ric H)^T``, then ``max |tr - kappa Id|`` with kappa the
+    mean diagonal; one entry per (sample, lambda)."""
+    ric_h = np.swapaxes(md.ricci @ md.g_inv, -1, -2)
+    n = md.dim
+    defects = []
+    for lam in grid:
+        tr = -lam * ric_h
+        kappa = np.trace(tr, axis1=-2, axis2=-1) / n
+        defects.append(np.max(np.abs(tr - kappa[..., None, None] * np.eye(n)), axis=(-2, -1)))
+    return np.stack(defects, axis=-1)
+
+
 def ricci_via_connection(md, partials):
     """Ricci tensor recomputed as the fiber trace of the chain-rule dbar
     Gamma; must agree with the metric-route Ricci to round-off."""

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -464,6 +465,17 @@ def test_main_theta_invalid_tau(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="no int-string conversion limit")
+def test_exponent_past_the_int_conversion_limit_names_the_potential(tmp_path, capsys):
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    spec = dict(TORUS_SPEC, potential=f"z1*zbar1 + z2*zbar2 + re(z1^{digits})")
+    path = tmp_path / "long-exponent.json"
+    path.write_text(json.dumps(spec))
+    assert main(["--samples", "2", "verify", str(path)]) == 2
+    assert "potential does not parse: exponent out of range" in capsys.readouterr().err
+
+
 def test_env_seed_override(tmp_path, monkeypatch, capsys):
     path = tmp_path / "torus.json"
     path.write_text(json.dumps(TORUS_SPEC))
@@ -572,6 +584,8 @@ def test_input_without_evidence_is_rejected(tmp_path, capsys, argv, field):
         (["--level", "1", "--tau", "[[[0, 1e-300]]]"], "--tau"),
         (["--tau", "[[[0, 1e-300]]]"], "--tau"),
         (["--tau", "[[[0, 1e-300]]]"], "lattice generators are linearly dependent over R"),
+        # json.loads gives up with a RecursionError, not a ValueError
+        (["--tau", "[" * 5000], "--tau"),
     ],
 )
 def test_theta_input_fault_names_the_flag(capsys, argv, field):
@@ -696,6 +710,9 @@ def test_catalog_numeric_error_exit_code(capsys):
     assert main(argv) == 3
     (report,) = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "error" and not report["matches_expected"]
+    # both samples overflow in the pencil, not in the metric
+    assert [s["error"] for s in report["samples"]] == ["non-finite pencil curvature"] * 2
+    assert report["reasons"] == ["non-finite values at sampled points"]
 
 
 def test_exp_overflow_is_an_error_record_at_its_sample(tmp_path, capsys):
@@ -713,6 +730,7 @@ def test_exp_overflow_is_an_error_record_at_its_sample(tmp_path, capsys):
         elif exponent < 600:
             assert "error" not in sample
     assert 0 < len(overflowed) < len(report["samples"])
+    assert report["reasons"] == ["domain error at sampled points"]
 
 
 def test_non_finite_partials_are_error_records(tmp_path, capsys):
@@ -723,6 +741,7 @@ def test_non_finite_partials_are_error_records(tmp_path, capsys):
     assert [s["error"] for s in report["samples"]] == [
         "non-finite partials of the potential"
     ] * 4
+    assert report["reasons"] == ["non-finite values at sampled points"]
 
 
 @pytest.mark.parametrize(
@@ -802,7 +821,7 @@ def _linear_group(*rows):
          "not-frobenius", ["action not free", "group check failed: closure",
                            "group check failed: finite", "group check failed: isometry"]),
         (_two_dim("log-domain", "log(z1*zbar1) + z2*zbar2"), "error",
-         ["degenerate metric or domain error at sampled points"]),
+         ["degenerate metric at sampled points"]),
         (dict(ROTATION_SPEC, name="rotation-60", group={"elements": ROTATION_60}),
          "not-frobenius", ["group check failed: lattice_stable"]),
         (_two_dim("contracting", FLAT_2, lattice=SQUARE_LATTICE_2,
@@ -826,6 +845,13 @@ def _linear_group(*rows):
          "not-frobenius", ["group check failed: closure", "group check failed: finite",
                            "group check failed: isometry",
                            "group check failed: lattice_stable"]),
+        (_two_dim("not-real", FLAT_2 + " + z1"), "error",
+         ["potential not real at sampled points"]),
+        # exp overflows at some samples, and at others its metric block
+        # dwarfs the other one: one reason per kind of failure
+        (dict(_two_dim("exp-overflow-2", "exp(3000*z1*zbar1) + z2*zbar2"),
+              sample_domain={"re": [[-0.6, 0.6]] * 2, "im": [[-0.6, 0.6]] * 2}), "error",
+         ["degenerate metric at sampled points", "domain error at sampled points"]),
     ],
     ids=lambda v: v["name"] if isinstance(v, dict) else None,
 )
@@ -886,6 +912,23 @@ def test_nan_in_a_column_fails_its_check_as_in_the_rows(monkeypatch, key):
     assert report["verdict"] != "frobenius"
     assert (report["verdict"], report["reasons"]) == _row_verdict(report["samples"], tol)
     assert failed_classes_from_rows(report["samples"], CHECKS, tol) == {dict(CHECKS)[key]}
+
+
+def test_one_pass_forms_the_commutator_once(monkeypatch):
+    """The associator column is read off the pencil, whose lambda^2 block
+    it is."""
+    formed = cli.frob.multiplication_commutator
+    calls = []
+
+    def counted(C):
+        calls.append(C.shape)
+        return formed(C)
+
+    monkeypatch.setattr(cli.frob, "multiplication_commutator", counted)
+    points = np.array([[0.1 + 0.2j, -0.3], [0.2j, 0.1 - 0.1j]])
+    _, columns, _ = cli._sample_columns(parse(FS_SPEC["potential"], 2), points, (1.0, 2.0))
+    assert calls == [(2, 2, 2, 2)]
+    assert columns["associator"].shape == (2,)
 
 
 def test_sample_record_keys():

@@ -1,4 +1,6 @@
 
+import sys
+
 import numpy as np
 import pytest
 from helpers import random_potential_expr, reference_eval
@@ -65,6 +67,23 @@ def test_negative_exponent_rejected():
     with pytest.raises(ParseError) as err:
         parse("z1^-2", 1)
     assert "negative" in err.value.message
+
+
+# one digit more than int() converts from text, where the limit exists
+_TOO_MANY_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() + 1
+
+
+@pytest.mark.skipif(_TOO_MANY_DIGITS == 1, reason="no int-string conversion limit")
+@pytest.mark.parametrize("text, what", [
+    ("z1*zbar1 + re(z1^{})", "exponent"),
+    ("z1*zbar1 + z{}", "variable index"),
+])
+def test_integer_past_the_conversion_limit_is_a_parse_error(text, what):
+    digits = "9" * _TOO_MANY_DIGITS
+    with pytest.raises(ParseError) as err:
+        parse(text.format(digits), 1)
+    assert err.value.message == f"{what} out of range"
+    assert err.value.span.end == text.index("{") + len(digits)
 
 
 def test_empty_input():

@@ -10,6 +10,7 @@ from helpers import (
     brute_compat,
     brute_pencil,
     jet_partials,
+    per_lambda_einstein_trace,
     random_polynomial_potential,
     ricci_via_connection,
 )
@@ -23,11 +24,11 @@ from frobenius_verify.frobenius import (
     find_unit,
     frobenius_compat,
     hermitian_einstein_trace,
+    multiplication_commutator,
     pencil_curvature,
     pencil_curvature_form,
     trace_endomorphism,
 )
-from frobenius_verify.frobenius import _curvature_blocks
 from frobenius_verify.kahler import metric_at, metric_batch, worst
 
 FLAT2 = parse("z1*zbar1 + z2*zbar2", 2)
@@ -320,18 +321,18 @@ def test_pencil_grid_equals_one_point_one_lambda():
     grid = (-1.7, 0.3, 2.5)
     md, _ = metric_batch(CURVED3, CURVED3_POINTS)
     table = pencil_curvature(md, grid)
-    f_hol, f_mix = pencil_curvature_form(md, grid)
-    assert f_hol.shape == f_mix.shape == (3, 3, 3, 3, 3, 3)
-    for k, point in enumerate(CURVED3_POINTS):
-        single = metric_at(CURVED3, point)
-        for j, lam in enumerate(grid):
+    for j, lam in enumerate(grid):
+        f_hol, f_mix = pencil_curvature_form(md, lam)
+        assert f_hol.shape == f_mix.shape == (3, 3, 3, 3, 3)
+        for k, point in enumerate(CURVED3_POINTS):
+            single = metric_at(CURVED3, point)
             one = pencil_curvature(single, lam)
             assert table.curvature_norm[k, j] == one.curvature_norm
             assert table.trace_norm[k, j] == one.trace_norm
             assert table.trace_norm[k, j] == hermitian_einstein_trace(single, lam)
             one_hol, one_mix = pencil_curvature_form(single, lam)
-            assert np.array_equal(f_hol[k, j], one_hol)
-            assert np.array_equal(f_mix[k, j], one_mix)
+            assert np.array_equal(f_hol[k], one_hol)
+            assert np.array_equal(f_mix[k], one_mix)
 
 
 def test_batched_algebra_checks_equal_one_point():
@@ -362,9 +363,10 @@ def test_pencil_and_associator_match_the_einsum_formulas(dim, seed):
         # and dbar_d Gamma^k_{cj} = sum_b R[j][b][c][d] H[b][k]
         assert_close(antisym, -comm)
         assert_close(mix, np.einsum("...jbcd,...bk->...cdkj", md.curvature, md.g_inv))
-        for got, expected in zip(_curvature_blocks(md), (comm, mix)):
-            assert_close(got, expected)
-        norms = pencil_curvature(md, grid).curvature_norm
+        assert_close(multiplication_commutator(md.christoffel), comm)
+        assert_close(-pencil_curvature_form(md, 1.0)[1], mix)
+        pencil = pencil_curvature(md, grid)
+        norms = pencil.curvature_norm
         assert np.shape(norms) == md.g.shape[:-2] + (len(grid),)
         for j, lam in enumerate(grid):
             f_hol, f_mix = lam * antisym + lam * lam * comm, -lam * mix
@@ -374,7 +376,29 @@ def test_pencil_and_associator_match_the_einsum_formulas(dim, seed):
         left, right = einsum_associator_sides(md.christoffel)
         residual = associator(fiber_algebra_from_metric(md))
         # the verdict's associator and the pencil's lambda^2 block are one number
-        assert np.array_equal(residual, worst(_curvature_blocks(md)[0], 4))
+        assert np.array_equal(residual, worst(multiplication_commutator(md.christoffel), 4))
+        assert np.array_equal(pencil.associator, residual)
         assert np.shape(residual) == md.g.shape[:-2]
         scale = np.max(np.abs(left)) + np.max(np.abs(right))
         assert np.all(np.abs(residual - worst(left - right, 4)) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [5, 17])
+def test_trace_norm_is_the_defect_at_one_scaled_by_lambda(dim, seed):
+    # scaling by a power of two commutes with rounding, so on such grids
+    # |lam| * defect(1) is the per-lambda defect bit for bit
+    for md, _ in curved_bundles(dim, seed):
+        for grid in ((-1.0, -0.5, 0.5, 1.0, 2.0), (-4.0, 0.125, 8.0)):
+            trace = pencil_curvature(md, grid).trace_norm
+            assert np.array_equal(trace, per_lambda_einstein_trace(md, grid))
+        # elsewhere the two round -lam * (Ric H)^T differently before the
+        # defect's cancellation: they agree to round-off of the entries,
+        # not of the defect, which can be far smaller than they are
+        grid = (-1.7, 0.3, 2.5)
+        expected = per_lambda_einstein_trace(md, grid)
+        # a 1x1 trace is its own mean: the defect is zero at dim 1
+        assert np.all(expected > 0) or dim == 1
+        scale = np.multiply.outer(worst(md.ricci @ md.g_inv, 2), np.abs(grid))
+        got = pencil_curvature(md, grid).trace_norm
+        assert np.all(np.abs(got - expected) <= 1e-15 * scale)
