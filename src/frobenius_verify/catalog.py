@@ -233,12 +233,17 @@ class CatalogEntry:
 # --- group validation -------------------------------------------------
 
 
+def _same_linear(m1, m2) -> np.ndarray:
+    """Whether the linear parts ``m1`` and ``m2`` are one matrix, broadcast
+    over the leading axes.  NaN compares unequal."""
+    return np.all(np.abs(m1 - m2) < MATCH_TOL, axis=(-2, -1))
+
+
 def _same(m1, s1, m2, s2) -> np.ndarray:
     """Whether ``(m1, s1)`` and ``(m2, s2)`` are one map of the torus,
     broadcast over the leading axes.  NaN compares unequal."""
     ds = s1 - s2
-    linear = np.all(np.abs(m1 - m2) < MATCH_TOL, axis=(-2, -1))
-    return linear & np.all(np.abs(ds - np.round(ds)) < MATCH_TOL, axis=-1)
+    return _same_linear(m1, m2) & np.all(np.abs(ds - np.round(ds)) < MATCH_TOL, axis=-1)
 
 
 # a huge element overflows composites, det or powers; an overflowed value matches nothing
@@ -321,11 +326,11 @@ def is_free(action: GroupAction) -> tuple[bool, Optional[np.ndarray]]:
 
 
 def contains_translations(action: GroupAction) -> bool:
-    """True iff a non-identity element is a pure translation (M = I)."""
+    """True iff a non-identity element is a pure translation: M is I as
+    :func:`_same` compares linear parts."""
     m, s = action._lattice_form
     eye = np.eye(m.shape[-1])
-    pure = np.all(np.abs(m - eye) < EXACT_TOL, axis=(-2, -1))
-    return bool(np.any(pure & ~_same(m, s, eye, 0.0)))
+    return bool(np.any(_same_linear(m, eye) & ~_same(m, s, eye, 0.0)))
 
 
 def isometry_defect(action: GroupAction) -> float:

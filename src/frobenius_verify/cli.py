@@ -31,7 +31,7 @@ DEFAULT_SEED = 20240613
 DEFAULT_SAMPLES = 64
 DEFAULT_LAMBDA_GRID = (-1.0, -0.5, 0.5, 1.0, 2.0)
 DEFAULT_RADIUS = 30
-# A report holds about 1.3 KB per sample, so the cap keeps it near 13 MB.
+# A report holds 0.6 KB (dim 1) to 0.9 KB (dim 4) per sample: under 9 MB at the cap.
 MAX_SAMPLES = 10_000
 # Two above the largest dim the tests check; sample_points has primes to dim 8.
 # Cost is no bound: the jet table builds in 25 ms at dim 6, and `verify` of a
@@ -59,10 +59,10 @@ DISCLAIMER = (
 )
 
 # The verdict's checks: (column of the sample checks, class); the
-# columns are named as the report keys, the pencil norms as
-# ``pencil.<key>`` with one entry per sample and lambda.  A class fails
-# when one of its checks is not below the structural tolerance at some
-# sample (and lambda), so a NaN fails too.
+# columns are named as the report keys, the pencil norms, which no row
+# writes, as ``pencil.<key>`` with their worst value over the lambda grid.
+# A class fails when one of its checks is not below the structural
+# tolerance at some sample, so a NaN fails too.
 # Commutativity and form compatibility hold by construction (symmetric
 # Christoffel symbols, zero fiber form); tests pin them, no check reads them.
 CHECKS = (
@@ -326,17 +326,24 @@ def _sample_columns(
 ) -> tuple[np.ndarray, dict, dict]:
     """``(good, columns, failures)`` of a batch of points: the indices of
     the points that pass every numeric check, one array per report key
-    over those points (the pencil norms per point and lambda), and
-    ``{index: exception}`` for the others.  One tensor pass for all."""
+    and pencil check over those points, and ``{index: exception}`` for
+    the others.  One tensor pass for all."""
     md, failures = kahler.metric_batch(potential, points)
     good = np.array([idx for idx in range(len(points)) if idx not in failures], dtype=int)
+    lam = np.asarray(lambda_grid, dtype=float)
     # a large lambda overflows the pencil and a non-finite Gamma spreads
     # into it: error records, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        pencil = frob.pencil_curvature(md, lambda_grid)
+        pencil = frob.pencil_curvature(md)
+        # lambda scales norms >= 0 and rounding is monotone, so the worst
+        # lambda of the grid gives each norm's worst value, bit for bit
+        top = np.max(np.abs(lam))
+        curvature = np.maximum(pencil.associator * np.max(np.abs(lam * lam - lam)),
+                               pencil.mixed_norm * top)
+        trace = pencil.einstein_defect * top
     gamma_ok = np.all(np.isfinite(md.christoffel), axis=(-3, -2, -1))
     # both norms are >= 0, so their sum is finite iff both are
-    ok = gamma_ok & np.all(np.isfinite(pencil.curvature_norm + pencil.trace_norm), axis=-1)
+    ok = gamma_ok & np.isfinite(curvature + trace)
     for idx, finite in zip(good[~ok].tolist(), gamma_ok[~ok].tolist()):
         why = "non-finite pencil curvature" if finite else "non-finite structure constants"
         failures[idx] = kahler.KahlerError(why)
@@ -354,45 +361,34 @@ def _sample_columns(
         "ricci_hermiticity": ricci_herm,
         "max_ricci": ricci_max,
         "associator": pencil.associator[ok],
+        "mixed_norm": pencil.mixed_norm[ok],
+        "einstein_defect": pencil.einstein_defect[ok],
         "positive_definite": md.positive_definite,
         "unit_exists": np.array([u is not None for u in frob.find_unit(hol)], dtype=bool),
-        "pencil.curvature_norm": pencil.curvature_norm[ok],
-        "pencil.trace_norm": pencil.trace_norm[ok],
+        "pencil.curvature_norm": curvature[ok],
+        "pencil.trace_norm": trace[ok],
     }
     return good, columns, failures
 
 
-def _sample_records(
-    points: np.ndarray, good: np.ndarray, columns: dict, failures: dict, lambda_grid
-) -> RowTable:
+def _sample_records(points: np.ndarray, good: np.ndarray, columns: dict, failures: dict) -> RowTable:
     """The report rows of the sample points, in order (the arguments as
     :func:`_sample_columns` returns them): each row has its index and
-    point, then its column values or the error of its failure."""
+    point, then its report columns or the error of its failure."""
     xy = np.stack([points.real, points.imag], axis=-1)
     keys = [key for key in columns if not key.startswith("pencil.")]
-    lambdas = tuple(lambda_grid)
 
-    def good_row(index, point, curvature, trace, *values):
-        return dict(
-            zip(keys, values),
-            index=index,
-            point=point,
-            pencil=[
-                {"lambda": lam, "curvature_norm": c, "trace_norm": t}
-                for lam, c, t in zip(lambdas, curvature, trace)
-            ],
-        )
+    def good_row(index, point, *values):
+        return dict(zip(keys, values), index=index, point=point)
 
     def error_row(index, point, error):
         return {"index": index, "point": point, "error": error}
 
     bad = np.array(sorted(failures), dtype=int)
     errors = np.array([str(failures[idx]) for idx in bad.tolist()], dtype=object)
-    curvature, trace = columns["pencil.curvature_norm"], columns["pencil.trace_norm"]
     return RowTable(len(points), [
-        # lambdas keyed by their text: 0.0 == -0.0, and both hash the same
-        (("sample", tuple(keys), tuple(map(repr, lambdas))), good_row, good.tolist(),
-         (good, xy[good], curvature, trace, *(columns[key] for key in keys))),
+        (("sample", tuple(keys)), good_row, good.tolist(),
+         (good, xy[good], *(columns[key] for key in keys))),
         (("error",), error_row, bad.tolist(), (bad, xy[bad], errors)),
     ])
 
@@ -477,8 +473,9 @@ def run_verify(entry: cat.CatalogEntry, config: Config) -> dict:
         "version": __version__,
         "seed": config.seed,
         "tolerances": tol,
+        "lambda_grid": list(config.lambda_grid),
         "disclaimer": DISCLAIMER,
-        "samples": _sample_records(points, good, columns, failures, config.lambda_grid),
+        "samples": _sample_records(points, good, columns, failures),
         "group": group_rec,
         "verdict": verdict,
         "reasons": sorted(set(reasons)),

@@ -13,8 +13,8 @@ commutative fiber algebra.
 Like the metric module, everything here broadcasts over leading sample
 axes and reduces each check to one value per sample (a float for a
 single point).  Lambda enters every pencil norm only as a scalar factor
-of a per-sample number: a grid of parameters adds its axis after the
-sample axes of the norms, and no tensor is built per lambda.
+of a per-sample number, so the pencil is read as three such numbers
+and no norm is formed per lambda.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ UNIT_RESIDUAL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class PencilSample:
-    curvature_norm: np.ndarray
-    trace_norm: np.ndarray
     associator: np.ndarray
+    mixed_norm: np.ndarray
+    einstein_defect: np.ndarray
 
 
 def commutator(C: np.ndarray):
@@ -114,33 +114,30 @@ def pencil_curvature_form(md: MetricData, lam: float) -> tuple[np.ndarray, np.nd
     return (lam * lam - lam) * multiplication_commutator(md.christoffel), -lam * mix
 
 
-def trace_endomorphism(md: MetricData, lam: float) -> np.ndarray:
-    """Metric trace of the mixed curvature block over the form indices,
-    paired as the metric pairs them:
-    ``tr(F_lam)^b_a = -lam * sum_{j,k} H[k][j] dbar_k Gamma^b_{ja}``, the
-    mean curvature ``g^{j kbar} F_{j kbar}`` (Kobayashi, *Differential
-    Geometry of Complex Vector Bundles*, 1987, IV.1).  By the symmetries
-    of the Kahler curvature it is ``-lam * (Ric @ H)^T``."""
-    return -lam * np.swapaxes(md.ricci @ md.g_inv, -1, -2)
+def trace_endomorphism(md: MetricData) -> np.ndarray:
+    """Metric trace of the mixed curvature block at lam = 1 over the form
+    indices, paired as the metric pairs them:
+    ``tr(F_1)^b_a = -sum_{j,k} H[k][j] dbar_k Gamma^b_{ja}``, the mean
+    curvature ``g^{j kbar} F_{j kbar}`` (Kobayashi, *Differential
+    Geometry of Complex Vector Bundles*, 1987, IV.1); at lam it is
+    ``lam`` times this.  By the symmetries of the Kahler curvature it is
+    ``-(Ric @ H)^T``."""
+    return -np.swapaxes(md.ricci @ md.g_inv, -1, -2)
 
 
-def hermitian_einstein_trace(md: MetricData, lam):
-    """Max entry of |tr(F_lam) - kappa Id| with kappa the mean diagonal:
-    ``|lam|`` times its value at lam = 1, one entry per lambda of a grid."""
-    tr = trace_endomorphism(md, 1.0)
+def hermitian_einstein_trace(md: MetricData):
+    """Max entry of |tr(F_1) - kappa Id| with kappa the mean diagonal: the
+    Einstein defect at lam = 1, which ``|lam|`` scales."""
+    tr = trace_endomorphism(md)
     kappa = np.trace(tr, axis1=-2, axis2=-1) / tr.shape[-1]
-    defect = worst(tr - kappa[..., None, None] * np.eye(tr.shape[-1]), 2)
-    return np.multiply.outer(defect, np.abs(lam))
+    return worst(tr - kappa[..., None, None] * np.eye(tr.shape[-1]), 2)
 
 
-def pencil_curvature(md: MetricData, lam) -> PencilSample:
-    """Curvature and trace norms of the pencil at ``lam`` (a scalar, or a
-    grid that adds an axis after the sample axes), with the associator.
-    Lambda only scales per-sample numbers: the curvature norm is
-    ``max(|lam^2 - lam| * associator, |lam| * max|dbar Gamma|)`` over the
-    blocks of :func:`pencil_curvature_form`."""
-    assoc = associator(md.christoffel)
-    lam = np.asarray(lam, dtype=float)
-    curvature = np.maximum(np.multiply.outer(assoc, np.abs(lam * lam - lam)),
-                           np.multiply.outer(worst(_mixed_block(md), 2), np.abs(lam)))
-    return PencilSample(curvature, hermitian_einstein_trace(md, lam), assoc)
+def pencil_curvature(md: MetricData) -> PencilSample:
+    """The pencil's per-sample norms, which lambda only scales: at ``lam``
+    the curvature norm over the blocks of :func:`pencil_curvature_form`
+    is ``max(|lam^2 - lam| * associator, |lam| * mixed_norm)``, with
+    ``mixed_norm = max|dbar Gamma|``, and the trace norm ``|lam| *
+    einstein_defect``."""
+    return PencilSample(associator(md.christoffel), worst(_mixed_block(md), 2),
+                        hermitian_einstein_trace(md))

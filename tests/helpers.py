@@ -687,15 +687,31 @@ def scalar_theta_residuals(tau, zs, radius, mult_rows=8):
 # --- verdicts read off report rows --------------------------------------------
 
 
-def failed_classes_from_rows(samples, checks, tol):
+def pencil_table(sample, lambda_grid):
+    """The pencil of a report row at each lambda of the grid, rebuilt
+    from its per-sample norms: ``{"lambda", "curvature_norm",
+    "trace_norm"}`` with the curvature norm ``max(|lam^2 - lam| *
+    associator, |lam| * mixed_norm)`` and the trace norm ``|lam| *
+    einstein_defect``.  A NaN norm gives NaN at every lambda."""
+    lam = np.asarray(lambda_grid, dtype=float)
+    curvature = np.maximum(np.abs(lam * lam - lam) * sample["associator"],
+                           np.abs(lam) * sample["mixed_norm"])
+    trace = np.abs(lam) * sample["einstein_defect"]
+    return [
+        {"lambda": value, "curvature_norm": c, "trace_norm": t}
+        for value, c, t in zip(lambda_grid, curvature.tolist(), trace.tolist())
+    ]
+
+
+def failed_classes_from_rows(samples, lambda_grid, checks, tol):
     """The classes of ``checks`` ((key, class) pairs) that fail on the
     report rows: a check fails when its value is not below ``tol`` in some
-    row.  A dotted key is read in every row of the sample's list under
-    its first part (the pencil over the lambda grid)."""
+    row.  A ``pencil.`` key is read in the :func:`pencil_table` of every
+    row over ``lambda_grid``."""
     failed = set()
     for key, cls in checks:
         head, _, leaf = key.rpartition(".")
-        rows = [row for s in samples for row in s[head]] if head else samples
+        rows = [row for s in samples for row in pencil_table(s, lambda_grid)] if head else samples
         if not all(row[leaf] < tol for row in rows):
             failed.add(cls)
     return failed
@@ -851,7 +867,7 @@ def brute_group_checks(action):
         "finite": all(_has_finite_order(lat, g) for g in maps),
         "faithful": faithful,
         "contains_translations": any(
-            np.all(np.abs(a - np.eye(n)) < 1e-12) for a, _ in moving
+            np.all(np.abs(a - np.eye(n)) < GROUP_TOL) for a, _ in moving
         ),
         "free": free,
         "moving": moving,
@@ -920,10 +936,10 @@ def reference_sample_points(spec_domain, dim, count, seed, label):
     return np.array(points).reshape(count, dim)
 
 
-def reference_sample_records(points, good, columns, failures, lambda_grid):
+def reference_sample_records(points, good, columns, failures):
     """The report rows of ``cli._sample_records``, one row and one key at
     a time: index and ``[re, im]`` point, then the error of a failure or
-    the column values of a good point, with one pencil entry per lambda."""
+    the column values of a good point but its pencil checks."""
     records = []
     for idx, z in enumerate(np.asarray(points).tolist()):
         records.append({"index": idx, "point": [[float(c.real), float(c.imag)] for c in z]})
@@ -933,12 +949,4 @@ def reference_sample_records(points, good, columns, failures, lambda_grid):
         for key, column in columns.items():
             if not key.startswith("pencil."):
                 records[idx][key] = column[k].item()
-        records[idx]["pencil"] = [
-            {
-                "lambda": lam,
-                "curvature_norm": columns["pencil.curvature_norm"][k][m].item(),
-                "trace_norm": columns["pencil.trace_norm"][k][m].item(),
-            }
-            for m, lam in enumerate(lambda_grid)
-        ]
     return records

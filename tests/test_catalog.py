@@ -31,7 +31,7 @@ from frobenius_verify.catalog import (
     square_lattice,
     validate_group,
 )
-from frobenius_verify.cli import load_manifold_spec, main
+from frobenius_verify.cli import Config, load_manifold_spec, main, run_verify
 
 RHO = complex(-0.5, np.sqrt(3.0) / 2.0)
 
@@ -176,6 +176,29 @@ def test_free_translation_flagged_by_translation_check():
 def test_contains_translations_trivial_group():
     action = GroupAction(square_lattice(1), (_identity(1),), "trivial")
     assert not contains_translations(action)
+
+
+@pytest.mark.parametrize("eps", [0.0, 5e-13, 5e-11, 2e-10])
+def test_near_translation_is_a_translation_at_every_angle_below_the_match_tolerance(eps):
+    """z -> e^(i eps) z + 1/2 on Z[i]: closure, finiteness and stability
+    read its linear part as I within MATCH_TOL, so the translation check
+    does too, and the verdict does not turn on eps."""
+    spec = {
+        "name": f"near-translation-{eps:g}",
+        "dim": 1,
+        "potential": "z1*zbar1",
+        "sample_domain": {"re": [[-0.4, 0.4]], "im": [[-0.4, 0.4]]},
+        "lattice": [[[1, 0]], [[0, 1]]],
+        "group": [{"A": [[[1, 0]]], "t": [[0, 0]]},
+                  {"A": [[[math.cos(eps), math.sin(eps)]]], "t": [[0.5, 0]]}],
+    }
+    entry = load_manifold_spec(spec)
+    assert contains_translations(entry.action)
+    assert brute_group_checks(entry.action)["contains_translations"]
+    report = run_verify(entry, Config(samples=2))
+    assert (report["verdict"], report["reasons"]) == (
+        "not-frobenius", ["action contains translations"]
+    )
 
 
 # --- group checks against the complex-coordinate oracle -------------------

@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from helpers import failed_classes_from_rows, reference_sample_points, reference_sample_records
+from helpers import (
+    failed_classes_from_rows,
+    pencil_table,
+    reference_sample_points,
+    reference_sample_records,
+)
 
 from frobenius_verify import cli, theta as th
 from frobenius_verify.catalog import CatalogEntry, hyperelliptic_catalog
@@ -92,7 +97,7 @@ def test_torus_spec_end_to_end():
     for sample in report["samples"]:
         assert sample["max_curvature"] < 1e-9
         assert sample["wdvv"] < 1e-9
-        for row in sample["pencil"]:
+        for row in pencil_table(sample, report["lambda_grid"]):
             assert row["curvature_norm"] < 1e-9
 
 
@@ -332,8 +337,6 @@ def sample_tables(draw):
     """The arguments of ``_sample_records``: 1-70 points at dims 1-4,
     failures at random indices, and random float and bool columns."""
     dim, count = draw(st.integers(1, 4)), draw(st.integers(1, 70))
-    grid = tuple(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False)
-                               | st.just(-0.0), min_size=1, max_size=5)))
     failed = draw(st.sets(st.integers(0, count - 1)))
     failures = {idx: cli.kahler.KahlerError(draw(ERROR_TEXT)) for idx in sorted(failed)}
     good = np.array([idx for idx in range(count) if idx not in failed], dtype=int)
@@ -342,10 +345,10 @@ def sample_tables(draw):
     points = np.empty((count, dim), dtype=np.complex128)
     points.real, points.imag = floats(rng, (count, dim)), floats(rng, (count, dim))
     columns = {}
+    shape = (len(good),)
     for key, dtype in SAMPLE_COLUMN_DTYPES.items():
-        shape = (len(good), len(grid)) if key.startswith("pencil.") else (len(good),)
         columns[key] = rng.random(shape) < 0.5 if dtype == bool else floats(rng, shape)
-    return points, good, columns, failures, grid
+    return points, good, columns, failures
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -396,15 +399,15 @@ def test_row_table_writes_literal_text_and_empty_tables():
 
 
 def test_row_templates_tell_signed_zero_lambdas_apart(tmp_path, capsys):
-    """0.0 == -0.0 and both hash the same: a template keyed on the
-    lambda values would write the first report's zero in the second."""
+    """0.0 == -0.0 and both hash the same: a cache keyed on the lambda
+    values would write the first report's zero in the second."""
     path = tmp_path / "torus.json"
     path.write_text(json.dumps(TORUS_SPEC))
     for zero in ("0.0", "-0.0", "0.0"):
         assert main(["--json", "--samples", "2", f"--lambda-grid={zero},1", "verify", str(path)]) == 0
         out = capsys.readouterr().out
-        assert out.count(f'"lambda": {zero},') == 2
-        assert out.count('"lambda": 1.0,') == 2
+        assert out.count(f'"lambda_grid": [\n    {zero},\n    1.0\n  ],') == 1
+        assert math.copysign(1.0, json.loads(out)["lambda_grid"][0]) == math.copysign(1.0, float(zero))
 
 
 def test_parser_is_reused_without_carrying_state(capsys):
@@ -860,10 +863,10 @@ def test_verdict_branches(spec, verdict, reasons):
     assert (report["verdict"], report["reasons"]) == (verdict, reasons)
 
 
-def _row_verdict(samples, tol):
+def _row_verdict(samples, lambda_grid, tol):
     """(verdict, reasons) of group-free report rows as the row loop
     decided them before the verdict was read from columns."""
-    failed = failed_classes_from_rows(samples, CHECKS, tol)
+    failed = failed_classes_from_rows(samples, lambda_grid, CHECKS, tol)
     positive = all(s["positive_definite"] for s in samples)
     reasons = []
     if not positive:
@@ -891,8 +894,13 @@ VERDICT_SPECS = [
 def test_column_verdict_agrees_with_row_verdict(spec):
     config = Config(samples=8)
     report = run_verify(load_manifold_spec(spec), config)
-    expected = _row_verdict(report["samples"], config.tolerances["structural"])
+    expected = _row_verdict(report["samples"], report["lambda_grid"],
+                            config.tolerances["structural"])
     assert (report["verdict"], report["reasons"]) == expected
+
+
+# the report field a pencil check is read from
+PENCIL_SOURCES = {"pencil.curvature_norm": "mixed_norm", "pencil.trace_norm": "einstein_defect"}
 
 
 @pytest.mark.parametrize("key", [key for key, _ in CHECKS])
@@ -901,8 +909,10 @@ def test_nan_in_a_column_fails_its_check_as_in_the_rows(monkeypatch, key):
 
     def poisoned(*args):
         good, columns, failures = columns_of(*args)
-        columns[key] = columns[key].copy()
-        columns[key].flat[0] = np.nan
+        # a pencil check is NaN where the field it is read from is
+        for name in {key, PENCIL_SOURCES.get(key, key)}:
+            columns[name] = columns[name].copy()
+            columns[name].flat[0] = np.nan
         return good, columns, failures
 
     monkeypatch.setattr(cli, "_sample_columns", poisoned)
@@ -910,8 +920,9 @@ def test_nan_in_a_column_fails_its_check_as_in_the_rows(monkeypatch, key):
     report = run_verify(load_manifold_spec(VERDICT_SPECS[0]), config)
     tol = config.tolerances["structural"]
     assert report["verdict"] != "frobenius"
-    assert (report["verdict"], report["reasons"]) == _row_verdict(report["samples"], tol)
-    assert failed_classes_from_rows(report["samples"], CHECKS, tol) == {dict(CHECKS)[key]}
+    samples, grid = report["samples"], report["lambda_grid"]
+    assert (report["verdict"], report["reasons"]) == _row_verdict(samples, grid, tol)
+    assert failed_classes_from_rows(samples, grid, CHECKS, tol) == {dict(CHECKS)[key]}
 
 
 def test_one_pass_forms_the_commutator_once(monkeypatch):
@@ -936,11 +947,9 @@ def test_sample_record_keys():
     assert {key for sample in report["samples"] for key in sample} == {
         "index", "point", "metric_hermiticity", "min_singular", "condition_number",
         "max_curvature", "wdvv", "ricci_hermiticity", "max_ricci",
-        "associator", "positive_definite", "unit_exists", "pencil",
+        "associator", "mixed_norm", "einstein_defect", "positive_definite", "unit_exists",
     }
-    assert {key for s in report["samples"] for row in s["pencil"] for key in row} == {
-        "lambda", "curvature_norm", "trace_norm",
-    }
+    assert report["lambda_grid"] == list(cli.DEFAULT_LAMBDA_GRID)
 
 
 def _with(**changes):
@@ -1291,4 +1300,5 @@ def test_verify_reads_the_pencil_without_christoffel_derivatives(monkeypatch):
     report = run_verify(load_manifold_spec(CURVED3_SPEC), Config(samples=8))
     assert report["verdict"] == "not-frobenius"
     assert all("error" not in s for s in report["samples"])
-    assert all(p["curvature_norm"] > 0 for s in report["samples"] for p in s["pencil"])
+    grid = report["lambda_grid"]
+    assert all(p["curvature_norm"] > 0 for s in report["samples"] for p in pencil_table(s, grid))

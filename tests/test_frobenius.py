@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from helpers import (
@@ -10,6 +12,7 @@ from helpers import (
     brute_compat,
     brute_pencil,
     jet_partials,
+    pencil_table,
     per_lambda_einstein_trace,
     random_polynomial_potential,
     ricci_via_connection,
@@ -197,17 +200,24 @@ def test_fiber_algebra_scalar_structure_constant():
     assert hol[0, 0, 0] == pytest.approx(0.5 / 1.25)
 
 
+def _norms(pencil, lam):
+    """``(curvature_norm, trace_norm)`` of the pencil at one lambda, read
+    off its per-sample norms as the verdict reads them."""
+    return (np.maximum(abs(lam * lam - lam) * pencil.associator, abs(lam) * pencil.mixed_norm),
+            abs(lam) * pencil.einstein_defect)
+
+
 def test_pencil_flat_torus():
     md = metric_at(FLAT2, [0.2, -0.3])
     for lam in (-1.0, 0.5, 1.0, 2.0):
-        sample = pencil_curvature(md, lam)
-        assert sample.curvature_norm < 1e-10
-        assert sample.trace_norm < 1e-10
+        curvature, trace = _norms(pencil_curvature(md), lam)
+        assert curvature < 1e-10
+        assert trace < 1e-10
 
 
 def test_pencil_lambda_zero_any_metric():
     md = metric_at(FS2, [0.3, 0.1])
-    assert pencil_curvature(md, 0.0).curvature_norm == 0.0
+    assert _norms(pencil_curvature(md), 0.0)[0] == 0.0
 
 
 def test_pencil_quadratic_in_lambda():
@@ -235,7 +245,7 @@ def test_hermitian_einstein_flat():
     ):
         md = metric_at(potential, point)
         for lam in (-1.0, 0.5, 1.0, 2.0):
-            assert hermitian_einstein_trace(md, lam) < 1e-12
+            assert abs(lam) * hermitian_einstein_trace(md) < 1e-12
 
 
 def test_trace_vs_ricci_cross_check():
@@ -248,14 +258,14 @@ def test_trace_vs_ricci_cross_check():
         (POLY2, [0.2 - 0.15j, 0.25 + 0.1j]),
     ):
         md = metric_at(potential, pt)
-        tr = trace_endomorphism(md, 1.0)
+        tr = trace_endomorphism(md)
         g_trace_ricci = complex(np.einsum("dc,cd->", md.g_inv, md.ricci))
         assert np.trace(tr) == pytest.approx(-g_trace_ricci, abs=1e-9)
 
 
 def test_trace_value_log_potential():
     md = metric_at(FS1, [0.0])
-    tr = trace_endomorphism(md, 1.0)
+    tr = trace_endomorphism(md)
     assert tr[0, 0] == pytest.approx(2.0)  # minus the Ricci value -2
 
 
@@ -298,38 +308,40 @@ CURVED3_POINTS = [
 
 
 def test_pencil_grid_matches_loop_oracle():
-    # a grid that is not all powers of two: the broadcast must not rely on
-    # exact scaling of a single evaluation
+    # a grid that is not all powers of two: the scaled norms must not rely
+    # on exact scaling of a single evaluation
     grid = (-1.7, 0.3, 2.5)
     md, failures = metric_batch(CURVED3, CURVED3_POINTS)
     assert failures == {}
-    table = pencil_curvature(md, grid)
-    assert table.curvature_norm.shape == table.trace_norm.shape == (3, 3)
+    pencil = pencil_curvature(md)
+    assert pencil.associator.shape == pencil.mixed_norm.shape == pencil.einstein_defect.shape == (3,)
     for k, point in enumerate(CURVED3_POINTS):
         single = metric_at(CURVED3, point)
         dgam, dgam_bar = einsum_christoffel_derivatives(single, jet_partials(CURVED3, point))
-        for j, lam in enumerate(grid):
+        for lam in grid:
             curvature, trace = brute_pencil(
                 single.christoffel, dgam, dgam_bar, single.g_inv, lam
             )
             assert curvature > 0.1 and trace > 0.1
-            assert table.curvature_norm[k, j] == pytest.approx(curvature, rel=1e-12)
-            assert table.trace_norm[k, j] == pytest.approx(trace, rel=1e-12)
+            curvature_norm, trace_norm = _norms(pencil, lam)
+            assert curvature_norm[k] == pytest.approx(curvature, rel=1e-12)
+            assert trace_norm[k] == pytest.approx(trace, rel=1e-12)
 
 
 def test_pencil_grid_equals_one_point_one_lambda():
     grid = (-1.7, 0.3, 2.5)
     md, _ = metric_batch(CURVED3, CURVED3_POINTS)
-    table = pencil_curvature(md, grid)
-    for j, lam in enumerate(grid):
+    pencil = pencil_curvature(md)
+    for lam in grid:
         f_hol, f_mix = pencil_curvature_form(md, lam)
         assert f_hol.shape == f_mix.shape == (3, 3, 3, 3, 3)
+        curvature, trace = _norms(pencil, lam)
         for k, point in enumerate(CURVED3_POINTS):
             single = metric_at(CURVED3, point)
-            one = pencil_curvature(single, lam)
-            assert table.curvature_norm[k, j] == one.curvature_norm
-            assert table.trace_norm[k, j] == one.trace_norm
-            assert table.trace_norm[k, j] == hermitian_einstein_trace(single, lam)
+            one = pencil_curvature(single)
+            assert curvature[k] == _norms(one, lam)[0]
+            assert trace[k] == _norms(one, lam)[1]
+            assert pencil.einstein_defect[k] == hermitian_einstein_trace(single)
             one_hol, one_mix = pencil_curvature_form(single, lam)
             assert np.array_equal(f_hol[k], one_hol)
             assert np.array_equal(f_mix[k], one_mix)
@@ -365,14 +377,13 @@ def test_pencil_and_associator_match_the_einsum_formulas(dim, seed):
         assert_close(mix, np.einsum("...jbcd,...bk->...cdkj", md.curvature, md.g_inv))
         assert_close(multiplication_commutator(md.christoffel), comm)
         assert_close(-pencil_curvature_form(md, 1.0)[1], mix)
-        pencil = pencil_curvature(md, grid)
-        norms = pencil.curvature_norm
-        assert np.shape(norms) == md.g.shape[:-2] + (len(grid),)
-        for j, lam in enumerate(grid):
+        pencil = pencil_curvature(md)
+        assert np.shape(pencil.mixed_norm) == np.shape(pencil.einstein_defect) == md.g.shape[:-2]
+        for lam in grid:
             f_hol, f_mix = lam * antisym + lam * lam * comm, -lam * mix
             for got, expected in zip(pencil_curvature_form(md, lam), (f_hol, f_mix)):
                 assert_close(got, expected)
-            assert_close(norms[..., j], np.maximum(worst(f_hol, 4), worst(f_mix, 4)))
+            assert_close(_norms(pencil, lam)[0], np.maximum(worst(f_hol, 4), worst(f_mix, 4)))
         left, right = einsum_associator_sides(md.christoffel)
         residual = associator(fiber_algebra_from_metric(md))
         # the verdict's associator and the pencil's lambda^2 block are one number
@@ -388,10 +399,13 @@ def test_pencil_and_associator_match_the_einsum_formulas(dim, seed):
 def test_trace_norm_is_the_defect_at_one_scaled_by_lambda(dim, seed):
     # scaling by a power of two commutes with rounding, so on such grids
     # |lam| * defect(1) is the per-lambda defect bit for bit
+    def trace_norms(md, grid):
+        pencil = pencil_curvature(md)
+        return np.stack([_norms(pencil, lam)[1] for lam in grid], axis=-1)
+
     for md, _ in curved_bundles(dim, seed):
         for grid in ((-1.0, -0.5, 0.5, 1.0, 2.0), (-4.0, 0.125, 8.0)):
-            trace = pencil_curvature(md, grid).trace_norm
-            assert np.array_equal(trace, per_lambda_einstein_trace(md, grid))
+            assert np.array_equal(trace_norms(md, grid), per_lambda_einstein_trace(md, grid))
         # elsewhere the two round -lam * (Ric H)^T differently before the
         # defect's cancellation: they agree to round-off of the entries,
         # not of the defect, which can be far smaller than they are
@@ -400,5 +414,36 @@ def test_trace_norm_is_the_defect_at_one_scaled_by_lambda(dim, seed):
         # a 1x1 trace is its own mean: the defect is zero at dim 1
         assert np.all(expected > 0) or dim == 1
         scale = np.multiply.outer(worst(md.ricci @ md.g_inv, 2), np.abs(grid))
-        got = pencil_curvature(md, grid).trace_norm
+        got = trace_norms(md, grid)
         assert np.all(np.abs(got - expected) <= 1e-15 * scale)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_per_lambda_table_rebuilt_from_the_report_fields(dim):
+    """The old per-lambda pencil table, rebuilt from the three per-sample
+    norms a report row writes, is the pencil the loop oracle forms at
+    each lambda, and its trace column the per-lambda Einstein defect."""
+    md, partials = curved_bundles(dim, 29)[0]
+    dgam, dgam_bar = einsum_christoffel_derivatives(md, partials)
+    pencil = pencil_curvature(md)
+    fields = ("associator", "mixed_norm", "einstein_defect")
+    rows = [dict(zip(fields, values))
+            for values in zip(*(getattr(pencil, f).tolist() for f in fields))]
+    for grid in ((-1.0, -0.5, 0.5, 1.0, 2.0), (-1.7, 0.3, 2.5, 1e-3, 7.1)):
+        tables = [pencil_table(row, grid) for row in rows]
+        for k, table in enumerate(tables):
+            assert [entry["lambda"] for entry in table] == list(grid)
+            for entry in table:
+                curvature, trace = brute_pencil(
+                    md.christoffel[k], dgam[k], dgam_bar[k], md.g_inv[k], entry["lambda"]
+                )
+                assert entry["curvature_norm"] == pytest.approx(curvature, rel=1e-12)
+                assert entry["trace_norm"] == pytest.approx(trace, rel=1e-12, abs=1e-15)
+        got = np.array([[entry["trace_norm"] for entry in table] for table in tables])
+        expected = per_lambda_einstein_trace(md, grid)
+        if all(math.frexp(abs(lam))[0] == 0.5 for lam in grid):
+            # a power of two scales without rounding: bit for bit
+            assert np.array_equal(got, expected)
+        else:
+            scale = np.multiply.outer(worst(md.ricci @ md.g_inv, 2), np.abs(grid))
+            assert np.all(np.abs(got - expected) <= 1e-15 * scale)

@@ -345,7 +345,7 @@ def test_mixed_batch_matches_one_point_results():
 
 def _records(points, grid):
     points = np.array(points)
-    return _sample_records(points, *_sample_columns(MIXED2, points, grid), grid)
+    return _sample_records(points, *_sample_columns(MIXED2, points, grid))
 
 
 def test_mixed_batch_records_keep_their_indices():
