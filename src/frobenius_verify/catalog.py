@@ -117,6 +117,14 @@ def smith_normal_form(mat: Sequence[Sequence[int]]):
 # --- domain types ----------------------------------------------------
 
 
+def _singular(m: np.ndarray, axis=None) -> bool:
+    """Whether the finite square ``m``, divided by its largest real or imaginary part (that of
+    each row with ``axis=1``), has det 0 or an inverse entry >= 1/EXACT_TOL."""
+    top = np.maximum(abs(m.real), abs(m.imag)).max(axis=axis, keepdims=True)
+    s = m / np.where(top > 0, top, 1.0)  # |entries| <= 1, so nothing overflows
+    return np.linalg.det(s) == 0 or not abs(np.linalg.inv(s)).max() * EXACT_TOL < 1.0
+
+
 @dataclass(frozen=True, eq=False)
 class Lattice:
     """Full-rank lattice in C^n given by 2n generator vectors."""
@@ -128,7 +136,9 @@ class Lattice:
         object.__setattr__(self, "generators", gens)
         if gens.ndim != 2 or gens.shape[0] != 2 * gens.shape[1]:
             raise ValueError("lattice needs 2n generators in C^n")
-        if abs(np.linalg.det(self.real_basis())) < EXACT_TOL:
+        if not np.all(np.isfinite(gens)):
+            raise ValueError("lattice generators must be finite")
+        if _singular(self.real_basis()):
             raise ValueError("lattice generators are linearly dependent over R")
 
     @property
@@ -162,12 +172,11 @@ class AffineMap:
         t = np.asarray(self.t, dtype=np.complex128)
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "t", t)
-        if abs(np.linalg.det(a)) < EXACT_TOL:
+        if not np.all(np.isfinite(a)):  # a non-finite t fails the action's lattice form
+            raise ValueError("affine map A must be finite")
+        # row by row: an A far from an isometry is for the group checks to reject
+        if _singular(a, axis=1):
             raise ValueError("affine map has singular linear part")
-
-    def compose(self, other: "AffineMap") -> "AffineMap":
-        """``self`` after ``other``."""
-        return AffineMap(self.A @ other.A, self.A @ other.t + self.t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,14 +364,8 @@ def flat_potential(n: int) -> PotentialExpr:
 
 def product_lattice(moduli: Sequence[complex]) -> Lattice:
     """Product of elliptic-curve lattices Z + Z*tau_a in each factor."""
-    n = len(moduli)
-    gens = []
-    for a, tau in enumerate(moduli):
-        e = np.zeros(n, dtype=np.complex128)
-        e[a] = 1.0
-        gens.append(e)
-        gens.append(e * tau)
-    return Lattice(np.stack(gens))
+    eye = np.eye(len(moduli), dtype=np.complex128)
+    return Lattice(np.stack([e for a, tau in enumerate(moduli) for e in (eye[a], eye[a] * tau)]))
 
 
 def square_lattice(n: int) -> Lattice:
@@ -418,7 +421,8 @@ def hyperelliptic_catalog() -> list[CatalogEntry]:
         gen = AffineMap(np.diag([1.0 + 0j, rotation]), shift)
         elements = [AffineMap(np.eye(2), np.zeros(2)), gen]
         while len(elements) < order:
-            elements.append(elements[-1].compose(gen))
+            last = elements[-1]  # gen, then last
+            elements.append(AffineMap(last.A @ gen.A, last.A @ gen.t + last.t))
         action = GroupAction(lattice, tuple(elements), name)
         entries.append(CatalogEntry(name, 2, phi2, lattice, action, "hyperelliptic", meta))
     return entries

@@ -58,21 +58,22 @@ DISCLAIMER = (
     "global structure are not checked from a single chart"
 )
 
-# The verdict's checks: (column of the sample checks, class); the
-# columns are named as the report keys, the pencil norms, which no row
-# writes, as ``pencil.<key>`` with their worst value over the lambda grid.
-# A class fails when one of its checks is not below the structural
-# tolerance at some sample, so a NaN fails too.
+# The verdict's checks: (report column, class, lambda weight).  A class
+# fails when one of its columns, times the largest value of its weight over
+# the lambda grid, is not below the structural tolerance at some sample, so
+# a NaN fails too.  The weighted columns are the pencil's norms: its
+# curvature is (lambda^2 - lambda)[A_c, A_d] - lambda dbar Gamma.
 # Commutativity and form compatibility hold by construction (symmetric
 # Christoffel symbols, zero fiber form); tests pin them, no check reads them.
 CHECKS = (
-    ("metric_hermiticity", "core"),
-    ("ricci_hermiticity", "core"),
-    ("max_curvature", "flatness"),
-    ("wdvv", "flatness"),
-    ("pencil.trace_norm", "flatness"),
-    ("associator", "associativity"),
-    ("pencil.curvature_norm", "associativity"),
+    ("metric_hermiticity", "core", None),
+    ("ricci_hermiticity", "core", None),
+    ("max_curvature", "flatness", None),
+    ("wdvv", "flatness", None),
+    ("einstein_defect", "flatness", "|lambda|"),
+    ("associator", "associativity", None),
+    ("associator", "associativity", "|lambda^2 - lambda|"),
+    ("mixed_norm", "associativity", "|lambda|"),
 )
 # (group report key, passing value, reason when it does not pass); a
 # None value is undecided and gives no reason: freeness is only asked of
@@ -321,29 +322,31 @@ def sample_points(
 # --- manifold verification --------------------------------------------
 
 
+def _check_scales(lambda_grid: Sequence[float]) -> tuple:
+    """Per row of ``CHECKS``, its weight's largest value over the grid, or
+    1.0: a weight is >= 0 and rounding is monotone, so a column times it is
+    the worst of the column's per-lambda norms, bit for bit."""
+    lam = np.asarray(lambda_grid, dtype=float)
+    with np.errstate(over="ignore"):
+        weights = {"|lambda|": np.abs(lam), "|lambda^2 - lambda|": np.abs(lam * lam - lam)}
+    return tuple(np.max(weights[w]) if w else 1.0 for _, _, w in CHECKS)
+
+
 def _sample_columns(
-    potential: PotentialExpr, points: np.ndarray, lambda_grid: Sequence[float]
+    potential: PotentialExpr, points: np.ndarray, scales: tuple
 ) -> tuple[np.ndarray, dict, dict]:
-    """``(good, columns, failures)`` of a batch of points: the indices of
-    the points that pass every numeric check, one array per report key
-    and pencil check over those points, and ``{index: exception}`` for
-    the others.  One tensor pass for all."""
+    """``(good, columns, failures)`` of a batch of points: the indices of the points that pass
+    every numeric check (each weighted check finite at its scale), one array per report key
+    over those points, and ``{index: exception}`` for the others.  One tensor pass for all."""
     md, failures = kahler.metric_batch(potential, points)
     good = np.array([idx for idx in range(len(points)) if idx not in failures], dtype=int)
-    lam = np.asarray(lambda_grid, dtype=float)
+    gamma_ok = np.all(np.isfinite(md.christoffel), axis=(-3, -2, -1))
     # a large lambda overflows the pencil and a non-finite Gamma spreads
     # into it: error records, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        pencil = frob.pencil_curvature(md)
-        # lambda scales norms >= 0 and rounding is monotone, so the worst
-        # lambda of the grid gives each norm's worst value, bit for bit
-        top = np.max(np.abs(lam))
-        curvature = np.maximum(pencil.associator * np.max(np.abs(lam * lam - lam)),
-                               pencil.mixed_norm * top)
-        trace = pencil.einstein_defect * top
-    gamma_ok = np.all(np.isfinite(md.christoffel), axis=(-3, -2, -1))
-    # both norms are >= 0, so their sum is finite iff both are
-    ok = gamma_ok & np.isfinite(curvature + trace)
+        pencil = vars(frob.pencil_curvature(md))
+        ok = gamma_ok & np.all([np.isfinite(pencil[key] * s)
+                                for (key, _, w), s in zip(CHECKS, scales) if w], axis=0)
     for idx, finite in zip(good[~ok].tolist(), gamma_ok[~ok].tolist()):
         why = "non-finite pencil curvature" if finite else "non-finite structure constants"
         failures[idx] = kahler.KahlerError(why)
@@ -360,13 +363,9 @@ def _sample_columns(
         "wdvv": kahler.wdvv_residual_at(md),
         "ricci_hermiticity": ricci_herm,
         "max_ricci": ricci_max,
-        "associator": pencil.associator[ok],
-        "mixed_norm": pencil.mixed_norm[ok],
-        "einstein_defect": pencil.einstein_defect[ok],
+        **{key: norm[ok] for key, norm in pencil.items()},
         "positive_definite": md.positive_definite,
         "unit_exists": np.array([u is not None for u in frob.find_unit(hol)], dtype=bool),
-        "pencil.curvature_norm": curvature[ok],
-        "pencil.trace_norm": trace[ok],
     }
     return good, columns, failures
 
@@ -376,10 +375,9 @@ def _sample_records(points: np.ndarray, good: np.ndarray, columns: dict, failure
     :func:`_sample_columns` returns them): each row has its index and
     point, then its report columns or the error of its failure."""
     xy = np.stack([points.real, points.imag], axis=-1)
-    keys = [key for key in columns if not key.startswith("pencil.")]
 
     def good_row(index, point, *values):
-        return dict(zip(keys, values), index=index, point=point)
+        return dict(zip(columns, values), index=index, point=point)
 
     def error_row(index, point, error):
         return {"index": index, "point": point, "error": error}
@@ -387,8 +385,7 @@ def _sample_records(points: np.ndarray, good: np.ndarray, columns: dict, failure
     bad = np.array(sorted(failures), dtype=int)
     errors = np.array([str(failures[idx]) for idx in bad.tolist()], dtype=object)
     return RowTable(len(points), [
-        (("sample", tuple(keys)), good_row, good.tolist(),
-         (good, xy[good], *(columns[key] for key in keys))),
+        (("sample", tuple(columns)), good_row, good.tolist(), (good, xy[good], *columns.values())),
         (("error",), error_row, bad.tolist(), (bad, xy[bad], errors)),
     ])
 
@@ -423,11 +420,10 @@ def run_verify(entry: cat.CatalogEntry, config: Config) -> dict:
         entry.sample_domain, entry.dim, config.samples, config.seed, entry.name
     )
     batch = max(1, BATCH_ENTRIES // entry.dim**4)
+    scales = _check_scales(config.lambda_grid)
     goods, batches, failures = [], [], {}
     for start in range(0, len(points), batch):
-        good, cols, fails = _sample_columns(
-            entry.potential, points[start : start + batch], config.lambda_grid
-        )
+        good, cols, fails = _sample_columns(entry.potential, points[start : start + batch], scales)
         goods.append(good + start)
         batches.append(cols)
         failures.update({start + k: exc for k, exc in fails.items()})
@@ -449,8 +445,8 @@ def run_verify(entry: cat.CatalogEntry, config: Config) -> dict:
                     for exc in failures.values()]
         verdict = "error"
     else:
-        structural = tol["structural"]
-        failed = {cls for key, cls in CHECKS if not np.all(columns[key] < structural)}
+        failed = {cls for (key, cls, _), s in zip(CHECKS, scales)
+                  if not np.all(columns[key] * s < tol["structural"])}
         positive = np.all(columns["positive_definite"])
         if not positive:
             reasons.append("metric not positive definite at sampled points")

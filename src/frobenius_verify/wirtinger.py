@@ -9,11 +9,11 @@ pair ``(alpha, beta)`` times ``alpha! * beta!`` is the mixed partial
 ``d^alpha dbar^beta`` of the function at the point.
 
 A jet carries its structural support: a bit mask of the entries of the
-multi-index simplex (E entries, at most 495 at chart dimension n <= 4)
-that can be nonzero given the expression it came from, always including
-the constant term.  It stores those S entries only, in table order, with
-an optional trailing sample axis: ``coeffs`` is ``(S,)`` for one base
-point and ``(S, N)`` for N points evaluated together, and every
+multi-index simplex (E = C(2n+4, 4) entries: 495 at chart dimension 4,
+1,820 at 6) that can be nonzero given the expression it came from, always
+including the constant term.  It stores those S entries only, in table
+order, with an optional trailing sample axis: ``coeffs`` is ``(S,)`` for
+one base point and ``(S, N)`` for N points evaluated together, and every
 operation acts on each sample column alone.  Conjugating a jet swaps
 ``alpha <-> beta`` and conjugates the coefficients, which is how
 ``zbar`` dependence is handled without a second differentiation pass.

@@ -703,17 +703,31 @@ def pencil_table(sample, lambda_grid):
     ]
 
 
-def failed_classes_from_rows(samples, lambda_grid, checks, tol):
-    """The classes of ``checks`` ((key, class) pairs) that fail on the
-    report rows: a check fails when its value is not below ``tol`` in some
-    row.  A ``pencil.`` key is read in the :func:`pencil_table` of every
-    row over ``lambda_grid``."""
+# The verdict's checks as the paper defines them, written apart from the
+# code's table.  Core: the metric and Ricci forms are Hermitian.  Flatness:
+# the curvature and the WDVV residual vanish, and so does the pencil's
+# Einstein trace at every lambda.  Associativity: the associator vanishes,
+# and so does the pencil's curvature at every lambda.
+SAMPLE_CHECKS = (
+    ("metric_hermiticity", "core"),
+    ("ricci_hermiticity", "core"),
+    ("max_curvature", "flatness"),
+    ("wdvv", "flatness"),
+    ("associator", "associativity"),
+)
+# (key of a pencil_table row, class)
+PENCIL_CHECKS = (("trace_norm", "flatness"), ("curvature_norm", "associativity"))
+
+
+def failed_classes_from_rows(samples, lambda_grid, tol):
+    """The classes that fail on the report rows: a check fails when its
+    value is not below ``tol`` in some row, a pencil check at some lambda
+    of the grid, one lambda at a time."""
     failed = set()
-    for key, cls in checks:
-        head, _, leaf = key.rpartition(".")
-        rows = [row for s in samples for row in pencil_table(s, lambda_grid)] if head else samples
-        if not all(row[leaf] < tol for row in rows):
-            failed.add(cls)
+    for sample in samples:
+        failed |= {cls for key, cls in SAMPLE_CHECKS if not sample[key] < tol}
+        for row in pencil_table(sample, lambda_grid):
+            failed |= {cls for key, cls in PENCIL_CHECKS if not row[key] < tol}
     return failed
 
 
@@ -939,7 +953,7 @@ def reference_sample_points(spec_domain, dim, count, seed, label):
 def reference_sample_records(points, good, columns, failures):
     """The report rows of ``cli._sample_records``, one row and one key at
     a time: index and ``[re, im]`` point, then the error of a failure or
-    the column values of a good point but its pencil checks."""
+    the column values of a good point."""
     records = []
     for idx, z in enumerate(np.asarray(points).tolist()):
         records.append({"index": idx, "point": [[float(c.real), float(c.imag)] for c in z]})
@@ -947,6 +961,5 @@ def reference_sample_records(points, good, columns, failures):
         records[idx]["error"] = str(exc)
     for k, idx in enumerate(np.asarray(good).tolist()):
         for key, column in columns.items():
-            if not key.startswith("pencil."):
-                records[idx][key] = column[k].item()
+            records[idx][key] = column[k].item()
     return records

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,44 @@ def test_snf_identity_and_zero():
 def test_lattice_rejects_dependent_generators():
     with pytest.raises(ValueError):
         Lattice(np.array([[1.0 + 0j], [2.0 + 0j]]))
+
+
+SCALES = [10.0**k for k in range(-6, 7)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_singularity_is_decided_at_the_matrix_scale(dim):
+    """A square lattice is a lattice at every scale, and dependent
+    generators are dependent at every scale, 1e308 included; the linear
+    part of a map is judged row by row.  Neither case warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in SCALES:
+            assert Lattice(scale * square_lattice(dim).generators).dim == dim
+            AffineMap(scale * np.eye(dim), np.zeros(dim))
+        AffineMap(np.diag([1e200] + [1e-200] * (dim - 1)), np.zeros(dim))
+        dependent = square_lattice(dim).generators.copy()
+        dependent[-1] = 0.5 * (dependent[0] + dependent[-2])
+        rank_one = np.ones((dim, dim))
+        for scale in SCALES + [1e-300, 1e300, 1e308]:
+            with pytest.raises(ValueError, match="linearly dependent over R"):
+                Lattice(scale * dependent)
+            if dim > 1:
+                with pytest.raises(ValueError, match="singular linear part"):
+                    AffineMap(scale * rank_one, np.zeros(dim))
+        with pytest.raises(ValueError, match="linearly dependent over R"):
+            Lattice(np.array([[1e308 + 1e308j], [1e308 + 1e308j]]))
+        with pytest.raises(ValueError, match="singular linear part"):
+            AffineMap(np.zeros((dim, dim)), np.zeros(dim))
+
+
+def test_non_finite_lattice_or_map_names_the_field():
+    with pytest.raises(ValueError, match="lattice generators must be finite"):
+        Lattice(np.array([[np.inf + 0j], [1j]]))
+    with pytest.raises(ValueError, match="affine map A must be finite"):
+        AffineMap(np.array([[np.nan]]), np.zeros(1))
+    with pytest.raises(ValueError, match="^group element t has lattice coordinates"):
+        GroupAction(square_lattice(1), (AffineMap(np.eye(1), np.array([np.inf])),))
 
 
 def test_lattice_membership():

@@ -1,9 +1,11 @@
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import math
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -308,7 +310,9 @@ def test_to_json_matches_json_dumps_on_reports():
 # one column per report key, with its dtype, as _sample_columns gives them
 SAMPLE_COLUMN_DTYPES = {
     key: col.dtype
-    for key, col in cli._sample_columns(parse("z1*zbar1", 1), np.zeros((1, 1)), (1.0,))[1].items()
+    for key, col in cli._sample_columns(
+        parse("z1*zbar1", 1), np.zeros((1, 1)), cli._check_scales((1.0,))
+    )[1].items()
 }
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]
 ERROR_TEXT = st.one_of(
@@ -866,7 +870,7 @@ def test_verdict_branches(spec, verdict, reasons):
 def _row_verdict(samples, lambda_grid, tol):
     """(verdict, reasons) of group-free report rows as the row loop
     decided them before the verdict was read from columns."""
-    failed = failed_classes_from_rows(samples, lambda_grid, CHECKS, tol)
+    failed = failed_classes_from_rows(samples, lambda_grid, tol)
     positive = all(s["positive_definite"] for s in samples)
     reasons = []
     if not positive:
@@ -899,20 +903,14 @@ def test_column_verdict_agrees_with_row_verdict(spec):
     assert (report["verdict"], report["reasons"]) == expected
 
 
-# the report field a pencil check is read from
-PENCIL_SOURCES = {"pencil.curvature_norm": "mixed_norm", "pencil.trace_norm": "einstein_defect"}
-
-
-@pytest.mark.parametrize("key", [key for key, _ in CHECKS])
+@pytest.mark.parametrize("key", list(dict.fromkeys(key for key, _, _ in CHECKS)))
 def test_nan_in_a_column_fails_its_check_as_in_the_rows(monkeypatch, key):
     columns_of = cli._sample_columns
 
     def poisoned(*args):
         good, columns, failures = columns_of(*args)
-        # a pencil check is NaN where the field it is read from is
-        for name in {key, PENCIL_SOURCES.get(key, key)}:
-            columns[name] = columns[name].copy()
-            columns[name].flat[0] = np.nan
+        columns[key] = columns[key].copy()
+        columns[key].flat[0] = np.nan
         return good, columns, failures
 
     monkeypatch.setattr(cli, "_sample_columns", poisoned)
@@ -922,7 +920,66 @@ def test_nan_in_a_column_fails_its_check_as_in_the_rows(monkeypatch, key):
     assert report["verdict"] != "frobenius"
     samples, grid = report["samples"], report["lambda_grid"]
     assert (report["verdict"], report["reasons"]) == _row_verdict(samples, grid, tol)
-    assert failed_classes_from_rows(samples, grid, CHECKS, tol) == {dict(CHECKS)[key]}
+    assert failed_classes_from_rows(samples, grid, tol) == {
+        cls for column, cls, _ in CHECKS if column == key
+    }
+
+
+# lambda at the pencil's edges: zero of either sign, subnormal, and around
+# where lambda^2 overflows (finite at 1e154, inf from 1.35e154)
+LAMBDA_EDGES = (0.0, -0.0, 5e-324, 1e154, 1.35e154, 1e155, 1e200)
+LAMBDAS = (
+    st.sampled_from(LAMBDA_EDGES + tuple(-lam for lam in LAMBDA_EDGES))
+    | st.floats(-4.0, 4.0)
+    # Fubini-Study's mixed_norm (up to 1.7) times |lambda^2 - lambda|
+    # overflows here, and its associator (up to 0.13) does not
+    | st.floats(1.03e154, 1.34e154)
+)
+WEIGHT_SPECS = [
+    TORUS_SPEC,
+    FS_SPEC,
+    _two_dim("non-affine-flat", "(z1+z2^2)*(zbar1+zbar2^2) + z2*zbar2"),
+]
+
+
+@functools.cache
+def _rows_at_unit_lambda(spec_index):
+    """The sample rows of a weight spec at lambda = 1, where no pencil
+    norm overflows: the columns of every sample, which no grid changes."""
+    config = Config(samples=4, lambda_grid=(1.0,))
+    report = run_verify(load_manifold_spec(WEIGHT_SPECS[spec_index]), config)
+    assert all("error" not in row for row in report["samples"])
+    return list(report["samples"])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(LAMBDAS, min_size=1, max_size=4))
+@example([1.2e154])
+@example([1e154])
+@example([5e-324])
+def test_check_scales_decide_as_the_per_lambda_norms(grid):
+    """A check's column times its weight's largest value over the grid
+    decides as the per-lambda norms of every sample, one lambda at a time:
+    the same error rows, verdict and reasons."""
+    tol = Config().tolerances["structural"]
+    for k, spec in enumerate(WEIGHT_SPECS):
+        report = run_verify(load_manifold_spec(spec), Config(samples=4, lambda_grid=tuple(grid)))
+        expected = []
+        for row in _rows_at_unit_lambda(k):
+            with np.errstate(over="ignore", invalid="ignore"):
+                pencil = pencil_table(row, grid)
+            norms = [p[key] for p in pencil for key in ("curvature_norm", "trace_norm")]
+            if all(math.isfinite(v) for v in norms):
+                expected.append(row)
+            else:
+                expected.append({"index": row["index"], "point": row["point"],
+                                 "error": "non-finite pencil curvature"})
+        assert _json_dumps(report["samples"]) == _json_dumps(expected)
+        if any("error" in row for row in expected):
+            verdict = ("error", ["non-finite values at sampled points"])
+        else:
+            verdict = _row_verdict(expected, grid, tol)
+        assert (report["verdict"], report["reasons"]) == verdict
 
 
 def test_one_pass_forms_the_commutator_once(monkeypatch):
@@ -937,7 +994,8 @@ def test_one_pass_forms_the_commutator_once(monkeypatch):
 
     monkeypatch.setattr(cli.frob, "multiplication_commutator", counted)
     points = np.array([[0.1 + 0.2j, -0.3], [0.2j, 0.1 - 0.1j]])
-    _, columns, _ = cli._sample_columns(parse(FS_SPEC["potential"], 2), points, (1.0, 2.0))
+    scales = cli._check_scales((1.0, 2.0))
+    _, columns, _ = cli._sample_columns(parse(FS_SPEC["potential"], 2), points, scales)
     assert calls == [(2, 2, 2, 2)]
     assert columns["associator"].shape == (2,)
 
@@ -949,6 +1007,8 @@ def test_sample_record_keys():
         "max_curvature", "wdvv", "ricci_hermiticity", "max_ricci",
         "associator", "mixed_norm", "einstein_defect", "positive_definite", "unit_exists",
     }
+    # every check reads a column of every good row
+    assert all({key for key, _, _ in CHECKS} <= set(sample) for sample in report["samples"])
     assert report["lambda_grid"] == list(cli.DEFAULT_LAMBDA_GRID)
 
 
@@ -962,6 +1022,40 @@ def _with_domain(part, ranges):
     spec = _with()
     spec["sample_domain"][part] = ranges
     return spec
+
+
+@pytest.mark.parametrize(
+    "lattice, group",
+    [
+        ([[[1e308, 0]], [[0, 1e308]]], None),
+        ([[[1e-7, 0]], [[0, 1e-7]]], None),
+        ([[[1, 0]], [[0, 1]]], [{"A": [[[1, 0]]], "t": [[0, 0]]}, {"A": [[[1e-13, 0]]], "t": [[0, 0]]}]),
+    ],
+    ids=["lattice-1e308", "lattice-1e-7", "contracting-1e-13"],
+)
+def test_lattice_and_linear_part_at_any_scale_reach_the_verdict(tmp_path, capsys, lattice, group):
+    """A lattice or a linear part is singular only at its own scale: these
+    reach the verdict, with no warning, and a contracting map fails the
+    group checks instead of the boundary."""
+    spec = dict(_tiny_torus({}), lattice=lattice, group=group)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, report = _verify_json(tmp_path, capsys, spec, 2)
+    assert code == 0
+    if group is None:
+        assert (report["verdict"], report["group"]) == ("frobenius", None)
+    else:
+        assert report["verdict"] == "not-frobenius"
+        assert "group check failed: isometry" in report["reasons"]
+
+
+def test_a_small_tau_is_judged_by_its_truncation_bound(capsys):
+    """Im tau = 1e-7 I spans a lattice at its own scale: the theta sums,
+    not the lattice check, fail, as at 1e-6."""
+    for tau in ("diag:1e-7,1e-7", "diag:1e-6,1e-6"):
+        assert main(["theta", "--tau", tau]) == 1
+        out = capsys.readouterr().out
+        assert "theta truncation bound exceeds tolerance" in out
 
 
 def _with_group(elements):
@@ -1006,6 +1100,9 @@ def _tiny_torus(element):
         (_with(expected_class="frobenious"), "expected_class"),
         (_tiny_torus({"A": [[[-1, 0]]], "t": [[1e308, 0]]}), "group element t"),
         (_tiny_torus({"A": [[[1e308, 0]]], "t": [[0, 0]]}), "group element A"),
+        # dependent at every scale: det overflows to NaN here
+        (dict(_tiny_torus({}), group=None, lattice=[[[1e308, 1e308]], [[1e308, 1e308]]]),
+         "lattice generators are linearly dependent over R"),
     ],
 )
 def test_malformed_spec_is_an_input_error(tmp_path, capsys, payload, field):

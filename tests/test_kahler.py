@@ -24,7 +24,7 @@ from frobenius_verify.expr import (
     Var,
     parse,
 )
-from frobenius_verify.cli import _sample_columns, _sample_records
+from frobenius_verify.cli import _check_scales, _sample_columns, _sample_records
 from frobenius_verify.expr import LogDomainError
 from frobenius_verify.kahler import (
     DEGENERACY_FLOOR,
@@ -345,7 +345,7 @@ def test_mixed_batch_matches_one_point_results():
 
 def _records(points, grid):
     points = np.array(points)
-    return _sample_records(points, *_sample_columns(MIXED2, points, grid))
+    return _sample_records(points, *_sample_columns(MIXED2, points, _check_scales(grid)))
 
 
 def test_mixed_batch_records_keep_their_indices():
