@@ -19,9 +19,11 @@ rows (:func:`metadata_rows`) have no chart and are plain report rows:
 
 Every group check reads one form of the action: each element
 ``z -> A z + t`` in lattice coordinates is ``x -> M x + s`` (mod Z^2n).
-The lattice is stable iff every M is integral; two elements are one map
-of the torus iff their M agree and their s differ by an integer vector.
-Freeness is read off the Smith normal form of the integer ``M - I``.
+The lattice is stable iff every M is an automorphism of Z^2n, and a
+closed stable list is a finite group: the powers of each g stay in it,
+so g^i = g^j for some i < j, and g^(j-i) is the identity.  Two elements
+are one map of the torus iff their M agree and their s differ by an
+integer vector.  Freeness is read off the Smith normal form of ``M - I``.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .expr import PotentialExpr, Product, Sum, Var, ConjVar
 
 MATCH_TOL = 1e-9
 EXACT_TOL = 1e-12
-ORDER_BOUND = 512
 # half-width of the sample box (every real and imaginary part) of an
 # entry that names none
 SAMPLE_BOX = 0.45
@@ -121,7 +122,8 @@ def _singular(m: np.ndarray, axis=None) -> bool:
     """Whether the finite square ``m``, divided by its largest real or imaginary part (that of
     each row with ``axis=1``), has det 0 or an inverse entry >= 1/EXACT_TOL."""
     top = np.maximum(abs(m.real), abs(m.imag)).max(axis=axis, keepdims=True)
-    s = m / np.where(top > 0, top, 1.0)  # |entries| <= 1, so nothing overflows
+    top[top == 0] = 1.0  # |entries of s| <= 1; a complex m / top overflows at a sub-normal top
+    s = m / top if np.isrealobj(m) else m.real / top + 1j * (m.imag / top)
     return np.linalg.det(s) == 0 or not abs(np.linalg.inv(s)).max() * EXACT_TOL < 1.0
 
 
@@ -211,6 +213,24 @@ class GroupAction:
         m.flags.writeable = s.flags.writeable = False
         return m, s
 
+    @functools.cached_property
+    def _integer_form(self) -> Optional[np.ndarray]:
+        """Every ``M`` as a read-only int64 array, or None when some ``M`` is no automorphism
+        of Z^2n: an integer ``R`` within MATCH_TOL with ``R @ round(R^-1) == I``, so |det R| = 1."""
+        m, _ = self._lattice_form
+        r = np.round(m)
+        try:  # numpy's inv raises on a singular R and does not warn
+            inv = np.round(np.linalg.inv(r))
+        except np.linalg.LinAlgError:
+            return None
+        # below 2**53 (NaN is not) the casts are exact; the product is in Python ints
+        if np.all((np.abs(m - r) < MATCH_TOL) & (np.abs(m) < 2**53) & (np.abs(inv) < 2**53)):
+            ints, back = r.astype(np.int64), inv.astype(np.int64)
+            if np.all(ints.astype(object) @ back.astype(object) == np.eye(len(m[0]))):
+                ints.flags.writeable = False
+                return ints
+        return None
+
 
 @dataclass(frozen=True, eq=False)
 class CatalogEntry:
@@ -255,17 +275,12 @@ def _same(m1, s1, m2, s2) -> np.ndarray:
     return _same_linear(m1, m2) & np.all(np.abs(ds - np.round(ds)) < MATCH_TOL, axis=-1)
 
 
-# a huge element overflows composites, det or powers; an overflowed value matches nothing
+# a huge element overflows its composites; an overflowed value matches nothing
 @np.errstate(over="ignore", invalid="ignore")
 def validate_group(action: GroupAction) -> dict[str, bool]:
-    """``{"closure", "lattice_stable", "finite", "faithful"}``: closure mod
-    lattice, lattice stability, finiteness, faithfulness."""
+    """``{"closure", "lattice_stable", "faithful"}``: closure mod lattice, every M
+    an automorphism of Z^2n, faithfulness; closure and stability make it finite."""
     m, s = action._lattice_form
-    eye = np.eye(m.shape[-1])
-
-    # integral, and small enough that is_free's int64 cast of M - I is exact
-    stable = bool(np.all((np.abs(m - np.round(m)) < MATCH_TOL) & (np.abs(m) < 2**53)))
-
     comp_m = np.einsum("gij,hjk->ghik", m, m)
     comp_s = np.einsum("gij,hj->ghi", m, s) + s[:, None]
     # one left factor at a time: memory grows as |G|^2, not |G|^3
@@ -275,22 +290,8 @@ def validate_group(action: GroupAction) -> dict[str, bool]:
     same = _same(m[:, None], s[:, None], m, s)
     faithful = not np.any(np.triu(same, 1))
 
-    # M^k = I forces |det M| = |det A|^2 = 1: a contracting or expanding
-    # linear part has infinite order
-    finite = bool(np.all(np.abs(np.abs(np.linalg.det(m)) - 1.0) <= MATCH_TOL))
-    if finite:
-        power_m, power_s = m, s
-        reached = np.zeros(len(m), dtype=bool)
-        for _ in range(ORDER_BOUND):
-            reached |= _same(power_m, power_s, eye, 0.0)
-            if reached.all():
-                break
-            power_s = np.einsum("gij,gj->gi", power_m, s) + power_s
-            power_m = power_m @ m
-        else:
-            finite = False
-
-    return {"closure": closure, "lattice_stable": stable, "finite": finite, "faithful": faithful}
+    stable = action._integer_form is not None
+    return {"closure": closure, "lattice_stable": stable, "faithful": faithful}
 
 
 def is_free(action: GroupAction) -> tuple[bool, Optional[np.ndarray]]:
@@ -306,18 +307,16 @@ def is_free(action: GroupAction) -> tuple[bool, Optional[np.ndarray]]:
     on the nonzero rows, is reduced into [0, 1)^2n in exact rationals and
     returned in C^n.
     """
+    ints = action._integer_form
+    if ints is None:
+        raise ValueError("lattice is not stable under the linear part")
     n = action.lattice.dim
-    basis = action.lattice.real_basis()
     m, s = action._lattice_form
-    eye = np.eye(2 * n)
+    eye = np.eye(2 * n, dtype=np.int64)
     moving = ~_same(m, s, eye, 0.0)
 
-    for mk, tau in zip(m[moving], s[moving]):
-        t_float = mk - eye
-        t_int = np.round(t_float)
-        if np.max(np.abs(t_float - t_int)) > MATCH_TOL:
-            raise ValueError("lattice is not stable under the linear part")
-        u, d, v = smith_normal_form(t_int.astype(np.int64))
+    for t_int, tau in zip(ints[moving] - eye, s[moving]):
+        u, d, v = smith_normal_form(t_int)
         ratios = [x.as_integer_ratio() for x in tau.tolist()]
         den = max(q for _, q in ratios)
         w = u @ np.array([p * (den // q) for p, q in ratios], dtype=object)
@@ -326,10 +325,10 @@ def is_free(action: GroupAction) -> tuple[bool, Optional[np.ndarray]]:
         if all(min(r, 1 - r) < MATCH_TOL for r in (w[~pivot] % den / den).tolist()):
             eta = [Fraction(-wi, den * di) if di else 0 for wi, di in zip(w, diag)]
             xi = np.array([float(x % 1) for x in v @ np.array(eta, dtype=object)])
-            moved = t_float @ xi + tau
+            moved = t_int @ xi + tau
             if not np.max(np.abs(moved - np.round(moved))) < 1e-6:
                 raise AssertionError("fixed-point witness failed verification")
-            x_real = basis @ xi
+            x_real = action.lattice.real_basis() @ xi
             return False, x_real[:n] + 1j * x_real[n:]
     return True, None
 

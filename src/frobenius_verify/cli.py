@@ -81,7 +81,6 @@ CHECKS = (
 GROUP_CHECKS = (
     ("closure", True, "group check failed: closure"),
     ("lattice_stable", True, "group check failed: lattice_stable"),
-    ("finite", True, "group check failed: finite"),
     ("faithful", True, "group check failed: faithful"),
     ("free", True, "action not free"),
     ("contains_translations", False, "action contains translations"),

@@ -852,16 +852,22 @@ def brute_group_checks(action):
     """Every group check of a torus action, in complex coordinates.
 
     Closure and faithfulness by explicit loops over pairs and triples,
-    with one lattice solve per compared pair; finiteness by powers of
-    each element; freeness (decided only on a stable lattice, else None)
-    by a bounded search for a fixed point of each non-identity element.
+    with one lattice solve per compared pair; stability as each A mapping
+    every generator into the lattice with an integer ``M`` of ``exact_det``
+    +-1, so onto it; finiteness by powers of each element; freeness
+    (decided only on a stable lattice, else None) by a bounded search for
+    a fixed point of each non-identity element.
     """
     lat = action.lattice
     maps = [(el.A, el.t) for el in action.elements]
     n = lat.generators.shape[1]
     identity = (np.eye(n), np.zeros(n))
     moving = [g for g in maps if not _same_map(lat, g, identity)]
-    stable = all(_in_lattice(lat, a @ gen) for a, _ in maps for gen in lat.generators)
+    stable = all(
+        all(_in_lattice(lat, a @ gen) for gen in lat.generators)
+        and abs(exact_det(_integer_part(lat, a) + np.eye(2 * n))) == 1
+        for a, _ in maps
+    )
     closure = all(
         any(_same_map(lat, (ga @ ha, ga @ ht + gt), k) for k in maps)
         for ga, gt in maps

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -177,11 +178,14 @@ def test_validate_z2_negation():
 
 
 def test_validate_irrational_rotation_not_finite():
+    """A rotation of infinite order neither maps Z[i] onto itself nor
+    closes up with the identity: the two checks that make a list finite."""
     lat = square_lattice(1)
     theta = 1.0  # radian rotation: infinite order
     rot = AffineMap(np.array([[np.exp(1j * theta)]]), np.zeros(1))
     action = GroupAction(lat, (_identity(1), rot), "irrational")
-    assert not validate_group(action)["finite"]
+    checks = validate_group(action)
+    assert not checks["lattice_stable"] and not checks["closure"]
 
 
 def test_is_free_negation_has_fixed_point():
@@ -240,6 +244,24 @@ def test_near_translation_is_a_translation_at_every_angle_below_the_match_tolera
     )
 
 
+@pytest.mark.parametrize(
+    "eps, reasons", [(3e-10, []), (2e-9, ["group check failed: closure"])], ids=["3e-10", "2e-9"]
+)
+def test_one_tolerance_decides_a_moved_translation(eps, reasons):
+    """hyperelliptic-Z6 with its generator's translation moved by eps:
+    closure compares each composite within MATCH_TOL, and nothing else
+    reads the group, so a move below it keeps the catalog's verdict and
+    one that doubles past it fails closure."""
+    entry = {e.name: e for e in hyperelliptic_catalog()}["hyperelliptic-Z6"]
+    elements = list(entry.action.elements)
+    elements[1] = AffineMap(elements[1].A, elements[1].t + np.array([eps, 0]))
+    action = GroupAction(entry.lattice, tuple(elements), entry.name)
+    report = run_verify(dataclasses.replace(entry, action=action), Config(samples=2))
+    assert (report["verdict"], report["reasons"]) == (
+        "not-frobenius" if reasons else "frobenius", reasons
+    )
+
+
 # --- group checks against the complex-coordinate oracle -------------------
 
 ROOTS_OF_ORDER = {2: [-1.0], 3: [RHO, RHO**2], 4: [1j, -1j], 6: [-RHO, -RHO**2]}
@@ -273,7 +295,8 @@ def _fixture_actions():
         "rotation-60": GroupAction(
             sq1, tuple(AffineMap(np.array([[w]]), np.zeros(1)) for w in sixth)
         ),
-        # each of finite order, but no common power below ORDER_BOUND
+        # each of finite order, but they generate a cyclic group of order
+        # 667 that the three listed maps are not closed under
         "orders-23-29": _with_identity(
             sq1, *[(np.array([[np.exp(2j * math.pi / k)]]), np.zeros(1)) for k in (23, 29)]
         ),
@@ -317,8 +340,9 @@ def test_group_checks_agree_with_the_complex_coordinate_oracle():
     for action in actions:
         expect = brute_group_checks(action)
         report = validate_group(action)
-        keys = ("closure", "lattice_stable", "finite", "faithful")
-        assert report == {key: expect[key] for key in keys}
+        assert report == {key: expect[key] for key in ("closure", "lattice_stable", "faithful")}
+        # a closed list of lattice automorphisms is a finite group
+        assert expect["finite"] or not (report["closure"] and report["lattice_stable"])
         assert contains_translations(action) == expect["contains_translations"]
         if report["lattice_stable"]:
             free, witness = is_free(action)
@@ -332,7 +356,7 @@ def test_group_checks_agree_with_the_complex_coordinate_oracle():
         counts["not free"] += expect["free"] is False
         counts["not closed"] += not report["closure"]
         counts["not stable"] += not report["lattice_stable"]
-        counts["not finite"] += not report["finite"]
+        counts["not finite"] += not expect["finite"]
     # the random set reaches every verdict, not only the catalog's
     assert min(counts.values()) >= 10, counts
 
@@ -363,7 +387,7 @@ Z4_SKEW_4 = {
     "group": [{"A": [_pairs(*row) for row in 1j * np.eye(4)], "t": _pairs(0.5, 0, 0, 0)}],
     "expected_class": "not-frobenius",
 }
-# a linear part whose M - I has entries up to 37 on the square lattice Z[i]^2
+# an integral linear part on the square lattice Z[i]^2 with |det A|^2 = 60741
 GAUSS_2 = {
     "name": "gauss-2",
     "dim": 2,
@@ -372,9 +396,36 @@ GAUSS_2 = {
     "lattice": [_pairs(1, 0), _pairs(1j, 0), _pairs(0, 1), _pairs(0, 1j)],
     "group": [{"A": [_pairs(-1 - 19j, -15j), _pairs(10 + 13j, 18 + 18j)], "t": _pairs(0.5, 0)}],
 }
+# [[1, 19+18i], [0, 1]] @ [[1, 0], [10+13i, 1]] on Z[i]^2: det A = 1, and
+# M - I has entries up to 427
+UNIMODULAR_2 = dict(
+    GAUSS_2,
+    name="unimodular-2",
+    group=[{"A": [_pairs(-43 + 427j, 19 + 18j), _pairs(10 + 13j, 1)], "t": _pairs(0.5, 0)}],
+)
 
 
-@pytest.mark.parametrize("spec", [Z4_SKEW_4, GAUSS_2], ids=lambda spec: spec["name"])
+def test_a_linear_part_onto_a_sublattice_is_not_stable(tmp_path, capsys):
+    """gauss-2's M is integral but maps Z^4 onto a sublattice of index
+    60741, so it is no automorphism of the lattice and freeness is not
+    asked."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(GAUSS_2))
+    assert main(["--json", "--samples", "2", "verify", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    group = report["group"]
+    assert (group["lattice_stable"], group["free"], group["fixed_point_witness"]) == (
+        False, None, None
+    )
+    assert "group check failed: lattice_stable" in report["reasons"]
+    action = load_manifold_spec(GAUSS_2).action
+    (g,) = action.elements
+    gens = action.lattice.generators
+    m = np.stack([action.lattice.coordinates(g.A @ gen) for gen in gens], axis=1)
+    assert np.all(m == np.round(m)) and abs(exact_det(np.round(m))) == 60741
+
+
+@pytest.mark.parametrize("spec", [Z4_SKEW_4, UNIMODULAR_2], ids=lambda spec: spec["name"])
 def test_verify_finds_the_fixed_point_of_a_large_integer_part(tmp_path, capsys, spec):
     """No brute_group_checks here: its box search grows with the entries
     of M - I.  The witness is checked in complex coordinates instead."""
@@ -397,8 +448,8 @@ def test_verify_finds_the_fixed_point_of_a_large_integer_part(tmp_path, capsys, 
     [
         # the composite shifts overflow: no composite is a group element
         ([1, 0], [1e308, 1e308], ["closure"]),
-        # the composites and det M overflow
-        ([1e160, 0], [0, 0], ["closure", "finite", "isometry", "lattice_stable"]),
+        # the composites overflow, and M is not below 2**53
+        ([1e160, 0], [0, 0], ["closure", "isometry", "lattice_stable"]),
     ],
     ids=["huge-shift", "huge-scale"],
 )
@@ -546,6 +597,9 @@ def test_lattice_form_is_built_once_and_read_only():
     assert not m.flags.writeable and not s.flags.writeable
     with pytest.raises(ValueError):
         m[0, 0, 0] = 2.0
+    ints = action._integer_form
+    assert action._integer_form is ints and not ints.flags.writeable
+    assert ints.dtype == np.int64 and np.array_equal(ints, np.round(m))
 
 
 def test_isometry_defect_fixture():
