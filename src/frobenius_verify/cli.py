@@ -29,7 +29,6 @@ from .report import RowTable, to_json
 
 DEFAULT_SEED = 20240613
 DEFAULT_SAMPLES = 64
-DEFAULT_LAMBDA_GRID = (-1.0, -0.5, 0.5, 1.0, 2.0)
 DEFAULT_RADIUS = 30
 # A report holds 0.6 KB (dim 1) to 0.9 KB (dim 4) per sample: under 9 MB at the cap.
 MAX_SAMPLES = 10_000
@@ -58,22 +57,20 @@ DISCLAIMER = (
     "global structure are not checked from a single chart"
 )
 
-# The verdict's checks: (report column, class, lambda weight).  A class
-# fails when one of its columns, times the largest value of its weight over
-# the lambda grid, is not below the structural tolerance at some sample, so
-# a NaN fails too.  The weighted columns are the pencil's norms: its
-# curvature is (lambda^2 - lambda)[A_c, A_d] - lambda dbar Gamma.
+# The verdict's checks: (report column, class), filed by what the column
+# measures.  A class fails when one of its columns is not below the
+# structural tolerance at some sample, so a NaN fails too.  The pencil is
+# read by its lambda coefficients: mixed_norm (dbar Gamma = g^-1 R) and
+# einstein_defect are flatness, associator ([A_c, A_d]) is associativity.
 # Commutativity and form compatibility hold by construction (symmetric
 # Christoffel symbols, zero fiber form); tests pin them, no check reads them.
 CHECKS = (
-    ("metric_hermiticity", "core", None),
-    ("ricci_hermiticity", "core", None),
-    ("max_curvature", "flatness", None),
-    ("wdvv", "flatness", None),
-    ("einstein_defect", "flatness", "|lambda|"),
-    ("associator", "associativity", None),
-    ("associator", "associativity", "|lambda^2 - lambda|"),
-    ("mixed_norm", "associativity", "|lambda|"),
+    ("metric_hermiticity", "core"),
+    ("ricci_hermiticity", "core"),
+    ("mixed_norm", "flatness"),
+    ("einstein_defect", "flatness"),
+    ("wdvv", "associativity"),
+    ("associator", "associativity"),
 )
 # (group report key, passing value, reason when it does not pass); a
 # None value is undecided and gives no reason: freeness is only asked of
@@ -132,7 +129,6 @@ class ManifoldSpec:
 class Config:
     seed: int = DEFAULT_SEED
     samples: int = DEFAULT_SAMPLES
-    lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
     radius: int = DEFAULT_RADIUS
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
@@ -140,10 +136,6 @@ class Config:
         # each of these would otherwise yield a verdict resting on no evidence
         if not 1 <= self.samples <= MAX_SAMPLES:
             raise SpecError(f"--samples must be in 1..{MAX_SAMPLES}, got {self.samples}")
-        if not self.lambda_grid:
-            raise SpecError("lambda grid is empty")
-        if not all(math.isfinite(lam) for lam in self.lambda_grid):
-            raise SpecError(f"--lambda-grid entries must be finite, got {self.lambda_grid}")
         # a theta series sums at most (2 radius + 1)^genus terms
         if not 1 <= self.radius <= th.MAX_RADIUS:
             raise SpecError(
@@ -321,31 +313,20 @@ def sample_points(
 # --- manifold verification --------------------------------------------
 
 
-def _check_scales(lambda_grid: Sequence[float]) -> tuple:
-    """Per row of ``CHECKS``, its weight's largest value over the grid, or
-    1.0: a weight is >= 0 and rounding is monotone, so a column times it is
-    the worst of the column's per-lambda norms, bit for bit."""
-    lam = np.asarray(lambda_grid, dtype=float)
-    with np.errstate(over="ignore"):
-        weights = {"|lambda|": np.abs(lam), "|lambda^2 - lambda|": np.abs(lam * lam - lam)}
-    return tuple(np.max(weights[w]) if w else 1.0 for _, _, w in CHECKS)
-
-
 def _sample_columns(
-    potential: PotentialExpr, points: np.ndarray, scales: tuple
+    potential: PotentialExpr, points: np.ndarray
 ) -> tuple[np.ndarray, dict, dict]:
     """``(good, columns, failures)`` of a batch of points: the indices of the points that pass
-    every numeric check (each weighted check finite at its scale), one array per report key
+    every numeric check (Gamma and the pencil's coefficients finite), one array per report key
     over those points, and ``{index: exception}`` for the others.  One tensor pass for all."""
     md, failures = kahler.metric_batch(potential, points)
     good = np.array([idx for idx in range(len(points)) if idx not in failures], dtype=int)
     gamma_ok = np.all(np.isfinite(md.christoffel), axis=(-3, -2, -1))
-    # a large lambda overflows the pencil and a non-finite Gamma spreads
-    # into it: error records, not warnings
+    # a huge potential overflows the pencil (Ric @ H) and a non-finite Gamma
+    # spreads into it: error records, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
         pencil = vars(frob.pencil_curvature(md))
-        ok = gamma_ok & np.all([np.isfinite(pencil[key] * s)
-                                for (key, _, w), s in zip(CHECKS, scales) if w], axis=0)
+    ok = gamma_ok & np.all([np.isfinite(norm) for norm in pencil.values()], axis=0)
     for idx, finite in zip(good[~ok].tolist(), gamma_ok[~ok].tolist()):
         why = "non-finite pencil curvature" if finite else "non-finite structure constants"
         failures[idx] = kahler.KahlerError(why)
@@ -353,7 +334,6 @@ def _sample_columns(
         good, md = good[ok], md[ok]
 
     ricci_herm, ricci_max = kahler.ricci_c1_check(md)
-    hol = frob.fiber_algebra_from_metric(md)
     columns = {
         "metric_hermiticity": kahler.hermiticity(md.g),
         "min_singular": md.min_singular,
@@ -364,7 +344,6 @@ def _sample_columns(
         "max_ricci": ricci_max,
         **{key: norm[ok] for key, norm in pencil.items()},
         "positive_definite": md.positive_definite,
-        "unit_exists": np.array([u is not None for u in frob.find_unit(hol)], dtype=bool),
     }
     return good, columns, failures
 
@@ -419,10 +398,9 @@ def run_verify(entry: cat.CatalogEntry, config: Config) -> dict:
         entry.sample_domain, entry.dim, config.samples, config.seed, entry.name
     )
     batch = max(1, BATCH_ENTRIES // entry.dim**4)
-    scales = _check_scales(config.lambda_grid)
     goods, batches, failures = [], [], {}
     for start in range(0, len(points), batch):
-        good, cols, fails = _sample_columns(entry.potential, points[start : start + batch], scales)
+        good, cols, fails = _sample_columns(entry.potential, points[start : start + batch])
         goods.append(good + start)
         batches.append(cols)
         failures.update({start + k: exc for k, exc in fails.items()})
@@ -444,8 +422,7 @@ def run_verify(entry: cat.CatalogEntry, config: Config) -> dict:
                     for exc in failures.values()]
         verdict = "error"
     else:
-        failed = {cls for (key, cls, _), s in zip(CHECKS, scales)
-                  if not np.all(columns[key] * s < tol["structural"])}
+        failed = {cls for key, cls in CHECKS if not np.all(columns[key] < tol["structural"])}
         positive = np.all(columns["positive_definite"])
         if not positive:
             reasons.append("metric not positive definite at sampled points")
@@ -461,14 +438,13 @@ def run_verify(entry: cat.CatalogEntry, config: Config) -> dict:
         else:
             verdict = "not-frobenius"
             if "flatness" in failed:
-                reasons.append("curvature or associativity constraint violated")
+                reasons.append("curvature constraint violated")
 
     return {
         "spec": entry.name,
         "version": __version__,
         "seed": config.seed,
         "tolerances": tol,
-        "lambda_grid": list(config.lambda_grid),
         "disclaimer": DISCLAIMER,
         "samples": _sample_records(points, good, columns, failures),
         "group": group_rec,
@@ -623,11 +599,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    parser.add_argument(
-        "--lambda-grid",
-        default=",".join(str(v) for v in DEFAULT_LAMBDA_GRID),
-        help="comma-separated pencil parameters",
-    )
     parser.add_argument("--radius", type=int, default=DEFAULT_RADIUS)
     parser.add_argument(
         "--tolerance",
@@ -684,14 +655,9 @@ def _config_from_args(args) -> Config:
             tolerances[name] = float(value)
         except ValueError as exc:
             raise SpecError(f"tolerance {name} is not a number: {value!r}") from exc
-    try:
-        grid = tuple(float(v) for v in args.lambda_grid.split(",") if v.strip())
-    except ValueError as exc:
-        raise SpecError(f"bad --lambda-grid {args.lambda_grid!r}") from exc
     return Config(
         seed=_resolve_seed(args.seed),
         samples=args.samples,
-        lambda_grid=grid,
         radius=args.radius,
         tolerances=tolerances,
     )

@@ -10,11 +10,12 @@ Christoffel symbols, the curvature and the inverse metric of the metric
 bundle.  Its lambda^2 block ``[A_c, A_d]`` is also the associator of the
 commutative fiber algebra.
 
-Like the metric module, everything here broadcasts over leading sample
-axes and reduces each check to one value per sample (a float for a
-single point).  Lambda enters every pencil norm only as a scalar factor
-of a per-sample number, so the pencil is read as three such numbers
-and no norm is formed per lambda.
+So the pencil is flat for every lambda iff ``[A_c, A_d]`` and ``dbar
+Gamma`` vanish, and its trace ``lambda tr(F_1)`` is Einstein iff that of
+``F_1`` is: :func:`pencil_curvature` returns these three coefficients'
+per-sample norms, and no norm is formed at any lambda.  Like the metric
+module, everything here broadcasts over leading sample axes and reduces
+each check to one value per sample (a float for a single point).
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ def frobenius_compat(C: np.ndarray, form: np.ndarray):
     return worst(left - right, 3)
 
 
+# No pipeline calls this (perfbench/tracer.py traces the name): a flat verdict's algebra is zero
 def find_unit(C: np.ndarray):
     """Least-squares unit: solve u * e_i = e_i for all i.
 

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from helpers import (
     brute_compat,
     brute_pencil,
     jet_partials,
-    pencil_table,
     per_lambda_einstein_trace,
     random_polynomial_potential,
     ricci_via_connection,
@@ -202,7 +202,7 @@ def test_fiber_algebra_scalar_structure_constant():
 
 def _norms(pencil, lam):
     """``(curvature_norm, trace_norm)`` of the pencil at one lambda, read
-    off its per-sample norms as the verdict reads them."""
+    off its per-sample norms, the coefficients that lambda only scales."""
     return (np.maximum(abs(lam * lam - lam) * pencil.associator, abs(lam) * pencil.mixed_norm),
             abs(lam) * pencil.einstein_defect)
 
@@ -420,26 +420,26 @@ def test_trace_norm_is_the_defect_at_one_scaled_by_lambda(dim, seed):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_per_lambda_table_rebuilt_from_the_report_fields(dim):
-    """The old per-lambda pencil table, rebuilt from the three per-sample
-    norms a report row writes, is the pencil the loop oracle forms at
-    each lambda, and its trace column the per-lambda Einstein defect."""
+    """The pencil at each lambda, rebuilt from the three per-sample norms
+    a report row writes, is the pencil the loop oracle forms at that
+    lambda, and its trace the per-lambda Einstein defect: the three
+    coefficients decide the pencil at every lambda."""
     md, partials = curved_bundles(dim, 29)[0]
     dgam, dgam_bar = einsum_christoffel_derivatives(md, partials)
     pencil = pencil_curvature(md)
     fields = ("associator", "mixed_norm", "einstein_defect")
-    rows = [dict(zip(fields, values))
+    rows = [types.SimpleNamespace(**dict(zip(fields, values)))
             for values in zip(*(getattr(pencil, f).tolist() for f in fields))]
     for grid in ((-1.0, -0.5, 0.5, 1.0, 2.0), (-1.7, 0.3, 2.5, 1e-3, 7.1)):
-        tables = [pencil_table(row, grid) for row in rows]
+        tables = [[_norms(row, lam) for lam in grid] for row in rows]
         for k, table in enumerate(tables):
-            assert [entry["lambda"] for entry in table] == list(grid)
-            for entry in table:
+            for lam, (curvature_norm, trace_norm) in zip(grid, table):
                 curvature, trace = brute_pencil(
-                    md.christoffel[k], dgam[k], dgam_bar[k], md.g_inv[k], entry["lambda"]
+                    md.christoffel[k], dgam[k], dgam_bar[k], md.g_inv[k], lam
                 )
-                assert entry["curvature_norm"] == pytest.approx(curvature, rel=1e-12)
-                assert entry["trace_norm"] == pytest.approx(trace, rel=1e-12, abs=1e-15)
-        got = np.array([[entry["trace_norm"] for entry in table] for table in tables])
+                assert curvature_norm == pytest.approx(curvature, rel=1e-12)
+                assert trace_norm == pytest.approx(trace, rel=1e-12, abs=1e-15)
+        got = np.array([[trace_norm for _, trace_norm in table] for table in tables])
         expected = per_lambda_einstein_trace(md, grid)
         if all(math.frexp(abs(lam))[0] == 0.5 for lam in grid):
             # a power of two scales without rounding: bit for bit

@@ -24,7 +24,7 @@ from frobenius_verify.expr import (
     Var,
     parse,
 )
-from frobenius_verify.cli import _check_scales, _sample_columns, _sample_records
+from frobenius_verify.cli import _sample_columns, _sample_records
 from frobenius_verify.expr import LogDomainError
 from frobenius_verify.kahler import (
     DEGENERACY_FLOOR,
@@ -343,14 +343,13 @@ def test_mixed_batch_matches_one_point_results():
             metric_at(MIXED2, MIXED_POINTS[idx])
 
 
-def _records(points, grid):
+def _records(points):
     points = np.array(points)
-    return _sample_records(points, *_sample_columns(MIXED2, points, _check_scales(grid)))
+    return _sample_records(points, *_sample_columns(MIXED2, points))
 
 
 def test_mixed_batch_records_keep_their_indices():
-    grid = (-1.0, 0.5, 2.0)
-    records = _records(MIXED_POINTS, grid)
+    records = _records(MIXED_POINTS)
     assert len(records) == len(MIXED_POINTS)
     for idx, rec in enumerate(records):
         assert rec["index"] == idx
@@ -358,7 +357,7 @@ def test_mixed_batch_records_keep_their_indices():
             assert rec["error"] == MIXED_ERRORS[idx][1]
         else:
             assert "error" not in rec
-            assert rec == dict(_records([MIXED_POINTS[idx]], grid)[0], index=idx)
+            assert rec == dict(_records([MIXED_POINTS[idx]])[0], index=idx)
 
 
 def test_batch_with_no_good_sample():
@@ -366,7 +365,7 @@ def test_batch_with_no_good_sample():
     md, failures = metric_batch(MIXED2, bad)
     assert sorted(failures) == [0, 1]
     assert md.g.shape == (0, 2, 2)
-    records = _records(bad, (1.0,))
+    records = _records(bad)
     assert [rec["error"] for rec in records] == [MIXED_ERRORS[1][1], MIXED_ERRORS[2][1]]
 
 
