@@ -118,13 +118,30 @@ def smith_normal_form(mat: Sequence[Sequence[int]]):
 # --- domain types ----------------------------------------------------
 
 
-def _singular(m: np.ndarray, axis=None) -> bool:
-    """Whether the finite square ``m``, divided by its largest real or imaginary part (that of
-    each row with ``axis=1``), has det 0 or an inverse entry >= 1/EXACT_TOL."""
-    top = np.maximum(abs(m.real), abs(m.imag)).max(axis=axis, keepdims=True)
-    top[top == 0] = 1.0  # |entries of s| <= 1; a complex m / top overflows at a sub-normal top
-    s = m / top if np.isrealobj(m) else m.real / top + 1j * (m.imag / top)
+def _singular(m: np.ndarray) -> bool:
+    """Whether the finite real square ``m``, divided by its largest entry,
+    has det 0 or an inverse entry >= 1/EXACT_TOL."""
+    s = m / (abs(m).max() or 1.0)
     return np.linalg.det(s) == 0 or not abs(np.linalg.inv(s)).max() * EXACT_TOL < 1.0
+
+
+def _det(rows: list) -> int:
+    """The determinant of a square matrix of Python ints, by fraction-free
+    elimination (E. H. Bareiss, *Math. Comp.* 22, 1968): each division is
+    exact, so every entry stays an int."""
+    a = [list(row) for row in rows]
+    sign, prev = 1, 1
+    for k in range(len(a) - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, len(a)) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        for i in range(k + 1, len(a)):
+            for j in range(k + 1, len(a)):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,11 +191,10 @@ class AffineMap:
         t = np.asarray(self.t, dtype=np.complex128)
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "t", t)
-        if not np.all(np.isfinite(a)):  # a non-finite t fails the action's lattice form
+        # a non-finite t fails the action's lattice form; a singular A has a
+        # singular M there, which the group checks read as not lattice-stable
+        if not np.all(np.isfinite(a)):
             raise ValueError("affine map A must be finite")
-        # row by row: an A far from an isometry is for the group checks to reject
-        if _singular(a, axis=1):
-            raise ValueError("affine map has singular linear part")
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,17 +232,13 @@ class GroupAction:
     @functools.cached_property
     def _integer_form(self) -> Optional[np.ndarray]:
         """Every ``M`` as a read-only int64 array, or None when some ``M`` is no automorphism
-        of Z^2n: an integer ``R`` within MATCH_TOL with ``R @ round(R^-1) == I``, so |det R| = 1."""
+        of Z^2n: an integer ``R`` within MATCH_TOL with |det R| = 1, decided exactly."""
         m, _ = self._lattice_form
         r = np.round(m)
-        try:  # numpy's inv raises on a singular R and does not warn
-            inv = np.round(np.linalg.inv(r))
-        except np.linalg.LinAlgError:
-            return None
-        # below 2**53 (NaN is not) the casts are exact; the product is in Python ints
-        if np.all((np.abs(m - r) < MATCH_TOL) & (np.abs(m) < 2**53) & (np.abs(inv) < 2**53)):
-            ints, back = r.astype(np.int64), inv.astype(np.int64)
-            if np.all(ints.astype(object) @ back.astype(object) == np.eye(len(m[0]))):
+        # below 2**53 the cast is exact (NaN is not below it)
+        if np.all((np.abs(m - r) < MATCH_TOL) & (np.abs(m) < 2**53)):
+            ints = r.astype(np.int64)
+            if all(abs(_det(mat)) == 1 for mat in ints.tolist()):
                 ints.flags.writeable = False
                 return ints
         return None

@@ -72,6 +72,25 @@ CHECKS = (
     ("wdvv", "associativity"),
     ("associator", "associativity"),
 )
+# The jet blocks each report column of a sample reads besides the metric
+# (d_a dbar_b), which every column reads: "phi3" (d_a d_b dbar_c, so Gamma)
+# and "ddbar" (d_a d_c dbar_b dbar_d).  Each column that reads one is a max
+# of |x| over tensors built from them, so where all of its blocks are zero
+# by the chart's jet support (kahler.MetricData.zero) it is +0.0 at every
+# sample, and _sample_columns writes that without computing it.
+READS = {
+    "metric_hermiticity": (),
+    "min_singular": (),
+    "condition_number": (),
+    "max_curvature": ("phi3", "ddbar"),
+    "wdvv": ("phi3",),
+    "ricci_hermiticity": ("phi3", "ddbar"),
+    "max_ricci": ("phi3", "ddbar"),
+    "associator": ("phi3",),
+    "mixed_norm": ("phi3", "ddbar"),
+    "einstein_defect": ("phi3", "ddbar"),
+    "positive_definite": (),
+}
 # (group report key, passing value, reason when it does not pass); a
 # None value is undecided and gives no reason: freeness is only asked of
 # an action that maps the lattice onto itself
@@ -318,34 +337,40 @@ def _sample_columns(
 ) -> tuple[np.ndarray, dict, dict]:
     """``(good, columns, failures)`` of a batch of points: the indices of the points that pass
     every numeric check (Gamma and the pencil's coefficients finite), one array per report key
-    over those points, and ``{index: exception}`` for the others.  One tensor pass for all."""
+    over those points, and ``{index: exception}`` for the others.  One tensor pass for all; no
+    column that ``READS`` finds zero by the chart's jet support is computed."""
     md, failures = kahler.metric_batch(potential, points)
     good = np.array([idx for idx in range(len(points)) if idx not in failures], dtype=int)
-    gamma_ok = np.all(np.isfinite(md.christoffel), axis=(-3, -2, -1))
-    # a huge potential overflows the pencil (Ric @ H) and a non-finite Gamma
-    # spreads into it: error records, not warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        pencil = vars(frob.pencil_curvature(md))
-    ok = gamma_ok & np.all([np.isfinite(norm) for norm in pencil.values()], axis=0)
-    for idx, finite in zip(good[~ok].tolist(), gamma_ok[~ok].tolist()):
-        why = "non-finite pencil curvature" if finite else "non-finite structure constants"
-        failures[idx] = kahler.KahlerError(why)
-    if not ok.all():
-        good, md = good[ok], md[ok]
+    zero = {key for key, reads in READS.items() if reads and md.zero.issuperset(reads)}
 
-    ricci_herm, ricci_max = kahler.ricci_c1_check(md)
-    columns = {
-        "metric_hermiticity": kahler.hermiticity(md.g),
-        "min_singular": md.min_singular,
-        "condition_number": md.cond,
-        "max_curvature": kahler.worst(md.curvature, 4),
-        "wdvv": kahler.wdvv_residual_at(md),
-        "ricci_hermiticity": ricci_herm,
-        "max_ricci": ricci_max,
-        **{key: norm[ok] for key, norm in pencil.items()},
-        "positive_definite": md.positive_definite,
-    }
-    return good, columns, failures
+    def need(*keys):
+        return not zero.issuperset(keys)
+
+    columns = {}
+    if need("associator", "mixed_norm", "einstein_defect"):
+        gamma_ok = np.all(np.isfinite(md.christoffel), axis=(-3, -2, -1))
+        # a huge potential overflows the pencil (Ric @ H) and a non-finite Gamma
+        # spreads into it: error records, not warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            pencil = vars(frob.pencil_curvature(md))
+        ok = gamma_ok & np.all([np.isfinite(norm) for norm in pencil.values()], axis=0)
+        for idx, finite in zip(good[~ok].tolist(), gamma_ok[~ok].tolist()):
+            why = "non-finite pencil curvature" if finite else "non-finite structure constants"
+            failures[idx] = kahler.KahlerError(why)
+        if not ok.all():
+            good, md = good[ok], md[ok]
+        columns.update({key: norm[ok] for key, norm in pencil.items()})
+
+    columns.update(metric_hermiticity=kahler.hermiticity(md.g), min_singular=md.min_singular,
+                   condition_number=md.cond, positive_definite=md.positive_definite)
+    if need("max_curvature"):
+        columns["max_curvature"] = kahler.worst(md.curvature, 4)
+    if need("wdvv"):
+        columns["wdvv"] = kahler.wdvv_residual_at(md)
+    if need("ricci_hermiticity", "max_ricci"):
+        columns["ricci_hermiticity"], columns["max_ricci"] = kahler.ricci_c1_check(md)
+    columns.update(dict.fromkeys(zero, np.zeros(len(good))))
+    return good, {key: columns[key] for key in READS}, failures
 
 
 def _sample_records(points: np.ndarray, good: np.ndarray, columns: dict, failures: dict) -> RowTable:

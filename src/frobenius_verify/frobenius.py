@@ -16,6 +16,12 @@ Gamma`` vanish, and its trace ``lambda tr(F_1)`` is Einstein iff that of
 per-sample norms, and no norm is formed at any lambda.  Like the metric
 module, everything here broadcasts over leading sample axes and reduces
 each check to one value per sample (a float for a single point).
+
+On a chart whose jet support leaves out the third and fourth mixed
+partials (``MetricData.zero``: every flat chart ``sum M_ab z_a zbar_b``
+plus pluriharmonic terms), Gamma, R and Ric are zero by structure: the
+fiber algebra is the zero algebra, each norm here is +0.0, and the verify
+pass writes them without calling :func:`pencil_curvature`.
 """
 
 from __future__ import annotations

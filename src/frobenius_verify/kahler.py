@@ -17,6 +17,18 @@ coefficients times ``alpha! beta!`` in the order of
 gather indices, once per batch, and the partials are then dropped;
 ``wirtinger.partial`` is the scalar form of the same read.
 
+A block of partials that lies wholly outside the root jet's support is
+zero at every point: ``phi3`` (third partials ``d_a d_b dbar_c``) and
+``ddbar`` (fourth partials ``d_a d_c dbar_b dbar_d``).  The support is
+a property of the parsed potential, so :func:`zero_blocks` reads the
+pattern once per batch, and the bundle carries it as ``MetricData.zero``.
+A support holds each entry's lower entries (every jet has a constant
+term), so a zero phi3 makes ddbar zero too: then Gamma, R and Ric are
+zero, as on every flat chart ``sum M_ab z_a zbar_b`` plus pluriharmonic
+terms, and :func:`metric_batch` forms none of their products and keeps
+zeros in their place.  Where the inverse metric is finite these zeros
+are what the products give.
+
 Index conventions (G is the matrix ``G[a][b] = g_{a bbar}`` of second
 mixed partials of the potential, H = G^{-1}):
 
@@ -44,13 +56,14 @@ finite-difference pipeline in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .expr import ExprError, PotentialExpr
-from .wirtinger import _table, hermiticity_defect, jet_eval
+from .wirtinger import PRODUCT_CACHE, _mask, _table, hermiticity_defect, jet_eval
 from .wirtinger import partial  # noqa: F401  (re-exported: the one-entry read)
 
 # min |eigenvalue| of g (its smallest singular value) must exceed floor * max
@@ -74,7 +87,7 @@ class RealnessError(KahlerError):
 class MetricData:
     """Bundle of all tensors derived from the potential's jets at one
     point, or at a batch of points stacked along leading axes.  Indexing
-    copies every field, so the verify pass indexes a batch's bundle only
+    copies every array, so the verify pass indexes a batch's bundle only
     when a sample is dropped from it."""
 
     g: np.ndarray
@@ -88,6 +101,9 @@ class MetricData:
     min_singular: np.ndarray
     cond: np.ndarray
     positive_definite: np.ndarray
+    # the jet blocks ("phi3", "ddbar") that are zero by the potential's
+    # support, as zero_blocks reads them; a bundle built by hand has none
+    zero: frozenset = frozenset()
 
     @property
     def dim(self) -> int:
@@ -95,7 +111,8 @@ class MetricData:
 
     def __getitem__(self, k) -> "MetricData":
         """The bundle of sample ``k`` (or of the samples a mask or slice picks)."""
-        return MetricData(**{f.name: getattr(self, f.name)[k] for f in fields(self)})
+        return replace(self, **{f.name: getattr(self, f.name)[k]
+                                for f in fields(self) if f.name != "zero"})
 
 
 def worst(x: np.ndarray, axes: int):
@@ -116,6 +133,15 @@ def split(x: np.ndarray, axes: int, *shape: int) -> np.ndarray:
     return x.reshape(x.shape[: x.ndim - axes] + shape)
 
 
+@lru_cache(maxsize=PRODUCT_CACHE)
+def zero_blocks(dim: int, support: int) -> frozenset:
+    """The blocks of partials, of "phi3" and "ddbar", that hold no entry
+    of the jet support ``support``: zero at every point of the chart."""
+    t, mask = _table(dim), _mask(dim, support)
+    blocks = {"phi3": t.phi3_idx, "ddbar": t.ddbar_idx}
+    return frozenset(name for name, idx in blocks.items() if not mask[idx].any())
+
+
 def metric_batch(
     potential: PotentialExpr, points: Sequence
 ) -> tuple[MetricData, dict[int, KahlerError | ExprError]]:
@@ -124,7 +150,8 @@ def metric_batch(
     The jets of all the points are evaluated in one stacked pass and read
     into stacked partials through their dense view, and dropped; everything
     after them runs once on those, so the caller's batch bounds both layers.
-    The bundle keeps the tensors gathered from the partials, not the partials.
+    The bundle keeps the tensors gathered from the partials, not the partials,
+    and no product is formed where :func:`zero_blocks` finds both blocks zero.
     A point whose jet fails (log domain, exp out of range), whose potential
     is not real there, whose partials are not all finite or whose metric is
     degenerate is left out of the bundle and returned as
@@ -139,6 +166,7 @@ def metric_batch(
     # error record below reports in place of a warning
     with np.errstate(over="ignore", invalid="ignore"):
         jet = jet_eval(potential, point, failures)
+        zero = zero_blocks(n, jet.support)
         # the zeros off the support cannot raise a max floored at 1
         scale = np.maximum(1.0, np.max(np.abs(jet.coeffs), axis=0))
         not_real = hermiticity_defect(jet) > REALNESS_TOL * scale
@@ -171,17 +199,23 @@ def metric_batch(
         smax, smin = smax[keep], smin[keep]
 
     h = np.linalg.inv(g)  # LAPACK LU with partial pivoting
-    phi3 = np.take(partials, t.phi3_idx, axis=-1)
-    # gam[(i, j), k] = sum_e phi3[i][j][e] H[e][k], so Gamma^k_{ij} = gam[i, j, k]
-    gam = split(phi3, 3, n * n, n) @ h
-    christoffel = np.ascontiguousarray(np.einsum("...ijk->...kij", split(gam, 2, n, n, n)))
-    # gradient term sum_e gam[(a, c), e] conj(phi3)[b][d][e], from
-    # (d_c G)[a][gamma] = phi3[a][c][gamma] and (dbar_d G)[e][b] = conj(phi3)[b][d][e]
-    grad = gam @ np.swapaxes(split(np.conj(phi3), 3, n * n, n), -1, -2)
-    curvature = np.take(partials, t.ddbar_idx, axis=-1) - np.einsum(
-        "...acbd->...abcd", split(grad, 2, n, n, n, n)
-    )
-    ricci = np.einsum("...ba,...abcd->...cd", h, curvature)
+    if zero == {"phi3", "ddbar"}:  # Gamma, R and Ric are zero: no product is formed
+        lead = g.shape[:-2]
+        phi3 = christoffel = np.zeros(lead + (n,) * 3, dtype=complex)
+        curvature = np.zeros(lead + (n,) * 4, dtype=complex)
+        ricci = np.zeros(lead + (n, n), dtype=complex)
+    else:
+        phi3 = np.take(partials, t.phi3_idx, axis=-1)
+        # gam[(i, j), k] = sum_e phi3[i][j][e] H[e][k], so Gamma^k_{ij} = gam[i, j, k]
+        gam = split(phi3, 3, n * n, n) @ h
+        christoffel = np.ascontiguousarray(np.einsum("...ijk->...kij", split(gam, 2, n, n, n)))
+        # gradient term sum_e gam[(a, c), e] conj(phi3)[b][d][e], from
+        # (d_c G)[a][gamma] = phi3[a][c][gamma] and (dbar_d G)[e][b] = conj(phi3)[b][d][e]
+        grad = gam @ np.swapaxes(split(np.conj(phi3), 3, n * n, n), -1, -2)
+        curvature = np.take(partials, t.ddbar_idx, axis=-1) - np.einsum(
+            "...acbd->...abcd", split(grad, 2, n, n, n, n)
+        )
+        ricci = np.einsum("...ba,...abcd->...cd", h, curvature)
 
     md = MetricData(
         g=g,
@@ -193,6 +227,7 @@ def metric_batch(
         min_singular=smin,
         cond=smax / smin,
         positive_definite=eig[:, 0] > 0,
+        zero=zero,
     )
     return md, failures
 

@@ -178,6 +178,9 @@ def _column_texts(col: np.ndarray) -> list:
     values = col.ravel().tolist()
     kind = col.dtype.kind
     if kind == "f":
+        # a column the jet support makes zero is all +0.0 (NaN is truthy)
+        if not any(values) and not np.signbit(col).any():
+            return ["0.0"] * len(values)
         texts = list(map(float.__repr__, values))
         return texts if np.isfinite(col).all() else [_FLOAT_TOKENS.get(t, t) for t in texts]
     if kind == "b":

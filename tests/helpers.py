@@ -403,18 +403,21 @@ def curved_bundles(dim, seed):
     """``(bundle, partials)`` of a curved random chart at four points:
     batched ``(4, ...)``, one point with no sample axis, and two sample
     axes ``(2, 2, ...)`` (the batch reshaped)."""
-    from frobenius_verify.kahler import MetricData, metric_at, metric_batch
+    from frobenius_verify.kahler import metric_at, metric_batch
 
     rng = np.random.default_rng(seed)
     potential = random_polynomial_potential(rng, dim)
     points = rng.uniform(-0.4, 0.4, (4, dim)) + 1j * rng.uniform(-0.4, 0.4, (4, dim))
     md, failures = metric_batch(potential, points)
     assert not failures and np.max(np.abs(md.curvature)) > 1e-3
-    pairs = MetricData(
+    # every array field; the bundle's zero-block pattern is kept as it is
+    pairs = dataclasses.replace(
+        md,
         **{
             f.name: getattr(md, f.name).reshape((2, 2) + getattr(md, f.name).shape[1:])
             for f in dataclasses.fields(md)
-        }
+            if f.name != "zero"
+        },
     )
     partials = jet_partials(potential, points)
     return (

@@ -20,6 +20,7 @@ from frobenius_verify.catalog import (
     CatalogEntry,
     GroupAction,
     Lattice,
+    _det,
     classification_counts,
     contains_translations,
     flat_potential,
@@ -127,8 +128,10 @@ SCALES = [10.0**k for k in range(-6, 7)]
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_singularity_is_decided_at_the_matrix_scale(dim):
     """A square lattice is a lattice at every scale, and dependent
-    generators are dependent at every scale, 1e308 included; the linear
-    part of a map is judged row by row.  Neither case warns."""
+    generators are dependent at every scale, 1e308 included.  A map's
+    linear part is not judged alone: a rank-one or zero A is a map, and
+    beside the identity on the square lattice its M is singular, so the
+    lattice is not stable and freeness is not asked.  Nothing warns."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for scale in SCALES:
@@ -138,16 +141,55 @@ def test_singularity_is_decided_at_the_matrix_scale(dim):
         dependent = square_lattice(dim).generators.copy()
         dependent[-1] = 0.5 * (dependent[0] + dependent[-2])
         rank_one = np.ones((dim, dim))
+        singular = [np.zeros((dim, dim))]
         for scale in SCALES + [1e-300, 1e300, 1e308]:
             with pytest.raises(ValueError, match="linearly dependent over R"):
                 Lattice(scale * dependent)
-            if dim > 1:
-                with pytest.raises(ValueError, match="singular linear part"):
-                    AffineMap(scale * rank_one, np.zeros(dim))
+            AffineMap(scale * rank_one, np.zeros(dim))
+            if dim > 1:  # at dim 1 a rank-one A is invertible
+                singular.append(scale * rank_one)
         with pytest.raises(ValueError, match="linearly dependent over R"):
             Lattice(np.array([[1e308 + 1e308j], [1e308 + 1e308j]]))
-        with pytest.raises(ValueError, match="singular linear part"):
-            AffineMap(np.zeros((dim, dim)), np.zeros(dim))
+        entry = flat_torus_entry(dim)
+        for a in singular:
+            action = GroupAction(entry.lattice, (_identity(dim), AffineMap(a, np.zeros(dim))))
+            report = run_verify(dataclasses.replace(entry, action=action), Config(samples=2))
+            assert report["group"]["lattice_stable"] is False
+            assert report["group"]["free"] is None
+
+
+def test_a_unimodular_linear_part_far_from_an_isometry_is_lattice_stable():
+    """z -> A z on Z[i]^2 with A = [[2^20, 2^20 - 1], [2^20 + 1, 2^20]]: det A = 1,
+    and the rows are nearly parallel.  The action reaches the group checks,
+    which read M in GL(4, Z), a fixed point at 0 and no closure."""
+    k = 2**20
+    a = np.array([[k, k - 1], [k + 1, k]], dtype=float)
+    spec = {
+        "name": "unimodular-skew", "dim": 2, "potential": "z1*zbar1 + z2*zbar2",
+        "sample_domain": {"re": [[-0.4, 0.4]] * 2, "im": [[-0.4, 0.4]] * 2},
+        "lattice": [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 1]]],
+        "group": [{"A": [[[x, 0] for x in row] for row in a.tolist()], "t": [[0, 0], [0, 0]]}],
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = run_verify(load_manifold_spec(spec), Config(samples=2))
+    group = report["group"]
+    assert (group["lattice_stable"], group["closure"], group["free"]) == (True, False, False)
+    assert report["verdict"] == "not-frobenius"
+
+
+def test_integer_determinant_matches_the_oracle():
+    """Fraction-free elimination is exact: it agrees with the oracle's
+    determinant on random integer matrices, singular ones included."""
+    rng = np.random.default_rng(58)
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        mat = rng.integers(-2**40, 2**40, size=(n, n)) // 2 ** int(rng.integers(0, 41))
+        if rng.random() < 0.3:
+            mat[-1] = mat[0] * int(rng.integers(-3, 4))  # a dependent row
+        rows = mat.tolist()
+        assert _det(rows) == exact_det(rows)
+        assert rows == mat.tolist()  # the argument is not changed
 
 
 def test_non_finite_lattice_or_map_names_the_field():

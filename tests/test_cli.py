@@ -359,8 +359,22 @@ def sample_tables(draw):
     return points, good, columns, failures
 
 
+def _zero_table(*signs):
+    """``_sample_records`` arguments of 5 points, one failed, whose float
+    columns hold zeros signed as ``signs`` gives them, cycled over the rows."""
+    zeros = np.array([math.copysign(0.0, signs[k % len(signs)]) for k in range(4)])
+    columns = {key: np.ones(4, dtype=bool) if dtype == bool else zeros.copy()
+               for key, dtype in SAMPLE_COLUMN_DTYPES.items()}
+    points = np.array([[0.1j], [-0.0], [0.2], [0.3 - 0.1j], [0.0]])
+    return points, np.array([0, 1, 3, 4]), columns, {2: cli.kahler.KahlerError("e")}
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(sample_tables())
+@example(_zero_table(1.0))  # the columns the jet support makes zero
+@example(_zero_table(-1.0))
+@example(_zero_table(1.0, -1.0))
+@example(_zero_table(-1.0, 1.0, 1.0, 1.0))
 def test_sample_tables_are_written_as_json_dumps_writes_them(args):
     table = cli._sample_records(*args)
     # as text, where NaN equals NaN
@@ -719,13 +733,24 @@ def _poison_christoffel(monkeypatch):
 def test_catalog_numeric_error_exit_code(monkeypatch, capsys):
     """An error verdict exits 3 from catalog as from verify, before the
     mismatch with the row's expected verdict is counted."""
-    _poison_christoffel(monkeypatch)
+    metric_batch = cli.kahler.metric_batch
+
+    def failing(potential, points):
+        # the torus's Gamma is zero by its jet support and never read, so the
+        # second sample of every pass fails in the metric layer
+        md, failures = metric_batch(potential, points)
+        assert not failures
+        failures[1] = cli.kahler.KahlerError("non-finite partials of the potential")
+        return md[np.arange(len(points)) != 1], failures
+
+    monkeypatch.setattr(cli.kahler, "metric_batch", failing)
     argv = ["--json", "--samples", "2", "catalog", "--catalog", "torus"]
     assert main(argv) == 3
     (report,) = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "error" and not report["matches_expected"]
-    # the second sample's Gamma is poisoned; its metric is fine
-    assert [s.get("error") for s in report["samples"]] == [None, "non-finite structure constants"]
+    assert [s.get("error") for s in report["samples"]] == [
+        None, "non-finite partials of the potential"
+    ]
     assert report["reasons"] == ["non-finite values at sampled points"]
 
 
@@ -867,6 +892,12 @@ def _linear_group(*rows):
         # ... and R reads up to 3.7e-9 on this flat chart, g^-1 R 9.3e-16
         (_two_dim("non-affine-flat-4e6", f"4e6*({NON_AFFINE_FLAT})"), "pre-frobenius",
          ["associativity / pencil flatness failed"]),
+        # the inverse metric overflows to inf, but the jet support makes Gamma,
+        # R and Ric zero: no product reads H (0 * inf would be NaN), and the
+        # scaled torus is flat as the torus is
+        (dict(name="torus-1e-309", dim=1, potential="1e-309*z1*zbar1",
+              sample_domain=ROTATION_SPEC["sample_domain"]), "frobenius", []),
+        (_two_dim("torus-1e-320", "1e-320*(z1*zbar1 + z2*zbar2)"), "frobenius", []),
     ],
     ids=lambda v: v["name"] if isinstance(v, dict) else None,
 )
@@ -945,6 +976,98 @@ def test_one_pass_forms_the_commutator_once(monkeypatch):
     _, columns, _ = cli._sample_columns(parse(FS_SPEC["potential"], 2), points)
     assert calls == [(2, 2, 2, 2)]
     assert columns["associator"].shape == (2,)
+
+
+def _flat_chart(dim):
+    """A flat metric in affine coordinates plus pluriharmonic terms, whose
+    jets fill pure (anti)holomorphic entries and none of phi3 or ddbar."""
+    metric = " + ".join(f"{1 + 0.1 * a}*z{a}*zbar{a}" for a in range(1, dim + 1))
+    return (f"{metric} + 0.05*(z1*zbar{dim} + z{dim}*zbar1) + re(exp(0.5*z1 - 0.3*z{dim}))"
+            f" + im((0.4*z{dim} + z1)^3) + re(0.3*z1*z{dim}*(z1 - 0.7*z{dim})^2)")
+
+
+# (potential, whether its jet support leaves out phi3 and ddbar) at dims 1-4
+SUPPORT_CHARTS = [
+    *((_flat_chart(dim), dim, True) for dim in (1, 2, 3, 4)),
+    *((f"log(1 + {' + '.join(f'z{a}*zbar{a}' for a in range(1, dim + 1))})", dim, False)
+      for dim in (1, 2, 3, 4)),
+    *((f"{' + '.join(f'z{a}*zbar{a}' for a in range(1, dim + 1))}"
+       f" + 0.1*(z{dim}*zbar{dim})^2 + 0.05*re(z1^2*zbar{dim}^2)", dim, False)
+      for dim in (1, 2, 3, 4)),
+]
+
+
+@pytest.mark.parametrize("text, dim, flat", SUPPORT_CHARTS)
+def test_a_column_reads_only_its_blocks(monkeypatch, text, dim, flat):
+    """Zero every jet entry outside the metric and a column's READS blocks
+    (and their conjugates), on the full support so that nothing is
+    skipped: the column is bit for bit what the chart gives, skip or no
+    skip.  Where a column is not zero (curved charts, bar wdvv and the
+    associator at dim 1), zeroing any one block it reads moves it."""
+    from frobenius_verify.wirtinger import Jet, _table
+
+    potential = parse(text, dim)
+    points = sample_points({"re": [[-0.4, 0.4]] * dim, "im": [[-0.4, 0.4]] * dim},
+                           dim, 6, 7, text)
+    good, columns, failures = cli._sample_columns(potential, points)
+    assert not failures and len(good) == 6
+    t = _table(dim)
+    gathers = {"g": t.g_idx, "phi3": t.phi3_idx, "ddbar": t.ddbar_idx}
+    jet_eval = cli.kahler.jet_eval
+
+    def column_of(key, blocks):
+        keep = np.zeros(len(t.entries), dtype=bool)
+        for block in ("g", *blocks):
+            keep[gathers[block].ravel()] = True
+        keep |= keep[t.conj_perm]
+
+        def kept(potential, point, failures=None):
+            dense = jet_eval(potential, point, failures).dense()
+            return Jet(dim, np.where(keep[:, None], dense, 0), (1 << len(t.entries)) - 1)
+
+        monkeypatch.setattr(cli.kahler, "jet_eval", kept)
+        _, alone, _ = cli._sample_columns(potential, points)
+        monkeypatch.undo()
+        return alone[key].tobytes()
+
+    for key, reads in cli.READS.items():
+        assert column_of(key, reads) == columns[key].tobytes(), key
+        for block in reads if columns[key].any() else ():
+            assert column_of(key, set(reads) - {block}) != columns[key].tobytes(), (key, block)
+    md, _ = cli.kahler.metric_batch(potential, points)
+    assert md.zero == ({"phi3", "ddbar"} if flat else set())
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_a_flat_chart_forms_no_tensor_of_a_zero_block(monkeypatch, dim):
+    """Where the support leaves out phi3 and ddbar, no column that reads
+    them is computed: each is +0.0 at every sample."""
+    for name in ("wdvv_residual_at", "ricci_c1_check"):
+        monkeypatch.setattr(cli.kahler, name, mock.Mock(side_effect=AssertionError(name)))
+    monkeypatch.setattr(cli.frob, "pencil_curvature", mock.Mock(side_effect=AssertionError))
+    points = sample_points({"re": [[-0.4, 0.4]] * dim, "im": [[-0.4, 0.4]] * dim}, dim, 5, 1, "x")
+    good, columns, failures = cli._sample_columns(parse(_flat_chart(dim), dim), points)
+    assert not failures and len(good) == 5
+    zero = [key for key, reads in cli.READS.items() if reads]
+    assert all(columns[key].tobytes() == np.zeros(5).tobytes() for key in zero)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [*hyperelliptic_catalog(),
+     *(load_manifold_spec(dict(name=f"flat-{dim}", dim=dim, potential=_flat_chart(dim),
+                               sample_domain={"re": [[-0.4, 0.4]] * dim,
+                                              "im": [[-0.4, 0.4]] * dim}))
+       for dim in (1, 2, 3, 4))],
+    ids=lambda entry: entry.name,
+)
+def test_reports_do_not_depend_on_the_skip(monkeypatch, entry):
+    """With the pattern forced to "nothing zero" every tensor is formed,
+    and the report keeps its bytes."""
+    config = Config(samples=16)
+    skipped = to_json(run_verify(entry, config))
+    monkeypatch.setattr(cli.kahler, "zero_blocks", lambda dim, support: frozenset())
+    assert to_json(run_verify(entry, config)) == skipped
 
 
 def test_sample_record_keys():
