@@ -38,8 +38,9 @@ MAX_SAMPLES = 10_000
 MAX_DIM = 6
 # Group checks build all |G|^2 composites: about 0.1 s at 64 elements.
 MAX_GROUP_ELEMENTS = 64
-# Points of the theta quasi-periodicity table (the first 8 also test products)
+# Points of the theta quasi-periodicity table (the first MULT_POINTS also test products)
 THETA_POINTS = 20
+MULT_POINTS = 8
 # Sample points per pass: about this many entries of an n^4 tensor (32 points
 # at dim 4, 13 at 5, 6 at 6, all 64 default samples at dims 1-3).  One jet pass
 # feeds one tensor pass.  A whole dim-4 verify in 32-point passes peaks at about
@@ -554,22 +555,26 @@ def run_theta(tau: np.ndarray, level: int, config: Config) -> dict:
     t1 = th.riemann_type_of(spec)
     shifts = t1.lattice.generators
     gens = np.arange(2 * g)[:, None]  # a row of residuals per lattice generator
-    # one batched series per characteristic: the points and their 2g shifts
-    base1, shifted1 = th.values_with_shifts(spec, zs, shifts, config.radius, tails)
-    qp = th.shift_residual(t1.factor(zs, gens), base1, shifted1)
+    # one series on tau: theta[0, 0] at the points and theta[1/2, 0] at the
+    # first MULT_POINTS (columns n: of the values), each with its 2g shifts
+    half, n = np.full(g, 0.5), THETA_POINTS
+    chars = np.repeat([spec.alpha, half], [n, MULT_POINTS], axis=0)
+    batch = th.RiemannThetaSpec(tau=tau, alpha=np.tile(chars, (2 * g + 1, 1)), beta=spec.beta)
+    points = np.concatenate([zs, zs[:MULT_POINTS]])
+    values, shifted = th.values_with_shifts(batch, points, shifts, config.radius, tails)
+    scale = th.nearest_term(tau, spec.alpha, zs + shifts[:, None, :])
+    qp = th.shift_residual(t1.factor(zs, gens), values[:n], shifted[:, :n], scale)
 
-    # multiplicativity: product of two characteristics obeys the summed type
-    spec2 = th.RiemannThetaSpec(tau=tau, alpha=np.full(g, 0.5), beta=np.zeros(g))
-    tsum = th.multiply_types(t1, th.riemann_type_of(spec2))
-    mult_rows = 8
-    base2, shifted2 = th.values_with_shifts(
-        spec2, zs[:mult_rows], shifts, config.radius, tails
-    )
-    mult = th.shift_residual(
-        tsum.factor(zs[:mult_rows], gens),
-        base1[:mult_rows] * base2,
-        shifted1[:, :mult_rows] * shifted2,
-    )
+    # multiplicativity: product of two characteristics obeys the summed
+    # type; theta[1/2, 0] has t1's lattice and L, and J differs on the e_j
+    t2 = th.ThetaType(g, t1.lattice, t1.rows, np.concatenate([half, t1.j_values[g:]]))
+    m = slice(MULT_POINTS)
+    with np.errstate(over="ignore"):  # a scale past double range floors at inf
+        mult = th.shift_residual(
+            th.multiply_types(t1, t2).factor(zs[m], gens),
+            values[m] * values[n:], shifted[:, m] * shifted[:, n:],
+            scale[:, m] * th.nearest_term(tau, half, zs[m] + shifts[:, None, :]),
+        )
     worst_qp, worst_mult = float(np.max(qp)), float(np.max(mult))
     # a row per generator and point, generator-major
     qp_rows = RowTable(qp.size, [(
@@ -581,17 +586,12 @@ def run_theta(tau: np.ndarray, level: int, config: Config) -> dict:
          qp.ravel()),
     )])
 
-    tail = max(tails)
+    tail, tol = max(tails), config.tolerances
     expected_dim = level**g
     reasons = []
-    if not tail <= config.tolerances["theta"]:
-        reasons.append(
-            f"theta truncation bound exceeds tolerance at radius {config.radius}"
-        )
-    if not (
-        worst_qp < config.tolerances["theta"]
-        and worst_mult < config.tolerances["theta_mult"]
-    ):
+    if not tail <= tol["theta"]:
+        reasons.append(f"theta truncation bound exceeds tolerance at radius {config.radius}")
+    if not (worst_qp < tol["theta"] and worst_mult < tol["theta_mult"]):
         reasons.append("theta residuals exceed tolerance")
     if dim_result != expected_dim:
         reasons.append(f"theta level count {dim_result} below level^g = {expected_dim}")
@@ -599,7 +599,7 @@ def run_theta(tau: np.ndarray, level: int, config: Config) -> dict:
         "spec": f"theta(g={g}, level={level})",
         "version": __version__,
         "seed": config.seed,
-        "tolerances": config.tolerances,
+        "tolerances": tol,
         "radius": config.radius,
         "samples": qp_rows,
         "multiplicativity": worst_mult,

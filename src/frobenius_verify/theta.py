@@ -53,11 +53,12 @@ and do not change the stored data.  Types add under multiplication of
 theta functions, which is the group law checked here.
 
 Evaluation is batched: one call takes a single point or a stack of
-points.  Every point sums the same number of terms, so the points are
-walked in dense blocks of at most ``BLOCK_ENTRIES`` series terms and
-peak memory does not grow with the batch.  A row is formed from
-elementwise operations on that point's data alone, so a batched value
-equals the one-point value bit for bit.
+points, and the characteristics may be given per point, so one call
+serves every characteristic on a period matrix.  Every point sums the
+same number of terms, so the points are walked in dense blocks of at
+most ``BLOCK_ENTRIES`` series terms and peak memory does not grow with
+the batch.  A row is formed from elementwise operations on that point's
+data alone, so a batched value equals the one-point value bit for bit.
 """
 
 from __future__ import annotations
@@ -87,9 +88,9 @@ MAX_TAU = 100.0
 BLOCK_ENTRIES = 4096
 # The omitted tail, relative to the envelope, that sets the ellipsoid.
 TAIL_TARGET = 1e-16
-# Templates kept: a command uses two Im tau (tau for the checked
-# characteristics, level * tau for the level count).  A template holds at
-# most (2 MAX_RADIUS + 1)^g offsets, 2.6 MB at genus 2.
+# Templates (and Siegel checks) kept: a command uses two period matrices,
+# tau for the checked characteristics and level * tau for the level count.
+# A template holds at most (2 MAX_RADIUS + 1)^g offsets, 2.6 MB at genus 2.
 TEMPLATE_CACHE = 8
 
 
@@ -105,9 +106,21 @@ class LatticeMismatchError(ThetaError):
     pass
 
 
+@functools.lru_cache(maxsize=TEMPLATE_CACHE)
+def _check_siegel(tau_bytes: bytes, g: int) -> None:
+    """Raise unless the g x g tau with C-order bytes ``tau_bytes`` is symmetric with positive
+    definite imaginary part.  Cached: the specs of a command share two period matrices."""
+    tau = np.frombuffer(tau_bytes, dtype=np.complex128).reshape(g, g)
+    if np.max(np.abs(tau - tau.T)) > 1e-12:
+        raise SiegelDomainError("tau must be symmetric")
+    if np.linalg.eigvalsh(tau.imag)[0] <= 0:
+        raise SiegelDomainError("tau not in Siegel upper half space")
+
+
 @dataclass(frozen=True, eq=False)
 class RiemannThetaSpec:
-    """Series data: g x g period matrix and characteristics."""
+    """Series data: g x g period matrix and real characteristics, each
+    ``(g,)`` or one row per point of a call, ``(Nz, g)``."""
 
     tau: np.ndarray
     alpha: np.ndarray
@@ -117,18 +130,12 @@ class RiemannThetaSpec:
         tau = np.asarray(self.tau, dtype=np.complex128)
         if tau.ndim != 2 or tau.shape[0] != tau.shape[1]:
             raise SiegelDomainError("tau must be square")
-        if np.max(np.abs(tau - tau.T)) > 1e-12:
-            raise SiegelDomainError("tau must be symmetric")
-        eigs = np.linalg.eigvalsh(tau.imag)
-        if eigs[0] <= 0:
-            raise SiegelDomainError("tau not in Siegel upper half space")
+        g = len(tau)
+        _check_siegel(tau.tobytes(), g)
         object.__setattr__(self, "tau", tau)
-        object.__setattr__(
-            self, "alpha", np.asarray(self.alpha, dtype=np.float64).reshape(tau.shape[0])
-        )
-        object.__setattr__(
-            self, "beta", np.asarray(self.beta, dtype=np.float64).reshape(tau.shape[0])
-        )
+        for name in ("alpha", "beta"):
+            c = np.asarray(getattr(self, name), dtype=np.float64)
+            object.__setattr__(self, name, c.reshape((len(c), g) if c.ndim == 2 else g))
 
     @property
     def genus(self) -> int:
@@ -219,9 +226,7 @@ def _point_bounds(tpl: _Template, y: np.ndarray, e: np.ndarray) -> np.ndarray:
     pi v_j^2 / (Y^-1)_jj.  Unless the window was clipped, both are >= r."""
     ye = _rows_times(e, y)
     r_outer = tpl.outer - np.sqrt(math.pi * sum(e[:, j] * ye[:, j] for j in range(len(y))))
-    r_axis = np.min(
-        np.sqrt(math.pi / np.diag(tpl.y_inv)) * (tpl.half + 1 - np.abs(e)), axis=1
-    )
+    r_axis = np.min(np.sqrt(math.pi / np.diag(tpl.y_inv)) * (tpl.half + 1 - np.abs(e)), axis=1)
     radii = np.minimum(tpl.r, np.minimum(r_outer, r_axis)).tolist()
     bounds = {r: _ellipsoid_tail(len(y), tpl.rho, r) for r in set(radii)}
     return np.array([bounds[r] for r in radii])
@@ -234,9 +239,10 @@ def eval_riemann_theta(
 
     ``z`` is one point of shape ``(g,)`` or a batch of shape
     ``(Nz, g)``; a batch gives ``(Nz,)`` arrays whose rows equal the
-    one-point results bit for bit.  ``1 <= radius <= MAX_RADIUS``: no
-    term with |n|_inf > radius is summed.  The bound is relative to the
-    envelope exp(pi y^T Y^-1 y), with y = Im(z + beta) and Y = Im tau.
+    one-point results bit for bit, also where the spec gives each row
+    its own characteristics.  ``1 <= radius <= MAX_RADIUS``: no term with
+    |n|_inf > radius is summed.  The bound is relative to the envelope
+    exp(pi y^T Y^-1 y), with y = Im(z + beta) and Y = Im tau.
     """
     if not 1 <= radius <= MAX_RADIUS:
         raise ValueError(f"radius must be between 1 and {MAX_RADIUS}")
@@ -247,6 +253,8 @@ def eval_riemann_theta(
         zs = zs.reshape(1, g)
     elif zs.ndim != 2 or zs.shape[1] != g:
         raise ValueError(f"z must have shape ({g},) or (Nz, {g})")
+    if any(c.ndim == 2 and len(c) != len(zs) for c in (spec.alpha, spec.beta)):
+        raise ValueError(f"characteristics must have one row per point, {len(zs)}")
     tau, y = spec.tau, spec.tau.imag
     # a tiny Im tau or a huge Im z overflows somewhere below; a value that
     # is not finite raises, and a bound that is not finite reads inf
@@ -319,20 +327,9 @@ def riemann_type_of(spec: RiemannThetaSpec) -> ThetaType:
     """(L, J) data of the truncated-series realization with respect to
     the lattice Z^g + tau Z^g."""
     g = spec.genus
-    gens = []
-    for j in range(g):
-        e = np.zeros(g, dtype=np.complex128)
-        e[j] = 1.0
-        gens.append(e)
-    for j in range(g):
-        gens.append(spec.tau[:, j])
-    lattice = Lattice(np.stack(gens))
-    rows = np.zeros((2 * g, g), dtype=np.complex128)
-    jv = np.zeros(2 * g, dtype=np.complex128)
-    for j in range(g):
-        jv[j] = spec.alpha[j]
-        rows[g + j, j] = -1.0
-        jv[g + j] = -spec.tau[j, j] / 2.0 - spec.beta[j]
+    lattice = Lattice(np.concatenate([np.eye(g), spec.tau.T]))
+    rows = np.concatenate([np.zeros((g, g)), np.diag(np.full(g, -1.0))])
+    jv = np.concatenate([spec.alpha, -np.diag(spec.tau) / 2.0 - spec.beta])
     return ThetaType(g, lattice, rows, jv)
 
 
@@ -342,26 +339,32 @@ def multiply_types(t1: ThetaType, t2: ThetaType) -> ThetaType:
         raise LatticeMismatchError("genus mismatch")
     if np.max(np.abs(t1.lattice.generators - t2.lattice.generators)) > 1e-12:
         raise LatticeMismatchError("types live on different lattices")
-    return ThetaType(
-        t1.genus,
-        t1.lattice,
-        t1.rows + t2.rows,
-        t1.j_values + t2.j_values,
-    )
+    return ThetaType(t1.genus, t1.lattice, t1.rows + t2.rows, t1.j_values + t2.j_values)
+
+
+def nearest_term(tau: np.ndarray, alpha: np.ndarray, z) -> np.ndarray:
+    """Modulus of the term of theta[alpha, beta] on tau at each point of
+    ``z`` (..., g) whose n + alpha is nearest the Gaussian centre c, per
+    axis as the series centres its window: the envelope times
+    exp(-pi d^T Y d), d = n + alpha - c.  Rounding noise in the sum
+    scales with it, and a shift by tau e_j multiplies it by |e(L + J)|."""
+    y, big = np.asarray(z).imag, tau.imag
+    c = -y @ np.linalg.inv(big)
+    d = np.floor(c - alpha + 0.5) + alpha - c
+    with np.errstate(over="ignore"):
+        return np.exp(np.pi * np.sum(-y * c - d * (d @ big), axis=-1))
 
 
 def values_with_shifts(
-    spec: RiemannThetaSpec,
-    zs: np.ndarray,
-    shifts: np.ndarray,
-    radius: int,
+    spec: RiemannThetaSpec, zs: np.ndarray, shifts: np.ndarray, radius: int,
     tails: Optional[list] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Theta at each row of ``zs`` and at ``zs + shifts[k]`` for every
     row of ``shifts``, from one batched call: ``(base, shifted)`` with
     ``base`` (N,) and ``shifted[k, i]`` the value at ``zs[i] + shifts[k]``.
-    Given a ``tails`` list, the largest tail bound of the call is
-    appended to it."""
+    A spec with characteristic rows gives one per point of that call:
+    the N rows of ``zs``, then the N of each shift in turn.  Given a
+    ``tails`` list, the largest tail bound of the call is appended."""
     zs = np.asarray(zs, dtype=np.complex128)
     points = np.concatenate([zs, (zs + shifts[:, None, :]).reshape(-1, spec.genus)])
     result = eval_riemann_theta(spec, points, radius)
@@ -371,21 +374,22 @@ def values_with_shifts(
     return result.value[:n], result.value[n:].reshape(len(shifts), n)
 
 
-def shift_residual(factor, base, shifted) -> np.ndarray:
-    """|lhs - rhs| / max(|lhs|, |rhs|, floor) with lhs = H(z+l),
-    rhs = factor H(z) and ``factor = e(L(z,l)+J(l))``: relative to the
-    compared values, which grow like exp(pi Im tau) along tau.  The
-    arguments broadcast; a NaN gives NaN."""
-    rhs = factor * base
-    scale = np.maximum(np.maximum(np.abs(shifted), np.abs(rhs)), RESIDUAL_FLOOR)
-    return np.abs(shifted - rhs) / scale
+def shift_residual(factor, base, shifted, scale) -> np.ndarray:
+    """|lhs - rhs| / max(|lhs|, |rhs|, RESIDUAL_FLOOR scale) with
+    lhs = H(z+l), rhs = factor H(z), ``factor = e(L(z,l)+J(l))`` and
+    ``scale`` the :func:`nearest_term` of H at z + l, which is |factor|
+    times that at z (for a product, the product of theirs): relative to
+    the compared values, which grow like exp(pi Im tau) along tau, and
+    near a zero of H to the scale of its rounding noise.  The arguments
+    broadcast; a NaN, or a value or scale past double range, gives NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = factor * base
+        floor = RESIDUAL_FLOOR * np.where(np.isfinite(scale), scale, np.nan)
+        return np.abs(shifted - rhs) / np.maximum(np.maximum(np.abs(shifted), np.abs(rhs)), floor)
 
 
 def quasi_periodicity_residual(
-    spec: RiemannThetaSpec,
-    z: Sequence[complex],
-    gen_index: int,
-    radius: int,
+    spec: RiemannThetaSpec, z: Sequence[complex], gen_index: int, radius: int
 ) -> float:
     """Quasi-periodicity residual (:func:`shift_residual`) at ``z`` for
     the lattice generator with the given index (0..2g-1).
@@ -397,15 +401,12 @@ def quasi_periodicity_residual(
     zv = np.asarray(z, dtype=np.complex128).reshape(1, spec.genus)
     shift = ttype.lattice.generators[[gen_index]]
     base, shifted = values_with_shifts(spec, zv, shift, radius)
-    return float(shift_residual(ttype.factor(zv, gen_index), base, shifted)[0, 0])
+    scale = nearest_term(spec.tau, spec.alpha, zv + shift)
+    return float(shift_residual(ttype.factor(zv, gen_index), base, shifted, scale)[0, 0])
 
 
 def level_space_dimension(
-    g: int,
-    s: int,
-    tau: np.ndarray,
-    radius: int = 30,
-    tails: Optional[list] = None,
+    g: int, s: int, tau: np.ndarray, radius: int = 30, tails: Optional[list] = None
 ) -> int:
     """Certified count of independent level-s theta functions.
 
@@ -417,7 +418,8 @@ def level_space_dimension(
     the f_k with a certified nonzero value are independent: the count is
     exact at s^g and a lower bound below it.
 
-    f_k is summed at z - tau a', z in ``LEVEL_POINTS`` and a' the shortest
+    Every f_k is summed, in one call on s tau with a characteristic row
+    per point, at z - tau a', z in ``LEVEL_POINTS`` and a' the shortest
     k/s - c, c in {0, 1}^g, in the Im tau metric (k/s - round(k/s) for a
     diagonal Im tau; off it, that choice can overflow at |tau| = 100).
     There f_k is theta(s z, s tau) times a factor that its envelope
@@ -426,7 +428,7 @@ def level_space_dimension(
     at most (2 MAX_RADIUS + 1)^g terms of modulus at most the envelope, and
     ``rounding`` allows 2^-52 of the envelope (two roundings) for each, at
     most 3.6e-11, far below |f_k| / envelope away from a zero.  Given a
-    ``tails`` list, the largest tail bound of the series is appended to it.
+    ``tails`` list, the largest tail bound of the call is appended to it.
     """
     if not 1 <= g <= MAX_GENUS:
         raise ValueError(f"supported genus: 1..{MAX_GENUS}")
@@ -436,20 +438,18 @@ def level_space_dimension(
     y_inv = np.linalg.inv(s * tau.imag)
     rounding = (2 * MAX_RADIUS + 1) ** g * 2.0**-52
     corners = np.array(list(np.ndindex(*([2] * g))))
-    certified, worst = 0, 0.0
-    for k in np.ndindex(*([s] * g)):
-        a = np.array(k) / s
+    alphas = np.array(list(np.ndindex(*([s] * g)))) / s
+    zs = []
+    for a in alphas:
         reps = a - corners
         shift = reps[np.argmin(np.einsum("ci,ij,cj->c", reps, tau.imag, reps))]
-        spec = RiemannThetaSpec(tau=s * tau, alpha=a, beta=np.zeros(g))
-        zs = s * (LEVEL_POINTS[:, :g] - tau @ shift)
-        result = eval_riemann_theta(spec, zs, radius)
-        with np.errstate(all="ignore"):
-            envelope = np.exp(np.pi * np.einsum("pi,ij,pj->p", zs.imag, y_inv, zs.imag))
-            certified += bool(
-                np.any(np.abs(result.value) > envelope * (result.tail_bound + rounding))
-            )
-        worst = max(worst, float(np.max(result.tail_bound)))
+        zs.append(s * (LEVEL_POINTS[:, :g] - tau @ shift))
+    zs, n = np.concatenate(zs), len(LEVEL_POINTS)
+    spec = RiemannThetaSpec(tau=s * tau, alpha=np.repeat(alphas, n, axis=0), beta=np.zeros(g))
+    result = eval_riemann_theta(spec, zs, radius)
+    with np.errstate(all="ignore"):
+        envelope = np.exp(np.pi * np.einsum("pi,ij,pj->p", zs.imag, y_inv, zs.imag))
+        nonzero = np.abs(result.value) > envelope * (result.tail_bound + rounding)
     if tails is not None:
-        tails.append(worst)
-    return certified
+        tails.append(float(np.max(result.tail_bound)))
+    return int(np.sum(np.any(nonzero.reshape(-1, n), axis=1)))

@@ -643,7 +643,9 @@ def scalar_theta_residuals(tau, zs, radius, mult_rows=8):
     at a time: the quasi-periodicity residuals of the characteristic
     [0, 0] (generator-major, as the report lists them) and the worst
     multiplicativity residual of [0, 0] times [1/2, 0] over the first
-    ``mult_rows`` points."""
+    ``mult_rows`` points.  The floor of each residual is RESIDUAL_FLOOR
+    times the largest term modulus at the shifted point (of each factor,
+    for a product), found by scanning the terms of a box around it."""
     from frobenius_verify.theta import (
         RESIDUAL_FLOOR,
         RiemannThetaSpec,
@@ -666,12 +668,24 @@ def scalar_theta_residuals(tau, zs, radius, mult_rows=8):
         lin = complex(sum(ttype.rows[k][i] * z[i] for i in range(g)))
         return complex(np.exp(2j * np.pi * (lin + ttype.j_values[k])))
 
-    def residual(f, base, shifted):
+    def largest_term(alpha, z):
+        # |term| = exp(-pi w^T Y w - 2 pi w^T Im z), w = n + alpha; the
+        # box |n|_inf <= 4 holds the centres of these points
+        y = [v.imag for v in z]
+        return max(
+            math.exp(-math.pi * sum(w[i] * tau[i][j].imag * w[j] for i in range(g) for j in range(g))
+                     - 2 * math.pi * sum(w[i] * y[i] for i in range(g)))
+            for n in itertools.product(range(-4, 5), repeat=g)
+            for w in [[n[i] + alpha[i] for i in range(g)]]
+        )
+
+    def residual(f, base, shifted, scale):
         rhs = f * base
-        return abs(shifted - rhs) / max(abs(shifted), abs(rhs), RESIDUAL_FLOOR)
+        return abs(shifted - rhs) / max(abs(shifted), abs(rhs), RESIDUAL_FLOOR * scale)
 
     qp = [
-        residual(factor(t1, z, k), value(spec1, z), value(spec1, z + gens[k]))
+        residual(factor(t1, z, k), value(spec1, z), value(spec1, z + gens[k]),
+                 largest_term(spec1.alpha, z + gens[k]))
         for k in range(2 * g)
         for z in zs
     ]
@@ -680,6 +694,7 @@ def scalar_theta_residuals(tau, zs, radius, mult_rows=8):
             factor(tsum, z, k),
             value(spec1, z) * value(spec2, z),
             value(spec1, z + gens[k]) * value(spec2, z + gens[k]),
+            largest_term(spec1.alpha, z + gens[k]) * largest_term(spec2.alpha, z + gens[k]),
         )
         for k in range(2 * g)
         for z in zs[:mult_rows]

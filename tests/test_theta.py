@@ -8,6 +8,7 @@ from frobenius_verify.cli import Config, run_theta
 from frobenius_verify.theta import (
     BLOCK_ENTRIES,
     MAX_RADIUS,
+    RESIDUAL_FLOOR,
     TAIL_TARGET,
     LatticeMismatchError,
     RiemannThetaSpec,
@@ -18,6 +19,7 @@ from frobenius_verify.theta import (
     eval_riemann_theta,
     level_space_dimension,
     multiply_types,
+    nearest_term,
     quasi_periodicity_residual,
     riemann_type_of,
     shift_residual,
@@ -93,10 +95,54 @@ def test_shift_residual_catches_a_perturbed_factor(gen):
     ttype = riemann_type_of(spec)
     bad = ThetaType(1, ttype.lattice, ttype.rows, ttype.j_values + 1e-6)
     zs = np.array([[0.13 + 0.07j], [-0.42 + 0.19j]])
-    base, (shifted,) = values_with_shifts(spec, zs, ttype.lattice.generators[[gen]], 30)
-    for z, h, hs in zip(zs, base, shifted):
-        assert shift_residual(ttype.factor(z, gen), h, hs) < 1e-13
-        assert shift_residual(bad.factor(z, gen), h, hs) > 1e-6
+    shift = ttype.lattice.generators[[gen]]
+    base, (shifted,) = values_with_shifts(spec, zs, shift, 30)
+    scales = nearest_term(spec.tau, spec.alpha, zs + shift)
+    for z, h, hs, scale in zip(zs, base, shifted, scales):
+        assert shift_residual(ttype.factor(z, gen), h, hs, scale) < 1e-13
+        assert shift_residual(bad.factor(z, gen), h, hs, scale) > 1e-6
+
+
+def _theta_zero_shifted_by_tau():
+    """theta at the zero z = (1+i)/2 of tau = i and at z + tau, with the
+    factor, and the nearest-term scale at z + tau, which is |factor|
+    times that at z."""
+    spec = _spec1()
+    ttype = riemann_type_of(spec)
+    z = np.array([[(1 + 1j) / 2]])
+    shift = ttype.lattice.generators[[1]]
+    (base,), ((shifted,),) = values_with_shifts(spec, z, shift, 30)
+    scale = nearest_term(spec.tau, spec.alpha, z + shift)[0]
+    factor = ttype.factor(z[0], 1)
+    assert scale == pytest.approx(abs(factor) * nearest_term(spec.tau, spec.alpha, z)[0])
+    return factor, base, shifted, scale
+
+
+def test_shift_residual_at_a_zero_reads_noise_relative_to_the_nearest_term():
+    """Rounding noise of 1e-16 of the envelope in each compared value stays
+    far below the 1e-8 tolerance, where an absolute floor of
+    RESIDUAL_FLOOR would read it as over 1e-8."""
+    factor, base, shifted, scale = _theta_zero_shifted_by_tau()
+    envelope = np.exp(np.pi * 1.5**2)  # exp(pi y^2 / Y) at z + tau, y = 3/2
+    assert scale <= envelope
+    noise = 1e-16 * envelope
+    # the two values moved apart by the noise, each on its own side
+    base_off = base - noise / factor
+    shifted_off = shifted + noise
+    assert shift_residual(factor, base_off, shifted_off, scale) < 1e-8
+    assert abs(shifted_off - factor * base_off) / RESIDUAL_FLOOR > 1e-8
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-16])
+def test_shift_residual_is_unchanged_by_a_common_scale(noise):
+    """Theta values and their scale grow together (by exp(pi Im tau) along
+    tau), so one common factor on all three leaves the residual as it was,
+    where the floor decides it and where the values do."""
+    factor, base, shifted, scale = _theta_zero_shifted_by_tau()
+    base, shifted = base + noise, shifted + 1e4 * noise
+    residual = shift_residual(factor, base, shifted, scale)
+    for common in (2.0**-60, 2.0**40):
+        assert shift_residual(factor, common * base, common * shifted, common * scale) == residual
 
 
 def test_quasi_periodicity_genus_two():
@@ -304,6 +350,9 @@ BATCH_CASES = [
 
 @pytest.mark.parametrize("tau, alpha, beta, radius", BATCH_CASES)
 def test_batch_equals_single_points_bitwise(tau, alpha, beta, radius):
+    """Rows of one call equal one-point calls bit for bit, with the case's
+    characteristics on every row and with rows that alternate between
+    them and [1/2 - alpha, 0]; the batch crosses block boundaries."""
     spec = RiemannThetaSpec(tau=tau, alpha=alpha, beta=beta)
     g = spec.genus
     y = spec.tau.imag
@@ -313,10 +362,45 @@ def test_batch_equals_single_points_bitwise(tau, alpha, beta, radius):
     rng = np.random.default_rng(41)
     # |Im z| up to 2 moves the Gaussian centres, so rows sum different n
     zs = rng.uniform(-1, 1, (count, g)) + 2j * rng.uniform(-1, 1, (count, g))
-    batch = eval_riemann_theta(spec, zs, radius)
-    singles = [eval_riemann_theta(spec, z, radius) for z in zs]
-    assert batch.value.tolist() == [v.value for v in singles]
-    assert batch.tail_bound.tolist() == [v.tail_bound for v in singles]
+    other = RiemannThetaSpec(tau=tau, alpha=0.5 - spec.alpha, beta=np.zeros(g))
+    mixed = [other if i % 2 else spec for i in range(count)]
+    rows = RiemannThetaSpec(
+        tau=tau, alpha=[s.alpha for s in mixed], beta=[s.beta for s in mixed]
+    )
+    for batch_spec, specs in ((spec, [spec] * count), (rows, mixed)):
+        batch = eval_riemann_theta(batch_spec, zs, radius)
+        singles = [eval_riemann_theta(s, z, radius) for s, z in zip(specs, zs)]
+        assert batch.value.tolist() == [v.value for v in singles]
+        assert batch.tail_bound.tolist() == [v.tail_bound for v in singles]
+
+
+def test_characteristic_rows_must_match_the_points():
+    spec = RiemannThetaSpec(tau=[[1j]], alpha=np.zeros((3, 1)), beta=[0.0])
+    assert eval_riemann_theta(spec, np.zeros((3, 1)), 30).value.shape == (3,)
+    for points in (np.zeros((2, 1)), np.zeros((4, 1)), [0.1]):
+        with pytest.raises(ValueError, match="one row per point"):
+            eval_riemann_theta(spec, points, 30)
+    rows = RiemannThetaSpec(tau=[[1j]], alpha=[0.0], beta=np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="one row per point"):
+        eval_riemann_theta(rows, np.zeros((3, 1)), 30)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+@pytest.mark.parametrize("genus, tau", [(1, [[0.2 + 0.9j]]), (2, [[1.1j, 0.2], [0.2, 0.7j]])])
+def test_run_theta_makes_one_series_call_per_period_matrix(monkeypatch, genus, tau, level):
+    """One call on level * tau for the level count and one on tau for
+    every checked characteristic."""
+    taus = []
+
+    def counting(spec, z, radius):
+        taus.append(spec.tau)
+        return original(spec, z, radius)
+
+    original = th.eval_riemann_theta
+    monkeypatch.setattr(th, "eval_riemann_theta", counting)
+    run_theta(np.array(tau), level, Config())
+    assert len(taus) == 2
+    assert np.array_equal(taus[0], level * np.array(tau)) and np.array_equal(taus[1], tau)
 
 
 # (tau, alpha, beta): genus 1 and 2 with nonzero characteristics, and a
@@ -355,13 +439,13 @@ def test_template_holds_every_centre_ellipsoid(tau, alpha, beta):
 
 
 def test_template_is_built_once_per_im_tau():
-    """A genus-2 level-2 command sums six characteristics over two Im tau
-    (tau and level * tau) and builds two templates; a cached template
-    cannot be written to."""
+    """A genus-2 level-2 command makes two series calls, one per Im tau
+    (tau and level * tau), and builds two templates, each looked up
+    once; a cached template cannot be written to."""
     _template.cache_clear()
     run_theta(np.diag([1j, 2j]), 2, Config())
     info = _template.cache_info()
-    assert (info.misses, info.hits) == (2, 4)
+    assert (info.misses, info.hits) == (2, 0)
     tpl = _template(np.diag([1.0, 2.0]).tobytes(), 2, Config().radius)
     assert _template.cache_info().misses == 2
     assert not tpl.offsets.flags.writeable and not tpl.half.flags.writeable
