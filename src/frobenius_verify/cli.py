@@ -44,7 +44,7 @@ MULT_POINTS = 8
 # Sample points per pass: about this many entries of an n^4 tensor (32 points
 # at dim 4, 13 at 5, 6 at 6, all 64 default samples at dims 1-3).  One jet pass
 # feeds one tensor pass.  A whole dim-4 verify in 32-point passes peaks at about
-# 0.87 MiB on a flat chart, and 1.40 MiB in the product runs of the log ball's
+# 0.22 MiB on a flat chart, and 1.40 MiB in the product runs of the log ball's
 # jets (tracemalloc); one 64-point pass would take about 2.4 MiB.
 BATCH_ENTRIES = 8192
 DEFAULT_TOLERANCES = {

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import re as _re
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 LOG_MODULUS_FLOOR = 1e-300
 
@@ -160,11 +160,15 @@ _NAME_RE = _re.compile(r"[A-Za-z]+\d*")
 _INT_RE = _re.compile(r"\d+\Z")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NUMBER | NAME | OP | EOF
     text: str
-    span: SourceSpan
+    start: int
+    end: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.start, self.end)
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -177,20 +181,20 @@ def _tokenize(text: str) -> list[_Token]:
             continue
         m = _NUMBER_RE.match(text, i)
         if m:
-            toks.append(_Token("NUMBER", m.group(), SourceSpan(i, m.end())))
+            toks.append(_Token("NUMBER", m.group(), i, m.end()))
             i = m.end()
             continue
         m = _NAME_RE.match(text, i)
         if m:
-            toks.append(_Token("NAME", m.group(), SourceSpan(i, m.end())))
+            toks.append(_Token("NAME", m.group(), i, m.end()))
             i = m.end()
             continue
         if ch in "+-*^()":
-            toks.append(_Token("OP", ch, SourceSpan(i, i + 1)))
+            toks.append(_Token("OP", ch, i, i + 1))
             i += 1
             continue
         raise ParseError(f"unexpected character {ch!r}", SourceSpan(i, i + 1))
-    toks.append(_Token("EOF", "", SourceSpan(n, n)))
+    toks.append(_Token("EOF", "", n, n))
     return toks
 
 
@@ -257,7 +261,7 @@ class _Parser:
             bad = self.peek()
             raise ParseError(
                 "negative exponents are not supported",
-                SourceSpan(tok.span.start, bad.span.end),
+                SourceSpan(tok.start, bad.end),
             )
         if tok.kind != "NUMBER" or not _INT_RE.match(tok.text):
             raise ParseError("exponent must be a nonnegative integer", tok.span)

@@ -11,17 +11,17 @@ products per sample, not one n^6 loop.  Each batch makes one LAPACK
 ``eigvalsh`` of g (its spectrum) and one ``inv`` (H).  Index conventions
 below name the trailing axes only.
 
-Tensors are read from the stacked jet partials (shape ``(..., E)``: jet
-coefficients times ``alpha! beta!`` in the order of
-``wirtinger._table(n).entries``) by fancy indexing with the table's
-gather indices, once per batch, and the partials are then dropped;
+Tensors are read once per batch, by fancy indexing, from the stacked
+partials of the root jet's support rows (``(N, S + 1)``: the S stored
+coefficients times their ``alpha! beta!``, then a zero column that every
+entry off the support reads), and the partials are then dropped;
 ``wirtinger.partial`` is the scalar form of the same read.
 
 A block of partials that lies wholly outside the root jet's support is
 zero at every point: ``phi3`` (third partials ``d_a d_b dbar_c``) and
 ``ddbar`` (fourth partials ``d_a d_c dbar_b dbar_d``).  The support is
-a property of the parsed potential, so :func:`zero_blocks` reads the
-pattern once per batch, and the bundle carries it as ``MetricData.zero``.
+a property of the parsed potential, so the columns and this pattern are
+read once per support, and the bundle carries it as ``MetricData.zero``.
 A support holds each entry's lower entries (every jet has a constant
 term), so a zero phi3 makes ddbar zero too: then Gamma, R and Ric are
 zero, as on every flat chart ``sum M_ab z_a zbar_b`` plus pluriharmonic
@@ -63,7 +63,7 @@ from typing import Sequence
 import numpy as np
 
 from .expr import ExprError, PotentialExpr
-from .wirtinger import PRODUCT_CACHE, _mask, _table, hermiticity_defect, jet_eval
+from .wirtinger import PRODUCT_CACHE, _entries, _table, hermiticity_defect, jet_eval
 from .wirtinger import partial  # noqa: F401  (re-exported: the one-entry read)
 
 # min |eigenvalue| of g (its smallest singular value) must exceed floor * max
@@ -134,12 +134,22 @@ def split(x: np.ndarray, axes: int, *shape: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=PRODUCT_CACHE)
+def _columns(dim: int, support: int) -> tuple[dict[str, np.ndarray], frozenset]:
+    """The storage columns of the "g", "phi3" and "ddbar" blocks in the
+    partials of a jet with ``support``, S (the zero column) off the support;
+    and the blocks, of "phi3" and "ddbar", that read only S: zero everywhere."""
+    t, rows = _table(dim), _entries(dim, support)
+    column = np.full(len(t.entries), len(rows), dtype=np.intp)
+    column[rows] = np.arange(len(rows))
+    maps = {name: column[getattr(t, f"{name}_idx")] for name in ("g", "phi3", "ddbar")}
+    for m in maps.values():
+        m.flags.writeable = False
+    return maps, frozenset(b for b in ("phi3", "ddbar") if np.all(maps[b] == len(rows)))
+
+
 def zero_blocks(dim: int, support: int) -> frozenset:
-    """The blocks of partials, of "phi3" and "ddbar", that hold no entry
-    of the jet support ``support``: zero at every point of the chart."""
-    t, mask = _table(dim), _mask(dim, support)
-    blocks = {"phi3": t.phi3_idx, "ddbar": t.ddbar_idx}
-    return frozenset(name for name, idx in blocks.items() if not mask[idx].any())
+    """The blocks of partials that hold no entry of ``support``, as :func:`_columns` finds."""
+    return _columns(dim, support)[1]
 
 
 def metric_batch(
@@ -147,9 +157,9 @@ def metric_batch(
 ) -> tuple[MetricData, dict[int, KahlerError | ExprError]]:
     """All metric-level tensors at a batch of points.
 
-    The jets of all the points are evaluated in one stacked pass and read
-    into stacked partials through their dense view, and dropped; everything
-    after them runs once on those, so the caller's batch bounds both layers.
+    The jets of all the points are evaluated in one stacked pass, their
+    support rows read into stacked partials, and dropped; everything after
+    them runs once on those, so the caller's batch bounds both layers.
     The bundle keeps the tensors gathered from the partials, not the partials,
     and no product is formed where :func:`zero_blocks` finds both blocks zero.
     A point whose jet fails (log domain, exp out of range), whose potential
@@ -170,7 +180,9 @@ def metric_batch(
         # the zeros off the support cannot raise a max floored at 1
         scale = np.maximum(1.0, np.max(np.abs(jet.coeffs), axis=0))
         not_real = hermiticity_defect(jet) > REALNESS_TOL * scale
-        partials = np.multiply(jet.dense().T, t.fact, order="C")
+        columns = _columns(n, jet.support)[0]
+        partials = np.zeros((len(point), len(jet.coeffs) + 1), dtype=complex)
+        np.multiply(jet.coeffs.T, t.fact[_entries(n, jet.support)], out=partials[:, :-1])
         del jet
     finite = np.all(np.isfinite(partials), axis=1)
     for idx in np.flatnonzero(not_real):
@@ -183,7 +195,7 @@ def metric_batch(
     if len(good) < len(point):
         partials = partials[good]
 
-    g = np.take(partials, t.g_idx, axis=-1)
+    g = np.take(partials, columns["g"], axis=-1)
     # g is Hermitian, so its singular values are its |eigenvalues|: one
     # spectrum decides degeneracy, conditioning and positivity
     eig = np.linalg.eigvalsh(g)
@@ -205,14 +217,14 @@ def metric_batch(
         curvature = np.zeros(lead + (n,) * 4, dtype=complex)
         ricci = np.zeros(lead + (n, n), dtype=complex)
     else:
-        phi3 = np.take(partials, t.phi3_idx, axis=-1)
+        phi3 = np.take(partials, columns["phi3"], axis=-1)
         # gam[(i, j), k] = sum_e phi3[i][j][e] H[e][k], so Gamma^k_{ij} = gam[i, j, k]
         gam = split(phi3, 3, n * n, n) @ h
         christoffel = np.ascontiguousarray(np.einsum("...ijk->...kij", split(gam, 2, n, n, n)))
         # gradient term sum_e gam[(a, c), e] conj(phi3)[b][d][e], from
         # (d_c G)[a][gamma] = phi3[a][c][gamma] and (dbar_d G)[e][b] = conj(phi3)[b][d][e]
         grad = gam @ np.swapaxes(split(np.conj(phi3), 3, n * n, n), -1, -2)
-        curvature = np.take(partials, t.ddbar_idx, axis=-1) - np.einsum(
+        curvature = np.take(partials, columns["ddbar"], axis=-1) - np.einsum(
             "...acbd->...abcd", split(grad, 2, n, n, n, n)
         )
         ricci = np.einsum("...ba,...abcd->...cd", h, curvature)

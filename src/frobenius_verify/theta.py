@@ -108,9 +108,11 @@ class LatticeMismatchError(ThetaError):
 
 @functools.lru_cache(maxsize=TEMPLATE_CACHE)
 def _check_siegel(tau_bytes: bytes, g: int) -> None:
-    """Raise unless the g x g tau with C-order bytes ``tau_bytes`` is symmetric with positive
-    definite imaginary part.  Cached: the specs of a command share two period matrices."""
+    """Raise unless the g x g tau with C-order bytes ``tau_bytes`` is finite and symmetric
+    with positive definite imaginary part.  Cached: a command's specs share two period matrices."""
     tau = np.frombuffer(tau_bytes, dtype=np.complex128).reshape(g, g)
+    if not np.isfinite(tau).all():
+        raise SiegelDomainError("tau must have finite entries")
     if np.max(np.abs(tau - tau.T)) > 1e-12:
         raise SiegelDomainError("tau must be symmetric")
     if np.linalg.eigvalsh(tau.imag)[0] <= 0:

@@ -29,7 +29,8 @@ such a sum unchanged, so finite jets come out bit for bit the same.  The
 constant terms of ``exp`` and ``log`` are computed per sample in Python
 complex arithmetic for the same reason.  A product gathers and multiplies
 its columns in runs of at most one pair per output entry, not all its
-pairs at once.
+pairs at once.  A product with a constant jet (support 1) has one pair
+per entry of the other operand: it scales that operand, with no table.
 
 The same table holds gather indices for the partials the metric layer
 needs (``g_idx``, ``phi3_idx``, ``ddbar_idx``, ``d4_idx``): indexing
@@ -305,6 +306,15 @@ class Jet:
             return Jet(self.dim, self.coeffs * np.asarray(other, np.complex128), self.support)
         if other.dim != self.dim:
             raise ValueError("jet dimension mismatch")
+        if self.support == 1 or other.support == 1:
+            # a constant scales: one pair per entry of the other operand, the
+            # constant gathered as the pair rows gather it, then +0 as below
+            jet = other if self.support == 1 else self
+            zeros = np.zeros(len(jet.coeffs), np.intp)
+            acc = (self.coeffs[zeros] * other.coeffs if jet is other
+                   else self.coeffs * other.coeffs[zeros])
+            acc += 0.0
+            return Jet(self.dim, acc, jet.support)
         plan = _product(self.dim, self.support, other.support)
         acc = None
         for left, right, columns in plan.runs:

@@ -180,11 +180,19 @@ def _jet_pairs(dim):
     return tuple(np.array(col, dtype=np.intp) for col in zip(*pairs))
 
 
-def brute_jet_mul(dim, left, right):
+def brute_jet_mul(dim, left, right, supports=None):
     """Truncated product of two coefficient arrays (``(E,)``, or ``(E, N)``
     with a trailing sample axis) by one unbuffered scatter over every
-    pair, in pair order, starting from zero."""
+    pair, in pair order, starting from zero.
+
+    ``supports``, a pair of boolean entry masks, keeps only the pairs with
+    both operands inside them: the same sum where every skipped term is an
+    exact zero, and the product of jets with those supports where a skipped
+    zero would meet an infinite or NaN coefficient."""
     i, j, k = _jet_pairs(dim)
+    if supports is not None:
+        keep = supports[0][i] & supports[1][j]
+        i, j, k = i[keep], j[keep], k[keep]
     out = np.zeros_like(left)
     np.add.at(out, k, left[i] * right[j])
     return out

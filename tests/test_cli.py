@@ -1459,7 +1459,7 @@ def test_verify_memory_is_bounded_by_the_batches(which):
     finally:
         tracemalloc.stop()
     # in 32-point passes: about 1.40 MiB for ball-4, in the product runs of
-    # its jets, and 0.87 MiB for flat-4; a single 64-point pass takes about
+    # its jets, and 0.22 MiB for flat-4; a single 64-point pass takes about
     # 2.4 MiB for ball-4
     assert peak <= 1.5 * 2**20
 

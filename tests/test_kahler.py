@@ -259,9 +259,9 @@ def test_degenerate_set_matches_the_svd_oracle(text, g):
         _assert_spectrum_columns(md, md.g)
 
 
-def test_one_pass_builds_one_dense_table(monkeypatch):
-    """The realness test reads the root jet's support rows, so a pass
-    builds the whole jet table once, for the partials."""
+def test_one_pass_builds_no_dense_table(monkeypatch):
+    """The realness test and the partials read the root jet's support
+    rows, so a pass never builds the whole jet table."""
     calls = []
     dense = Jet.dense
 
@@ -274,7 +274,55 @@ def test_one_pass_builds_one_dense_table(monkeypatch):
     points = rng.uniform(-0.4, 0.4, (6, 2)) + 1j * rng.uniform(-0.4, 0.4, (6, 2))
     md, failures = metric_batch(FS2, points)
     assert not failures and len(md.g) == 6
-    assert len(calls) == 1
+    assert calls == []
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_support_row_gathers_are_the_dense_table_gathers(dim, monkeypatch):
+    """metric_batch reads g, phi3 and ddbar from the root jet's support rows
+    and one zero column; each block equals its gather from the dense table
+    (``jet.dense().T * fact``) bit for bit, on random real jets whose
+    supports miss some of a block's entries, or all of them."""
+    from frobenius_verify import kahler
+
+    t = _table(dim)
+    size = len(t.entries)
+    rng = np.random.default_rng(80 + dim)
+    diag = t.g_idx[np.arange(dim), np.arange(dim)]
+    blocks = {2: t.g_idx, 3: t.phi3_idx, 4: t.ddbar_idx}
+    missed, flat = set(), 0
+    take = np.take
+    for density in (0.0, 0.05, 0.2, 0.5, 1.0) * 2:
+        mask = rng.random(size) < density
+        mask[0] = mask[diag] = True  # a nondegenerate metric
+        mask |= mask[t.conj_perm]  # a real potential's support
+        c = rng.normal(size=(size, 5)) + 1j * rng.normal(size=(size, 5))
+        c[diag] += 3 * dim
+        c = (c + np.conj(c[t.conj_perm])) / 2
+        c[~mask] = 0.0
+        jet = Jet(dim, c[mask], sum(1 << int(k) for k in np.flatnonzero(mask)))
+        gathered = []
+
+        def recording(a, indices, axis=None):
+            gathered.append(take(a, indices, axis=axis))
+            return gathered[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(kahler, "jet_eval", lambda *args: jet)
+            m.setattr(np, "take", recording)
+            md, failures = metric_batch(parse(" + ".join(
+                f"z{a}*zbar{a}" for a in range(1, dim + 1)), dim), np.zeros((5, dim)))
+        assert failures == {}
+        dense = jet.dense().T * t.fact
+        want = {rank: take(dense, idx, axis=-1) for rank, idx in blocks.items()}
+        both = md.zero == {"phi3", "ddbar"}
+        assert sorted(got.ndim - 1 for got in gathered) == ([2] if both else [2, 3, 4])
+        for got in gathered:
+            assert got.tobytes() == want[got.ndim - 1].tobytes()
+        assert md.g.tobytes() == want[2].tobytes() and md.phi3.tobytes() == want[3].tobytes()
+        missed |= {rank for rank, idx in blocks.items() if not mask[idx].all()}
+        flat += both
+    assert missed == ({3, 4} if dim == 1 else {2, 3, 4}) and 0 < flat < 10
 
 
 def test_fd_oracle_on_curvature_entries():

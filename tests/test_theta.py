@@ -334,6 +334,23 @@ def test_tau_validation():
         RiemannThetaSpec(tau=[[1j, 0.2], [0.1, 1j]], alpha=[0, 0], beta=[0, 0])
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [complex(0, np.nan), complex(np.nan, 1), complex(np.inf, 1), complex(-np.inf, 1),
+     complex(0, np.inf), complex(0, -np.inf)],
+    ids=["nan-imag", "nan-real", "inf-real", "-inf-real", "inf-imag", "-inf-imag"],
+)
+@pytest.mark.parametrize("g", [1, 2])
+def test_tau_with_a_non_finite_entry_is_rejected_by_name(entry, g):
+    """A NaN or infinite entry of tau, on or off the diagonal, is rejected
+    before any arithmetic on it: the error names tau, and nothing warns
+    (the suite turns a RuntimeWarning into an error)."""
+    tau = np.eye(g, dtype=complex) * 1j
+    tau[0, -1] = tau[-1, 0] = entry
+    with pytest.raises(SiegelDomainError, match="tau must have finite entries"):
+        RiemannThetaSpec(tau=tau, alpha=[0] * g, beta=[0] * g)
+
+
 def test_radius_validation():
     with pytest.raises(ValueError):
         eval_riemann_theta(_spec1(), [0.1], 0)

@@ -230,6 +230,53 @@ def test_restricted_product_matches_dense_scatter(dim):
                 assert all(prod.support >> int(k) & 1 for k in nonzero)
 
 
+@pytest.mark.parametrize("samples", [(), (7,)], ids=["one-point", "stack"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_a_constant_factor_is_the_dense_scatter(dim, samples):
+    """A product with a constant jet (support 1) scales the other operand,
+    one pair per entry, and is still the scatter over the pairs in support
+    bit for bit (over the whole table where every operand is finite):
+    complex constants with nonzero imaginary parts (one per sample on a
+    stack), signed zeros, infinities and NaN in the other operand, a
+    constant times a constant, in both orders."""
+    rng = np.random.default_rng(60 + dim)
+    size = len(_table(dim).entries)
+    shape = (size,) + samples
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, 5e-324])
+    constant = np.arange(size) == 0
+    for trial in range(12):
+        mask = rng.random(size) < rng.choice([0.05, 0.3, 1.0])
+        mask[0] = True
+        c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        if trial % 2:
+            for part in (c.real, c.imag):
+                hit = rng.random(shape) < 0.2
+                part[hit] = rng.choice(specials, np.count_nonzero(hit))
+        c[~mask] = 0.0
+        consts = []
+        for _ in range(2):
+            k = np.zeros(shape, complex)
+            k[0] = rng.normal(size=samples) + 1j * rng.normal(size=samples) * (trial % 3 > 0)
+            consts.append(k)
+        jet = Jet(dim, c[mask], _support_of(mask))
+        one, two = (Jet(dim, k[:1].copy(), 1) for k in consts)
+        cases = (
+            (one, jet, consts[0], c, (constant, mask)),
+            (jet, one, c, consts[0], (mask, constant)),
+            (one, two, *consts, (constant, constant)),
+            (two, one, *consts[::-1], (constant, constant)),
+        )
+        for left, right, a, b, supports in cases:
+            with np.errstate(invalid="ignore", over="ignore"):
+                prod = left * right
+                want = brute_jet_mul(dim, a, b, supports)
+                whole = brute_jet_mul(dim, a, b)
+            assert prod.support == right.support | left.support
+            assert prod.dense().tobytes() == want.tobytes()
+            if np.all(np.isfinite(a)) and np.all(np.isfinite(b)):
+                assert want.tobytes() == whole.tobytes()
+
+
 def test_products_in_several_runs_match_dense_scatter(monkeypatch):
     """The last Horner step of ``log`` for the dim-4 ball, 1,803 pairs into
     495 rows, runs in several runs and is the scatter over the whole table,
