@@ -7,4 +7,4 @@ tests the Frobenius-algebra and pencil-of-connections axioms, validates
 the surface classification catalog and checks theta-function laws.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

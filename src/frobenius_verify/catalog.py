@@ -122,7 +122,9 @@ def _singular(m: np.ndarray) -> bool:
     """Whether the finite real square ``m``, divided by its largest entry,
     has det 0 or an inverse entry >= 1/EXACT_TOL."""
     s = m / (abs(m).max() or 1.0)
-    return np.linalg.det(s) == 0 or not abs(np.linalg.inv(s)).max() * EXACT_TOL < 1.0
+    # a subnormal pivot divides by zero in det's LU: det 0, not a warning
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.linalg.det(s) == 0 or not abs(np.linalg.inv(s)).max() * EXACT_TOL < 1.0
 
 
 def _det(rows: list) -> int:

@@ -25,12 +25,12 @@ import numpy as np
 
 from . import __version__, catalog as cat, frobenius as frob, kahler, theta as th
 from .expr import ExprError, ParseError, PotentialExpr, parse, to_source
-from .report import RowTable, to_json
+from .report import to_json
 
 DEFAULT_SEED = 20240613
 DEFAULT_SAMPLES = 64
 DEFAULT_RADIUS = 30
-# A report holds 0.6 KB (dim 1) to 0.9 KB (dim 4) per sample: under 9 MB at the cap.
+# A report holds 0.33 KB (dim 1) to 0.64 KB (dim 4) per sample: under 7 MB at the cap.
 MAX_SAMPLES = 10_000
 # Two above the largest dim the tests check; sample_points has primes to dim 8.
 # Cost is no bound: the jet table builds in 25 ms at dim 6, and `verify` of a
@@ -374,24 +374,18 @@ def _sample_columns(
     return good, {key: columns[key] for key in READS}, failures
 
 
-def _sample_records(points: np.ndarray, good: np.ndarray, columns: dict, failures: dict) -> RowTable:
-    """The report rows of the sample points, in order (the arguments as
-    :func:`_sample_columns` returns them): each row has its index and
-    point, then its report columns or the error of its failure."""
+def _sample_records(
+    points: np.ndarray, good: np.ndarray, columns: dict, failures: dict
+) -> tuple[dict, list]:
+    """``(samples, errors)`` of a report, from the arguments as
+    :func:`_sample_columns` returns them: ``samples`` holds the index,
+    ``[re, im]`` point and report columns of the good points, one array per
+    key; ``errors`` holds an ``{error, index, point}`` row per failure.
+    Both run in index order."""
     xy = np.stack([points.real, points.imag], axis=-1)
-
-    def good_row(index, point, *values):
-        return dict(zip(columns, values), index=index, point=point)
-
-    def error_row(index, point, error):
-        return {"index": index, "point": point, "error": error}
-
-    bad = np.array(sorted(failures), dtype=int)
-    errors = np.array([str(failures[idx]) for idx in bad.tolist()], dtype=object)
-    return RowTable(len(points), [
-        (("sample", tuple(columns)), good_row, good.tolist(), (good, xy[good], *columns.values())),
-        (("error",), error_row, bad.tolist(), (bad, xy[bad], errors)),
-    ])
+    errors = [{"error": str(failures[idx]), "index": idx, "point": xy[idx].tolist()}
+              for idx in sorted(failures)]
+    return {"index": good, "point": xy[good], **columns}, errors
 
 
 def _group_record(action: cat.GroupAction, tol: float) -> dict:
@@ -466,13 +460,15 @@ def run_verify(entry: cat.CatalogEntry, config: Config) -> dict:
             if "flatness" in failed:
                 reasons.append("curvature constraint violated")
 
+    samples, errors = _sample_records(points, good, columns, failures)
     return {
         "spec": entry.name,
         "version": __version__,
         "seed": config.seed,
         "tolerances": tol,
         "disclaimer": DISCLAIMER,
-        "samples": _sample_records(points, good, columns, failures),
+        "samples": samples,
+        "errors": errors,
         "group": group_rec,
         "verdict": verdict,
         "reasons": sorted(set(reasons)),
@@ -576,15 +572,12 @@ def run_theta(tau: np.ndarray, level: int, config: Config) -> dict:
             scale[:, m] * th.nearest_term(tau, half, zs[m] + shifts[:, None, :]),
         )
     worst_qp, worst_mult = float(np.max(qp)), float(np.max(mult))
-    # a row per generator and point, generator-major
-    qp_rows = RowTable(qp.size, [(
-        ("theta",),
-        lambda generator, z, residual: {"generator": generator, "z": z, "residual": residual},
-        range(qp.size),
-        (np.repeat(np.arange(2 * g), THETA_POINTS),
-         np.tile(np.stack([zs.real, zs.imag], axis=-1), (2 * g, 1, 1)),
-         qp.ravel()),
-    )])
+    # a residual per generator and point, generator-major
+    samples = {
+        "generator": np.repeat(np.arange(2 * g), THETA_POINTS),
+        "z": np.tile(np.stack([zs.real, zs.imag], axis=-1), (2 * g, 1, 1)),
+        "residual": qp.ravel(),
+    }
 
     tail, tol = max(tails), config.tolerances
     expected_dim = level**g
@@ -601,7 +594,7 @@ def run_theta(tau: np.ndarray, level: int, config: Config) -> dict:
         "seed": config.seed,
         "tolerances": tol,
         "radius": config.radius,
-        "samples": qp_rows,
+        "samples": samples,
         "multiplicativity": worst_mult,
         "level_dimension": dim_result,
         "expected_dimension": expected_dim,

@@ -217,17 +217,20 @@ def metric_batch(
         curvature = np.zeros(lead + (n,) * 4, dtype=complex)
         ricci = np.zeros(lead + (n, n), dtype=complex)
     else:
+        # a potential near double range overflows these products: its non-finite
+        # Gamma or pencil makes the sample an error record in place of a warning
         phi3 = np.take(partials, columns["phi3"], axis=-1)
-        # gam[(i, j), k] = sum_e phi3[i][j][e] H[e][k], so Gamma^k_{ij} = gam[i, j, k]
-        gam = split(phi3, 3, n * n, n) @ h
-        christoffel = np.ascontiguousarray(np.einsum("...ijk->...kij", split(gam, 2, n, n, n)))
-        # gradient term sum_e gam[(a, c), e] conj(phi3)[b][d][e], from
-        # (d_c G)[a][gamma] = phi3[a][c][gamma] and (dbar_d G)[e][b] = conj(phi3)[b][d][e]
-        grad = gam @ np.swapaxes(split(np.conj(phi3), 3, n * n, n), -1, -2)
-        curvature = np.take(partials, columns["ddbar"], axis=-1) - np.einsum(
-            "...acbd->...abcd", split(grad, 2, n, n, n, n)
-        )
-        ricci = np.einsum("...ba,...abcd->...cd", h, curvature)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # gam[(i, j), k] = sum_e phi3[i][j][e] H[e][k], so Gamma^k_{ij} = gam[i, j, k]
+            gam = split(phi3, 3, n * n, n) @ h
+            christoffel = np.ascontiguousarray(np.einsum("...ijk->...kij", split(gam, 2, n, n, n)))
+            # gradient term sum_e gam[(a, c), e] conj(phi3)[b][d][e], from
+            # (d_c G)[a][gamma] = phi3[a][c][gamma] and (dbar_d G)[e][b] = conj(phi3)[b][d][e]
+            grad = gam @ np.swapaxes(split(np.conj(phi3), 3, n * n, n), -1, -2)
+            curvature = np.take(partials, columns["ddbar"], axis=-1) - np.einsum(
+                "...acbd->...abcd", split(grad, 2, n, n, n, n)
+            )
+            ricci = np.einsum("...ba,...abcd->...cd", h, curvature)
 
     md = MetricData(
         g=g,
@@ -290,15 +293,17 @@ def wdvv_residual_at(md: MetricData):
     ``md.christoffel`` (Gamma^f_{ab}), that of rhs is ``H @ phi3``.
     """
     n, phi3_bar = md.dim, np.conj(md.phi3)
-    # lhs[c, d, (a, b)] = sum_f conj(phi3)[c][d][f] Gamma^f_{ab}
-    lhs = split(phi3_bar, 3, n * n, n) @ split(md.christoffel, 3, n, n * n)
-    # rhs[c, b, (a, d)] = sum_e conj(phi3)[c][e][b] (H @ phi3)[e, (a, d)]
-    rhs = split(np.swapaxes(phi3_bar, -1, -2), 3, n * n, n) @ (
-        md.g_inv @ split(md.phi3, 3, n, n * n)
-    )
-    # the max runs over all entries, so both sides only need the same layout
-    rhs = np.swapaxes(split(rhs, 2, n, n, n, n), -3, -1)
-    return worst(split(lhs, 2, n, n, n, n) - rhs, 4)
+    # near double range the routes overflow: an inf or NaN residual fails the check
+    with np.errstate(over="ignore", invalid="ignore"):
+        # lhs[c, d, (a, b)] = sum_f conj(phi3)[c][d][f] Gamma^f_{ab}
+        lhs = split(phi3_bar, 3, n * n, n) @ split(md.christoffel, 3, n, n * n)
+        # rhs[c, b, (a, d)] = sum_e conj(phi3)[c][e][b] (H @ phi3)[e, (a, d)]
+        rhs = split(np.swapaxes(phi3_bar, -1, -2), 3, n * n, n) @ (
+            md.g_inv @ split(md.phi3, 3, n, n * n)
+        )
+        # the max runs over all entries, so both sides only need the same layout
+        rhs = np.swapaxes(split(rhs, 2, n, n, n, n), -3, -1)
+        return worst(split(lhs, 2, n, n, n, n) - rhs, 4)
 
 
 def ricci_c1_check(md: MetricData):

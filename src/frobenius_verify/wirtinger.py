@@ -413,7 +413,9 @@ def _exp_terms(c0: complex) -> tuple[complex]:
 
 
 def _log_terms(c0: complex) -> tuple[complex, complex]:
-    if abs(c0) < LOG_MODULUS_FLOOR:
+    # a part at or above the floor puts the modulus there too; abs() of a
+    # complex whose modulus is past double range raises OverflowError
+    if max(abs(c0.real), abs(c0.imag)) < LOG_MODULUS_FLOOR and abs(c0) < LOG_MODULUS_FLOOR:
         raise LogDomainError(f"log argument modulus {abs(c0)} below floor")
     return 1.0 / c0, cmath.log(c0)
 

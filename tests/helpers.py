@@ -9,7 +9,8 @@ triple loops for the algebra axioms, a term-by-term theta series, group
 checks in complex coordinates with a bounded search for fixed points,
 Lefschetz numbers by an integer Bareiss determinant, metric spectra by
 ``svd`` and Cholesky, a per-point loop for the sample points and a
-per-row one for their report rows, the row and per-point loops that
+per-row one for their report rows (``sample_rows`` rebuilds those rows
+from a report's columns), the row and per-point loops that
 the verdict and the theta residuals once ran in, and the tensor
 contractions as single multi-operand einsums (these read the jet
 table's gather indices).  These stay independent of the code paths they check.  Two more routes
@@ -977,3 +978,16 @@ def reference_sample_records(points, good, columns, failures):
         for key, column in columns.items():
             records[idx][key] = column[k].item()
     return records
+
+
+def sample_rows(report):
+    """The sample rows of a 0.7.0 report, rebuilt from the columns of
+    ``report["samples"]`` and the rows of ``report.get("errors", [])``:
+    a row per entry of the columns, then the error rows, in index order
+    where the rows have one.  ``report`` is in-process or loaded JSON."""
+    columns = {key: col.tolist() if isinstance(col, np.ndarray) else col
+               for key, col in report["samples"].items()}
+    rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
+    if "index" not in columns:
+        return rows
+    return sorted(rows + report["errors"], key=lambda row: row["index"])

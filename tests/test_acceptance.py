@@ -17,6 +17,7 @@ from helpers import (
     jet_partials,
     random_polynomial_potential,
     ricci_via_connection,
+    sample_rows,
 )
 
 from frobenius_verify.catalog import (
@@ -60,7 +61,7 @@ def _announce(num: int, name: str, ok: bool) -> None:
 
 
 def _flat_suite_ok(report) -> bool:
-    for sample in report["samples"]:
+    for sample in sample_rows(report):
         if "error" in sample:
             return False
         CORPUS.append(
@@ -127,9 +128,10 @@ def test_criterion_04_negative_controls():
         ),
         CONFIG,
     )
-    wdvv_max = max(s["wdvv"] for s in report["samples"])
-    curv_max = max(s["max_curvature"] for s in report["samples"])
-    for sample in report["samples"]:
+    rows = sample_rows(report)
+    wdvv_max = max(s["wdvv"] for s in rows)
+    curv_max = max(s["max_curvature"] for s in rows)
+    for sample in rows:
         CORPUS.append(
             (sample["max_curvature"], sample["wdvv"], sample["associator"])
         )
@@ -206,7 +208,7 @@ def test_criterion_06_equivalence_probe():
     sweep = [(flat_torus_entry(n), 16) for n in (1, 2, 3)]
     for entry, count in sweep:
         report = run_verify(entry, Config(samples=count))
-        for sample in report["samples"]:
+        for sample in sample_rows(report):
             CORPUS.append(
                 (sample["max_curvature"], sample["wdvv"], sample["associator"])
             )

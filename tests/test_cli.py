@@ -15,6 +15,7 @@ from helpers import (
     failed_classes_from_rows,
     reference_sample_points,
     reference_sample_records,
+    sample_rows,
 )
 
 from frobenius_verify import cli, theta as th
@@ -40,7 +41,6 @@ from frobenius_verify.cli import (
     to_json,
 )
 from frobenius_verify.expr import PotentialExpr, parse
-from frobenius_verify.report import RowTable
 from frobenius_verify.theta import MAX_RADIUS
 
 CFG = Config(samples=12)
@@ -99,7 +99,7 @@ EXP_OVERFLOW_SPEC = {
 def test_torus_spec_end_to_end():
     report = run_verify(load_manifold_spec(TORUS_SPEC), CFG)
     assert report["verdict"] == "frobenius"
-    for sample in report["samples"]:
+    for sample in sample_rows(report):
         assert sample["max_curvature"] < 1e-9
         assert sample["wdvv"] < 1e-9
         # the pencil's coefficients: flat for every lambda
@@ -110,7 +110,7 @@ def test_torus_spec_end_to_end():
 def test_fubini_study_not_frobenius():
     report = run_verify(load_manifold_spec(FS_SPEC), CFG)
     assert report["verdict"] == "not-frobenius"
-    assert max(s["wdvv"] for s in report["samples"]) > 1e-2
+    assert max(s["wdvv"] for s in sample_rows(report)) > 1e-2
 
 
 def test_rotation_action_not_free():
@@ -186,7 +186,7 @@ def test_run_theta_report():
     elapsed = time.monotonic() - start
     assert report["verdict"] == "pass"
     assert report["level_dimension"] == 3
-    assert all(s["residual"] < 1e-8 for s in report["samples"])
+    assert all(s["residual"] < 1e-8 for s in sample_rows(report))
     assert elapsed < 5.0
 
 
@@ -215,7 +215,7 @@ def test_every_expected_class_loads(name):
 def test_report_schema_keys():
     report = run_verify(load_manifold_spec(TORUS_SPEC), Config(samples=4))
     payload = json.loads(to_json(report))
-    for key in ("spec", "version", "seed", "tolerances", "samples", "group",
+    for key in ("spec", "version", "seed", "tolerances", "samples", "errors", "group",
                 "verdict", "reasons", "disclaimer"):
         assert key in payload
 
@@ -249,7 +249,7 @@ def test_catalog_entry_verifies_as_its_spec_file(entry):
 
 def _json_dumps(payload) -> str:
     """The format ``to_json`` promises, from the standard library."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, default=np.ndarray.tolist) + "\n"
 
 
 # surrogates included: a lone one is written as a \ud8xx escape
@@ -307,7 +307,7 @@ def test_to_json_matches_json_dumps_on_reports():
     theta = run_theta(np.diag([1j, 2j]), 2, Config())
     assert to_json(theta) == _json_dumps(theta)
     mixed = run_verify(load_manifold_spec(EXP_OVERFLOW_SPEC), Config(samples=8))
-    assert {"error" in row for row in mixed["samples"]} == {True, False}
+    assert {"error" in row for row in sample_rows(mixed)} == {True, False}
     assert to_json(mixed) == _json_dumps(mixed)
 
 
@@ -376,11 +376,11 @@ def _zero_table(*signs):
 @example(_zero_table(1.0, -1.0))
 @example(_zero_table(-1.0, 1.0, 1.0, 1.0))
 def test_sample_tables_are_written_as_json_dumps_writes_them(args):
-    table = cli._sample_records(*args)
-    # as text, where NaN equals NaN
-    assert _json_dumps(table) == _json_dumps(reference_sample_records(*args))
-    # the rows are written from the columns, at every depth of the report
-    payload = {"samples": table, "nested": [[table]]}
+    samples, errors = cli._sample_records(*args)
+    # as text, where NaN equals NaN and -0.0 differs from 0.0
+    rows = sample_rows({"samples": samples, "errors": errors})
+    assert _json_dumps(rows) == _json_dumps(reference_sample_records(*args))
+    payload = {"samples": samples, "errors": errors, "nested": [[samples]]}
     assert to_json(payload) == _json_dumps(payload)
 
 
@@ -402,22 +402,39 @@ def test_theta_tables_are_written_as_json_dumps_writes_them(genus, level, floats
 
     with mock.patch.object(th, "shift_residual", with_specials):
         report = run_theta(tau, level, Config(seed=seed))
-    assert len(report["samples"]) == 2 * genus * cli.THETA_POINTS
+    assert len(sample_rows(report)) == 2 * genus * cli.THETA_POINTS
     assert to_json(report) == _json_dumps(report)
 
 
-def test_row_table_writes_literal_text_and_empty_tables():
-    """A ``%`` in a row's keys is text, not a template slot; an empty
-    table is ``[]``; a column of any dtype is written per entry."""
-    columns = (np.array([-0.0, math.nan]), np.array([[True], [False]]), np.array([3, -4]),
-               np.array(["50%", "%s"], dtype=object))
+@st.composite
+def _arrays(draw):
+    """Float (with signed zeros, NaN, infinities), bool and int arrays of
+    shape ``(0,)``, ``(N,)``, ``(N, d, 2)`` or another of up to 3 axes."""
+    shape = draw(st.one_of(
+        st.just((0,)),
+        st.tuples(st.integers(1, 9)),
+        st.tuples(st.integers(0, 6), st.integers(1, 4), st.just(2)),
+        st.lists(st.integers(0, 3), max_size=3).map(tuple),
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from("fbi"))
+    if kind == "b":
+        return np.asarray(rng.random(shape) < 0.5)
+    if kind == "i":
+        return np.asarray(rng.integers(-(2**62), 2**62, shape))
+    return np.asarray(draw(_special_floats())(rng, shape))
 
-    def row(x, flags, n, text):
-        return {"100%": x, "%s": flags, "%(n)d": [n, {"t": text}]}
-    for size, layouts in ((2, [(("percent",), row, [1, 0], columns)]), (0, [])):
-        table = RowTable(size, layouts)
-        payload = [table, {"deeper": table}]
-        assert to_json(payload) == _json_dumps(payload)
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.recursive(
+    JSON_SCALARS | _arrays(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=12,
+))
+@example(np.zeros((3, 0)))
+@example({"%s": [np.array([-0.0, 0.0]), np.zeros((2, 1, 2))], "%(k)d": np.array([[1, 2]])})
+def test_arrays_are_written_as_json_dumps_writes_their_lists(payload):
+    assert to_json(payload) == _json_dumps(payload)
 
 
 def test_parser_is_reused_without_carrying_state(capsys):
@@ -532,7 +549,7 @@ DEGENERATE_SPEC = {
 def test_degenerate_sample_reports_error():
     report = run_verify(load_manifold_spec(DEGENERATE_SPEC), Config(samples=4))
     assert report["verdict"] == "error"
-    assert any("error" in s for s in report["samples"])
+    assert any("error" in s for s in sample_rows(report))
 
 
 def test_main_numeric_error_exit_code(tmp_path, capsys):
@@ -633,7 +650,7 @@ def test_theta_laws_hold_at_large_im_tau(capsys, tau):
     assert main(["--json", "theta", "--tau", tau, "--level", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "pass"
-    assert max(row["residual"] for row in report["samples"]) < 1e-13
+    assert max(row["residual"] for row in sample_rows(report)) < 1e-13
     assert report["multiplicativity"] < 1e-13
 
 
@@ -714,7 +731,7 @@ def test_pencil_overflow_is_an_error_record(tmp_path, capsys, spec):
         code, report = _verify_json(tmp_path, capsys, spec, 3)
     assert code == 3
     assert report["verdict"] == "error"
-    assert [s["error"] for s in report["samples"]] == ["non-finite pencil curvature"] * 3
+    assert [s["error"] for s in sample_rows(report)] == ["non-finite pencil curvature"] * 3
 
 
 def _poison_christoffel(monkeypatch):
@@ -748,7 +765,7 @@ def test_catalog_numeric_error_exit_code(monkeypatch, capsys):
     assert main(argv) == 3
     (report,) = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "error" and not report["matches_expected"]
-    assert [s.get("error") for s in report["samples"]] == [
+    assert [s.get("error") for s in sample_rows(report)] == [
         None, "non-finite partials of the potential"
     ]
     assert report["reasons"] == ["non-finite values at sampled points"]
@@ -758,8 +775,8 @@ def test_exp_overflow_is_an_error_record_at_its_sample(tmp_path, capsys):
     code, report = _verify_json(tmp_path, capsys, EXP_OVERFLOW_SPEC, 8)
     assert code == 3
     assert report["verdict"] == "error"
-    overflowed = []
-    for sample in report["samples"]:
+    overflowed, rows = [], sample_rows(report)
+    for sample in rows:
         ((x, y),) = sample["point"]
         exponent = 3000 * (x * x + y * y)
         if exponent > math.log(np.finfo(float).max):
@@ -768,7 +785,7 @@ def test_exp_overflow_is_an_error_record_at_its_sample(tmp_path, capsys):
             overflowed.append(sample["index"])
         elif exponent < 600:
             assert "error" not in sample
-    assert 0 < len(overflowed) < len(report["samples"])
+    assert 0 < len(overflowed) < len(rows)
     assert report["reasons"] == ["domain error at sampled points"]
 
 
@@ -777,10 +794,52 @@ def test_non_finite_partials_are_error_records(tmp_path, capsys):
     code, report = _verify_json(tmp_path, capsys, spec, 4)
     assert code == 3
     assert report["verdict"] == "error"
-    assert [s["error"] for s in report["samples"]] == [
+    assert [s["error"] for s in sample_rows(report)] == [
         "non-finite partials of the potential"
     ] * 4
     assert report["reasons"] == ["non-finite values at sampled points"]
+
+
+# (spec, exit code, the report's reasons or the input error): each once
+# reached "internal error" or leaked a RuntimeWarning
+EDGE_SPECS = [
+    # log of a complex whose parts are finite but whose modulus is not
+    ({"name": "log-huge", "dim": 1, "potential": "log(1.7e308*z1)",
+      "sample_domain": {"re": [[0.8, 0.9]], "im": [[0.8, 0.9]]}},
+     3, ["potential not real at sampled points"]),
+    # finite partials whose curvature products overflow
+    ({"name": "huge-cubic", "dim": 2,
+      "potential": "z1*zbar1 + z2*zbar2 + 1e307*(z1*zbar2 + z2*zbar1)^3",
+      "sample_domain": TORUS_SPEC["sample_domain"]},
+     3, ["non-finite values at sampled points"]),
+    # subnormal periods: det's LU divides by zero
+    ({"name": "tiny-lattice", "dim": 2, "potential": "z1*zbar1 + z2*zbar2",
+      "sample_domain": TORUS_SPEC["sample_domain"],
+      "lattice": [[[1, 0], [0, 0]], [[0, 1e-309], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 1e-309]]]},
+     2, "error: lattice generators are linearly dependent over R\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, code, answer", EDGE_SPECS, ids=[spec["name"] for spec, _, _ in EDGE_SPECS]
+)
+def test_edge_specs_answer_alike_under_both_warning_settings(tmp_path, capsys, spec, code, answer):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    outputs = []
+    for action in ("error", "default"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action, RuntimeWarning)
+            assert main(["--samples", "8", "--json", "verify", str(path)]) == code
+        assert caught == []
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    out, err = outputs[0]
+    if code == 2:
+        assert (out, err) == ("", answer)
+    else:
+        report = json.loads(out)
+        assert (err, report["verdict"], report["reasons"]) == ("", "error", answer)
 
 
 @pytest.mark.parametrize(
@@ -791,9 +850,10 @@ def test_metric_not_positive_definite_is_not_frobenius(potential):
     report = run_verify(load_manifold_spec(spec), Config(samples=4))
     assert report["verdict"] == "not-frobenius"
     assert report["reasons"] == ["metric not positive definite at sampled points"]
-    assert not any(s["positive_definite"] for s in report["samples"])
+    rows = sample_rows(report)
+    assert not any(s["positive_definite"] for s in rows)
     # every other check passes: the gate alone decides
-    assert all(s["max_curvature"] == 0.0 for s in report["samples"])
+    assert all(s["max_curvature"] == 0.0 for s in rows)
 
 
 # at 1e-308 the pencil of every sample overflows; the sample whose Gamma
@@ -805,7 +865,7 @@ def test_non_finite_structure_constants_give_an_error_record(monkeypatch, spec, 
     _poison_christoffel(monkeypatch)
     report = run_verify(load_manifold_spec(spec), Config(samples=4))
     assert report["verdict"] == "error"
-    assert [s.get("error") for s in report["samples"]] == [
+    assert [s.get("error") for s in sample_rows(report)] == [
         others, "non-finite structure constants", others, others
     ]
 
@@ -937,7 +997,7 @@ VERDICT_SPECS = [
 def test_column_verdict_agrees_with_row_verdict(spec):
     config = Config(samples=8)
     report = run_verify(load_manifold_spec(spec), config)
-    expected = _row_verdict(report["samples"], config.tolerances["structural"])
+    expected = _row_verdict(sample_rows(report), config.tolerances["structural"])
     assert (report["verdict"], report["reasons"]) == expected
 
 
@@ -956,7 +1016,7 @@ def test_nan_in_a_column_fails_its_check_as_in_the_rows(monkeypatch, key):
     report = run_verify(load_manifold_spec(VERDICT_SPECS[0]), config)
     tol = config.tolerances["structural"]
     assert report["verdict"] != "frobenius"
-    samples = report["samples"]
+    samples = sample_rows(report)
     assert (report["verdict"], report["reasons"]) == _row_verdict(samples, tol)
     assert failed_classes_from_rows(samples, tol) == {cls for col, cls in CHECKS if col == key}
 
@@ -1072,13 +1132,17 @@ def test_reports_do_not_depend_on_the_skip(monkeypatch, entry):
 
 def test_sample_record_keys():
     report = run_verify(load_manifold_spec(FS_SPEC), Config(samples=2))
-    assert {key for sample in report["samples"] for key in sample} == {
+    rows = sample_rows(report)
+    assert {key for sample in rows for key in sample} == {
         "index", "point", "metric_hermiticity", "min_singular", "condition_number",
         "max_curvature", "wdvv", "ricci_hermiticity", "max_ricci",
         "associator", "mixed_norm", "einstein_defect", "positive_definite",
     }
     # every check reads a column of every good row
-    assert all({key for key, _ in CHECKS} <= set(sample) for sample in report["samples"])
+    assert all({key for key, _ in CHECKS} <= set(sample) for sample in rows)
+    # one array per key, an entry per good sample
+    assert {len(col) for col in report["samples"].values()} == {2}
+    assert report["errors"] == []
     assert "lambda_grid" not in report
 
 
@@ -1476,6 +1540,7 @@ def test_verify_reads_the_pencil_without_christoffel_derivatives(monkeypatch):
     monkeypatch.setattr(frobenius, "christoffel_derivatives", forbidden)
     report = run_verify(load_manifold_spec(CURVED3_SPEC), Config(samples=8))
     assert report["verdict"] == "not-frobenius"
-    assert all("error" not in s for s in report["samples"])
+    rows = sample_rows(report)
+    assert all("error" not in s for s in rows)
     # the pencil's lambda coefficient, dbar Gamma = R H, is read at every sample
-    assert all(s["mixed_norm"] > 0 for s in report["samples"])
+    assert all(s["mixed_norm"] > 0 for s in rows)

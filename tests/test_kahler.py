@@ -12,6 +12,7 @@ from helpers import (
     fd_curvature,
     fd_wdvv_residual,
     jet_partials,
+    sample_rows,
     svd_spectrum,
 )
 
@@ -393,7 +394,8 @@ def test_mixed_batch_matches_one_point_results():
 
 def _records(points):
     points = np.array(points)
-    return _sample_records(points, *_sample_columns(MIXED2, points))
+    samples, errors = _sample_records(points, *_sample_columns(MIXED2, points))
+    return sample_rows({"samples": samples, "errors": errors})
 
 
 def test_mixed_batch_records_keep_their_indices():

@@ -26,7 +26,7 @@ from frobenius_verify.theta import (
     values_with_shifts,
 )
 
-from helpers import brute_theta, scalar_theta_residuals
+from helpers import brute_theta, sample_rows, scalar_theta_residuals
 
 
 def _spec1(alpha=0.0, beta=0.0):
@@ -524,8 +524,9 @@ def test_run_theta_residuals_equal_one_point_residuals(genus, tau):
     config = Config(seed=5)
     report = run_theta(np.array(tau), 2, config)
     spec = RiemannThetaSpec(tau=tau, alpha=np.zeros(genus), beta=np.zeros(genus))
-    assert len(report["samples"]) == 2 * genus * 20
-    for row in report["samples"]:
+    rows = sample_rows(report)
+    assert len(rows) == 2 * genus * 20
+    for row in rows:
         z = [re + 1j * im for re, im in row["z"]]
         expected = quasi_periodicity_residual(spec, z, row["generator"], config.radius)
         assert row["residual"] == expected
@@ -539,9 +540,10 @@ def test_run_theta_residuals_match_the_scalar_loop(genus, tau):
     Python's, so 1e-15 absolute, fixed beforehand, bounds the change."""
     config = Config(seed=5)
     report = run_theta(np.array(tau), 2, config)
-    zs = np.array([[re + 1j * im for re, im in row["z"]] for row in report["samples"][:20]])
+    rows = sample_rows(report)
+    zs = np.array([[re + 1j * im for re, im in row["z"]] for row in rows[:20]])
     qp, mult = scalar_theta_residuals(np.array(tau), zs, config.radius)
-    residuals = [row["residual"] for row in report["samples"]]
+    residuals = [row["residual"] for row in rows]
     assert residuals == pytest.approx(qp, rel=0, abs=1e-15)
     assert report["multiplicativity"] == pytest.approx(mult, rel=0, abs=1e-15)
 
